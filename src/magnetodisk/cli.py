@@ -8,7 +8,10 @@ configuration; reruns with identical configuration and seed are bit-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import json
+import math
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -66,8 +69,6 @@ def _parse_mu_range(text: str) -> tuple[float, float, int]:
 
 
 def _load_config_file(path: str) -> dict:
-    import json
-
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -138,10 +139,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _json_text(obj, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -162,12 +159,10 @@ def _json_text(obj, indent: int = 0) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
-        return _fmt(x) if np.isfinite(x) else "null"
+        return "%.17g" % x if math.isfinite(x) else "null"
     if obj is None:
         return "null"
     if isinstance(obj, str):
-        import json
-
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)}")
 
@@ -179,6 +174,9 @@ def _config_hash(cfg: RunConfig) -> str:
         {k: v for k, v in sorted(asdict(cfg).items()) if k != "out"}
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
+
+
+_BLOCK_ROWS = 4096  # rows per % call: bounds the text held in memory at once
 
 
 class _Writer:
@@ -195,26 +193,52 @@ class _Writer:
         path.write_text(_json_text(body) + "\n")
         return path
 
-    def table(self, stem: str, columns: list[str], rows) -> Path:
+    def table(self, stem: str, names: list[str], columns) -> Path:
+        """Write a table given column by column: each column is an array of
+        floats or a sequence of str.  Floats are written as %.17g (in JSON,
+        non-finite ones as null), strings as they are (JSON-quoted in JSON).
+        Each block of rows is formatted by a single % over a flat tuple."""
         self.out.mkdir(parents=True, exist_ok=True)
-        if self.cfg.format == "csv":
-            path = self.out / f"{stem}.csv"
-            lines = [
-                f"# magnetodisk={self.meta['version']} config_hash={self.meta['config_hash']}",
-                ",".join(columns),
-            ]
-            for row in rows:
-                lines.append(",".join(_fmt(x) if isinstance(x, (float, np.floating)) else str(x)
-                                      for x in row))
-            path.write_text("\n".join(lines) + "\n")
-        else:
+        as_json = self.cfg.format == "json"
+        specs, cells = [], []
+        for column in map(np.asarray, columns):
+            if column.dtype.kind != "f":
+                if as_json:
+                    column = np.array([json.dumps(s) for s in column.tolist()])
+                specs.append("%s")
+            elif as_json and not np.isfinite(column).all():
+                column = np.array(["%.17g" % x if math.isfinite(x) else "null"
+                                   for x in column.tolist()])
+                specs.append("%s")
+            else:
+                specs.append("%.17g")
+            cells.append(column)
+        if as_json:
             path = self.out / f"{stem}.json"
-            payload = {
-                "meta": self.meta,
-                "columns": columns,
-                "rows": [list(row) for row in rows],
-            }
-            path.write_text(_json_text(payload) + "\n")
+            head, tail = _json_text(
+                {"meta": self.meta, "columns": names, "rows": []}
+            ).rsplit("[]", 1)
+            opening, closing = head + "[", "]" + tail + "\n"
+            row, sep = "[" + ", ".join(specs) + "]", ", "
+        else:
+            path = self.out / f"{stem}.csv"
+            opening = (f"# magnetodisk={self.meta['version']} "
+                       f"config_hash={self.meta['config_hash']}\n"
+                       + ",".join(names) + "\n")
+            row, sep, closing = ",".join(specs) + "\n", "", ""
+
+        n_rows, width = len(cells[0]), len(cells)
+        with open(path, "w") as fh:
+            fh.write(opening)
+            for start in range(0, n_rows, _BLOCK_ROWS):
+                stop = min(start + _BLOCK_ROWS, n_rows)
+                flat = [None] * ((stop - start) * width)
+                for j, column in enumerate(cells):
+                    flat[j::width] = column[start:stop].tolist()
+                if start:
+                    fh.write(sep)
+                fh.write(sep.join([row] * (stop - start)) % tuple(flat))
+            fh.write(closing)
         return path
 
 
@@ -236,10 +260,7 @@ def cmd_eigen(cfg: RunConfig) -> int:
             "iterations": pair.iterations,
         },
     )
-    writer.table(
-        "phi0", ["r", "phi0"],
-        zip(grid.nodes.tolist(), pair.phi0.values.tolist()),
-    )
+    writer.table("phi0", ["r", "phi0"], [grid.nodes, pair.phi0.values])
     return 0
 
 
@@ -264,10 +285,8 @@ def cmd_minimize(cfg: RunConfig) -> int:
             "trivial": report.trivial,
         },
     )
-    writer.table(
-        "profile", ["r", "h", "w"],
-        zip(grid.nodes.tolist(), report.minimizer.values.tolist(), w.values.tolist()),
-    )
+    writer.table("profile", ["r", "h", "w"],
+                 [grid.nodes, report.minimizer.values, w.values])
     if report.diverged or not report.converged:
         print(f"minimize did not converge at mu={params.mu}", file=sys.stderr)
         return 1
@@ -280,10 +299,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     params = ModelParams(mu=lo, tol=cfg.tol, max_iter=cfg.max_iter)
     diagram = trace_branches(grid, params, lo, hi, steps, init_eps=cfg.init_eps)
     writer = _Writer(cfg)
-    writer.table(
-        "diagram", ["mu", "branch", "beta", "energy"],
-        ((q.mu, q.branch, q.beta, q.energy) for q in diagram.points),
-    )
+    names = ["mu", "branch", "beta", "energy"]
+    writer.table("diagram", names,
+                 [[getattr(q, name) for q in diagram.points] for name in names])
     writer.json(
         "summary.json",
         {
@@ -320,11 +338,7 @@ def cmd_fields(cfg: RunConfig) -> int:
     wvals = w_of_r(np.hypot(xs, ys))
 
     writer = _Writer(cfg)
-    writer.table(
-        "fields", ["x", "y", "m1", "m2", "m3", "w"],
-        zip(xs.tolist(), ys.tolist(), m[:, 0].tolist(), m[:, 1].tolist(),
-            m[:, 2].tolist(), wvals.tolist()),
-    )
+    writer.table("fields", ["x", "y", "m1", "m2", "m3", "w"], [xs, ys, *m.T, wvals])
     if report.diverged or not report.converged:
         print(f"minimize did not converge at mu={params.mu}", file=sys.stderr)
         return 1
@@ -431,7 +445,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing never mutates it."""
     parser = argparse.ArgumentParser(
         prog="magnetodisk",
         description="Radial magneto-elastic disk: threshold eigenpair, energy "

@@ -239,3 +239,41 @@ def test_values_round_trip_through_text(tmp_path):
     _, rows = read_csv(tmp_path / "phi0.csv")
     got = np.array([float(row[1]) for row in rows])
     assert np.array_equal(got, pair.phi0.values)
+
+
+def _json_cell_matches(text, value):
+    if isinstance(value, str):
+        return text == value
+    if value is None:  # JSON writes non-finite floats as null
+        return not np.isfinite(float(text))
+    return float(text) == value
+
+
+@pytest.mark.parametrize(
+    "args, stem",
+    [
+        (("eigen", "--n", 64), "phi0"),
+        (("minimize", "--mu", 2.5, "--n", 64), "profile"),
+        (("sweep", "--mu-range", "1.5:2.0:6", "--n", 64), "diagram"),
+        (("fields", "--mu", 2.5, "--n", 64, "--samples", 11), "fields"),
+    ],
+)
+def test_json_table_holds_the_csv_numbers(tmp_path, args, stem):
+    from magnetodisk import __version__
+    from magnetodisk.cli import _build_parser, _config_hash, resolve_config
+
+    csv_out, json_out = tmp_path / "csv", tmp_path / "json"
+    assert run(*args, "--out", csv_out) == 0
+    json_argv = [str(a) for a in (*args, "--format", "json", "--out", json_out)]
+    assert main(json_argv) == 0
+
+    columns, rows = read_csv(csv_out / f"{stem}.csv")
+    table = json.loads((json_out / f"{stem}.json").read_text())
+    assert list(table) == ["meta", "columns", "rows"]
+    assert table["columns"] == columns
+    cfg = resolve_config(_build_parser().parse_args(json_argv))
+    assert table["meta"] == {"version": __version__, "config_hash": _config_hash(cfg)}
+    assert len(table["rows"]) == len(rows)
+    for text_row, json_row in zip(rows, table["rows"]):
+        assert len(json_row) == len(text_row)
+        assert all(_json_cell_matches(t, v) for t, v in zip(text_row, json_row))
