@@ -13,9 +13,8 @@ from .bifurcation import (
     predicted_amplitude,
     trace_branches,
 )
-from .eigen import EigenPair, assemble_pencil, second_eigenpair, smallest_eigenpair
+from .eigen import EigenPair, second_eigenpair, smallest_eigenpair
 from .fields import (
-    FieldSample,
     check_reduction_identity,
     coupled_energy,
     displacement_equation_residual,
@@ -23,7 +22,7 @@ from .fields import (
     magnetization_grid,
     reconstruct_w,
 )
-from .grid import RadialGrid, build_grid, derivative, integrate, l2_norm
+from .grid import RadialGrid, assemble_pencil, build_grid, derivative, integrate, l2_norm
 from .operators import (
     ModelParams,
     Profile,
@@ -40,7 +39,6 @@ __all__ = [
     "BifurcationDiagram",
     "BranchPoint",
     "EigenPair",
-    "FieldSample",
     "ModelParams",
     "Profile",
     "RadialGrid",

@@ -54,9 +54,8 @@ class BranchPoint:
 class BifurcationDiagram:
     """Traced branch points, sorted by mu then branch, with stored profiles.
 
-    delta0 and rho0 are the configured safety margins used by downstream
-    assertions: no nontrivial point may appear at mu <= gamma0/2 - delta0,
-    and profiles are only trusted within norm rho0 of the trivial state.
+    delta0 is the configured safety margin: no nontrivial point may appear
+    at mu <= gamma0/2 - delta0.
     truncated_at records the first mu where continuation failed, if any.
     """
 
@@ -66,7 +65,6 @@ class BifurcationDiagram:
     profiles: dict[str, Profile]
     mu_step: float
     delta0: float = 0.5
-    rho0: float = 1.0
     truncated_at: float | None = None
 
 
@@ -109,7 +107,6 @@ def trace_branches(
     *,
     init_eps: float = 0.1,
     delta0: float = 0.5,
-    rho0: float = 1.0,
     eigenpair: EigenPair | None = None,
 ) -> BifurcationDiagram:
     """Natural-parameter continuation over [mu_lo, mu_hi] with `steps` points.
@@ -180,7 +177,6 @@ def trace_branches(
         profiles=profiles,
         mu_step=float(mus[1] - mus[0]),
         delta0=delta0,
-        rho0=rho0,
         truncated_at=truncated_at,
     )
 

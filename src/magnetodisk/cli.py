@@ -110,8 +110,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"grading must be >= 1, got {cfg.grading}")
     if cfg.format not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg.format!r}")
-    if cfg.tol <= 0.0 or cfg.max_iter < 1 or cfg.init_eps <= 0.0 or cfg.samples < 2:
-        raise ConfigError("tol, max_iter, init_eps, and samples must be positive")
+    if cfg.tol <= 0.0 or cfg.max_iter < 1 or cfg.init_eps <= 0.0:
+        raise ConfigError("tol, max_iter, and init_eps must be positive")
+    if cfg.samples < 3:
+        # with 2 per axis the lattice is the four corners, all outside the disk
+        raise ConfigError(f"samples must be >= 3, got {cfg.samples}")
 
     if cfg.mu is not None and cfg.mu_range is not None:
         raise ConfigError("give either mu or mu_range, not both")

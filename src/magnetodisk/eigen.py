@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cho_solve_banded
 
-from .grid import RadialGrid, stiffness_diagonals
+from .grid import RadialGrid, assemble_pencil, banded_matvec
 from .operators import Profile
 
-__all__ = ["EigenPair", "assemble_pencil", "smallest_eigenpair", "second_eigenpair"]
+__all__ = ["EigenPair", "smallest_eigenpair", "second_eigenpair"]
 
 
 @dataclass(frozen=True)
@@ -41,51 +41,14 @@ class EigenPair:
             raise ValueError("eigenprofile must be nonnegative")
 
 
-def assemble_pencil(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Stiffness-plus-centrifugal matrix A and lumped mass diagonal m.
-
-    A is returned in symmetric upper-banded storage (3 bands: offsets 2, 1, 0
-    by row) over the nodes 1..n, i.e. with the r = 0 value eliminated by the
-    Dirichlet condition.  m holds the quadrature weights at the same nodes.
-    The generalized problem is A phi = gamma * diag(m) * phi.
-    """
-    d0, d1, d2 = stiffness_diagonals(grid)
-    r = grid.nodes
-    w = grid.weights
-    a0 = d0[1:] + w[1:] / r[1:] ** 2
-    a1 = d1[1:]
-    a2 = d2[1:]
-    m = a0.shape[0]
-    ab = np.zeros((3, m))
-    ab[2, :] = a0
-    ab[1, 1:] = a1
-    ab[0, 2:] = a2
-    return ab, w[1:].copy()
-
-
-def banded_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Product of a symmetric upper-banded matrix (bandwidth 2) with x."""
-    y = ab[2] * x
-    off1 = ab[1, 1:]
-    off2 = ab[0, 2:]
-    y[:-1] += off1 * x[1:]
-    y[1:] += off1 * x[:-1]
-    y[:-2] += off2 * x[2:]
-    y[2:] += off2 * x[:-2]
-    return y
-
-
 def _inverse_iteration(
     grid: RadialGrid,
     deflate: np.ndarray | None,
     max_iter: int,
     rq_tol: float,
 ) -> tuple[float, np.ndarray, float, int]:
+    factor = grid.pencil_factor
     ab, m = assemble_pencil(grid)
-    try:
-        factor = cholesky_banded(ab)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
-        raise RuntimeError(f"pencil factorization failed: {exc}") from exc
 
     r = grid.nodes[1:]
     v = np.sin(0.5 * np.pi * r)
@@ -131,13 +94,14 @@ def _inverse_iteration(
     return gamma, v, residual, it
 
 
-def _as_pair(grid: RadialGrid, gamma: float, v: np.ndarray, residual: float, it: int) -> EigenPair:
+def _signed_mode(grid: RadialGrid, v: np.ndarray) -> Profile:
+    """Mode v on nodes 1..n as a profile: signed so that int v r dr >= 0,
+    normalized in r dr and padded with the origin value 0."""
     m = grid.weights[1:]
     if float(m @ v) < 0.0:
         v = -v
     v = v / np.sqrt(m @ (v * v))
-    full = np.concatenate(([0.0], v))
-    return EigenPair(gamma0=gamma, phi0=Profile(grid, full), residual=residual, iterations=it)
+    return Profile(grid, np.concatenate(([0.0], v)))
 
 
 def smallest_eigenpair(grid: RadialGrid, max_iter: int = 400, rq_tol: float = 1e-14) -> EigenPair:
@@ -148,7 +112,7 @@ def smallest_eigenpair(grid: RadialGrid, max_iter: int = 400, rq_tol: float = 1e
     the iteration does not settle.
     """
     gamma, v, residual, it = _inverse_iteration(grid, None, max_iter, rq_tol)
-    return _as_pair(grid, gamma, v, residual, it)
+    return EigenPair(gamma0=gamma, phi0=_signed_mode(grid, v), residual=residual, iterations=it)
 
 
 def second_eigenpair(grid: RadialGrid, first: EigenPair, max_iter: int = 400,
@@ -157,13 +121,5 @@ def second_eigenpair(grid: RadialGrid, first: EigenPair, max_iter: int = 400,
     the first pair in the mass inner product.  Unlike the ground mode, this
     profile changes sign, so it is returned as a plain (value, profile) pair.
     """
-    gamma, v, residual, it = _inverse_iteration(
-        grid, first.phi0.values[1:], max_iter, rq_tol
-    )
-    del residual, it
-    m = grid.weights[1:]
-    if float(m @ v) < 0.0:
-        v = -v
-    v = v / np.sqrt(m @ (v * v))
-    full = np.concatenate(([0.0], v))
-    return gamma, Profile(grid, full)
+    gamma, v, _, _ = _inverse_iteration(grid, first.phi0.values[1:], max_iter, rq_tol)
+    return gamma, _signed_mode(grid, v)

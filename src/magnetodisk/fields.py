@@ -11,8 +11,6 @@ which reduces the three-dimensional exchange density through the identity
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
@@ -20,7 +18,6 @@ from .grid import derivative, integrate
 from .operators import Profile
 
 __all__ = [
-    "FieldSample",
     "reconstruct_w",
     "magnetization_at",
     "magnetization_grid",
@@ -28,23 +25,6 @@ __all__ = [
     "coupled_energy",
     "displacement_equation_residual",
 ]
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """Magnetization and displacement at one disk point."""
-
-    x: float
-    y: float
-    m: tuple[float, float, float]
-    w: float
-
-    def __post_init__(self):
-        if self.x**2 + self.y**2 > 1.0 + 1e-12:
-            raise ValueError(f"sample point ({self.x}, {self.y}) outside the disk")
-        norm = self.m[0] ** 2 + self.m[1] ** 2 + self.m[2] ** 2
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"magnetization not unit length: |m|^2 = {norm}")
 
 
 def reconstruct_w(h: Profile, lam: float) -> Profile:
@@ -70,14 +50,7 @@ def _angle_interpolant(h: Profile) -> PchipInterpolator:
 
 def magnetization_at(h: Profile, x: float, y: float) -> np.ndarray:
     """Unit magnetization vector at a point of the closed unit disk."""
-    rad = float(np.hypot(x, y))
-    if rad > 1.0 + 1e-12:
-        raise ValueError(f"point ({x}, {y}) outside the unit disk")
-    if rad == 0.0:
-        return np.array([0.0, 0.0, 1.0])
-    angle = float(_angle_interpolant(h)(min(rad, 1.0)))
-    s, c = np.sin(angle), np.cos(angle)
-    return np.array([x / rad * s, y / rad * s, c])
+    return magnetization_grid(h, [x], [y])[0]
 
 
 def magnetization_grid(h: Profile, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -2,16 +2,26 @@
 
 The unit disk problems in this package reduce to one-dimensional integrals
 of the form int_0^1 f(r) r dr.  This module provides the mesh, the matching
-quadrature rule, and second-order finite-difference derivatives on it.
+quadrature rule, and the discrete operator of the mesh: second-order
+finite-difference derivatives, the stiffness D^T W D of the quadratic form
+sum_k w_k (Df)_k^2, and the threshold pencil with its Cholesky factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import cholesky_banded
 
-__all__ = ["RadialGrid", "build_grid", "integrate", "derivative", "l2_norm"]
+__all__ = ["RadialGrid", "build_grid", "integrate", "derivative", "l2_norm", "assemble_pencil"]
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -21,6 +31,9 @@ class RadialGrid:
     nodes[0] == 0.0 and nodes[-1] == 1.0 exactly.  The weight attached to
     r = 0 is identically zero (the measure r dr vanishes there); the weights
     sum to 1/2, the total mass of r dr on [0, 1].
+
+    The operator arrays (stencils, stiffness_bands, pencil_factor) are built
+    on first access, at most once per grid, and are read-only.
     """
 
     nodes: np.ndarray
@@ -31,6 +44,64 @@ class RadialGrid:
     def n(self) -> int:
         """Number of mesh cells (nodes minus one)."""
         return len(self.nodes) - 1
+
+    @cached_property
+    def stencils(self) -> tuple[np.ndarray, ...]:
+        """Three-point first-derivative coefficients (lo, mid, hi) at nodes
+        1..n-1, then the one-sided ones (left, right) at r = 0 and r = 1."""
+        spacing = np.diff(self.nodes)
+        h1 = spacing[:-1]
+        h2 = spacing[1:]
+        lo = -h2 / (h1 * (h1 + h2))
+        mid = (h2 - h1) / (h1 * h2)
+        hi = h1 / (h2 * (h1 + h2))
+        a, b = spacing[0], spacing[1]
+        left = np.array(
+            [-(2.0 * a + b) / (a * (a + b)), (a + b) / (a * b), -a / (b * (a + b))]
+        )
+        a, b = spacing[-2], spacing[-1]
+        right = np.array(
+            [b / (a * (a + b)), -(a + b) / (a * b), (a + 2.0 * b) / (b * (a + b))]
+        )
+        return _read_only(lo, mid, hi, left, right)
+
+    @cached_property
+    def stiffness_bands(self) -> np.ndarray:
+        """D^T W D, the quadratic form of sum_k w_k (Df)_k^2 where D is the
+        nodal derivative operator, in upper-banded storage: rows 0, 1, 2 hold
+        the diagonals of offsets 2, 1, 0, right-aligned.
+
+        The matrix is symmetric positive semidefinite and pentadiagonal.  Row
+        r = 0 of D never contributes because its quadrature weight is zero.
+        """
+        w = self.weights
+        lo, mid, hi, _, right = self.stencils
+        bands = np.zeros((3, self.n + 1))
+        d0, d1, d2 = bands[2], bands[1, 1:], bands[0, 2:]
+
+        wk = w[1:-1]
+        d0[:-2] += wk * lo * lo
+        d0[1:-1] += wk * mid * mid
+        d0[2:] += wk * hi * hi
+        d1[:-1] += wk * lo * mid
+        d1[1:] += wk * mid * hi
+        d2[:] += wk * lo * hi
+
+        wn = w[-1]
+        e0, e1, e2 = right
+        d0[-3] += wn * e0 * e0
+        d0[-2] += wn * e1 * e1
+        d0[-1] += wn * e2 * e2
+        d1[-2] += wn * e0 * e1
+        d1[-1] += wn * e1 * e2
+        d2[-1] += wn * e0 * e2
+        return _read_only(bands)[0]
+
+    @cached_property
+    def pencil_factor(self) -> np.ndarray:
+        """Upper banded Cholesky factor of the pencil matrix of assemble_pencil:
+        the inverse-iteration solve in eigen and the preconditioner of minimize."""
+        return _read_only(cholesky_banded(assemble_pencil(self)[0]))[0]
 
 
 def build_grid(n: int, grading: float = 2.0) -> RadialGrid:
@@ -66,8 +137,7 @@ def build_grid(n: int, grading: float = 2.0) -> RadialGrid:
     weights[1] += weights[0]  # r = 0 carries no measure; keep the sum rule
     weights[0] = 0.0
 
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
+    _read_only(nodes, weights)
     return RadialGrid(nodes=nodes, weights=weights, grading=float(grading))
 
 
@@ -87,39 +157,6 @@ def l2_norm(grid: RadialGrid, values: np.ndarray) -> float:
     return float(np.sqrt(max(integrate(grid, values * values), 0.0)))
 
 
-def _interior_stencils(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Three-point first-derivative coefficients at nodes 1..n-1."""
-    spacing = np.diff(grid.nodes)
-    h1 = spacing[:-1]
-    h2 = spacing[1:]
-    lo = -h2 / (h1 * (h1 + h2))
-    mid = (h2 - h1) / (h1 * h2)
-    hi = h1 / (h2 * (h1 + h2))
-    return lo, mid, hi
-
-
-def _end_stencils(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided three-point derivative coefficients at r = 0 and r = 1."""
-    spacing = np.diff(grid.nodes)
-    h1, h2 = spacing[0], spacing[1]
-    left = np.array(
-        [
-            -(2.0 * h1 + h2) / (h1 * (h1 + h2)),
-            (h1 + h2) / (h1 * h2),
-            -h1 / (h2 * (h1 + h2)),
-        ]
-    )
-    g1, g2 = spacing[-2], spacing[-1]
-    right = np.array(
-        [
-            g2 / (g1 * (g1 + g2)),
-            -(g1 + g2) / (g1 * g2),
-            (g1 + 2.0 * g2) / (g2 * (g1 + g2)),
-        ]
-    )
-    return left, right
-
-
 def derivative(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
     """Nodal first derivative, second order on the nonuniform mesh.
 
@@ -131,8 +168,7 @@ def derivative(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected {grid.nodes.shape[0]} nodal values, got {values.shape}"
         )
-    lo, mid, hi = _interior_stencils(grid)
-    left, right = _end_stencils(grid)
+    lo, mid, hi, left, right = grid.stencils
     out = np.empty_like(values)
     out[1:-1] = lo * values[:-2] + mid * values[1:-1] + hi * values[2:]
     out[0] = left @ values[:3]
@@ -140,48 +176,43 @@ def derivative(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def stiffness_diagonals(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonals (offsets 0, 1, 2) of D^T W D, the quadratic form of
-    sum_k w_k (Df)_k^2 where D is the nodal derivative operator.
-
-    The matrix is symmetric positive semidefinite and pentadiagonal.  Row
-    r = 0 of D never contributes because its quadrature weight is zero.
-    """
-    m = grid.n + 1
-    w = grid.weights
-    lo, mid, hi = _interior_stencils(grid)
-    _, right = _end_stencils(grid)
-
-    d0 = np.zeros(m)
-    d1 = np.zeros(m - 1)
-    d2 = np.zeros(m - 2)
-
-    wk = w[1:-1]
-    d0[:-2] += wk * lo * lo
-    d0[1:-1] += wk * mid * mid
-    d0[2:] += wk * hi * hi
-    d1[:-1] += wk * lo * mid
-    d1[1:] += wk * mid * hi
-    d2[:] += wk * lo * hi
-
-    wn = w[-1]
-    e0, e1, e2 = right
-    d0[-3] += wn * e0 * e0
-    d0[-2] += wn * e1 * e1
-    d0[-1] += wn * e2 * e2
-    d1[-2] += wn * e0 * e1
-    d1[-1] += wn * e1 * e2
-    d2[-1] += wn * e0 * e2
-    return d0, d1, d2
+def banded_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Product of a symmetric upper-banded matrix (bandwidth 2) with x."""
+    y = ab[2] * x
+    off1 = ab[1, 1:]
+    off2 = ab[0, 2:]
+    y[:-1] += off1 * x[1:]
+    y[1:] += off1 * x[:-1]
+    y[:-2] += off2 * x[2:]
+    y[2:] += off2 * x[:-2]
+    return y
 
 
 def stiffness_apply(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
     """Matrix-vector product (D^T W D) values."""
-    d0, d1, d2 = stiffness_diagonals(grid)
-    x = np.asarray(values, dtype=float)
-    y = d0 * x
-    y[:-1] += d1 * x[1:]
-    y[1:] += d1 * x[:-1]
-    y[:-2] += d2 * x[2:]
-    y[2:] += d2 * x[:-2]
-    return y
+    return banded_matvec(grid.stiffness_bands, np.asarray(values, dtype=float))
+
+
+def banded_operator(grid: RadialGrid, diagonal: np.ndarray) -> np.ndarray:
+    """Upper-banded storage (offsets 2, 1, 0 by row) over the nodes 1..n of
+    the matrix with the given main diagonal and the off-diagonals of D^T W D,
+    i.e. with the r = 0 value eliminated by the Dirichlet condition."""
+    bands = grid.stiffness_bands
+    ab = np.zeros((3, diagonal.shape[0]))
+    ab[2, :] = diagonal
+    ab[1, 1:] = bands[1, 2:]
+    ab[0, 2:] = bands[0, 3:]
+    return ab
+
+
+def assemble_pencil(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Stiffness-plus-centrifugal matrix A and lumped mass diagonal m.
+
+    A is returned in symmetric upper-banded storage (see banded_operator)
+    over the nodes 1..n, and m holds the quadrature weights at the same
+    nodes.  The generalized problem is A phi = gamma * diag(m) * phi.
+    """
+    r = grid.nodes
+    w = grid.weights
+    ab = banded_operator(grid, grid.stiffness_bands[2, 1:] + w[1:] / r[1:] ** 2)
+    return ab, w[1:]

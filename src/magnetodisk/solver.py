@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .eigen import EigenPair, assemble_pencil, smallest_eigenpair
-from .grid import RadialGrid, derivative, l2_norm, stiffness_diagonals
+from .eigen import EigenPair, smallest_eigenpair
+from .grid import RadialGrid, banded_operator, derivative, l2_norm
 from .operators import (
     ModelParams,
     Profile,
@@ -74,22 +74,17 @@ def _wnorm(w: np.ndarray, values: np.ndarray) -> float:
     return float(np.sqrt(max(np.sum(w * values * values), 0.0)))
 
 
-def _newton_direction(grid, d0, d1, d2, values, mu, wg):
+def _newton_direction(grid, values, mu, wg):
     """Damped Newton step for the full system: solve (H + tau W) d = -W g."""
     r = grid.nodes
     w = grid.weights
     curvature = np.cos(2.0 * values[1:]) / r[1:] ** 2 - 2.0 * mu * np.cos(4.0 * values[1:])
-    h0 = d0[1:] + w[1:] * curvature
-    m = h0.shape[0]
-    ab = np.zeros((3, m))
-    ab[1, 1:] = d1[1:]
-    ab[0, 2:] = d2[1:]
+    h0 = grid.stiffness_bands[2, 1:] + w[1:] * curvature
     tau = 0.0
     scale = float(np.max(np.abs(h0))) or 1.0
     for _ in range(25):
-        ab[2, :] = h0 + tau * w[1:]
         try:
-            factor = cholesky_banded(ab)
+            factor = cholesky_banded(banded_operator(grid, h0 + tau * w[1:]))
         except np.linalg.LinAlgError:
             tau = max(tau * 100.0, 1e-12 * scale)
             continue
@@ -130,9 +125,7 @@ def minimize(
             raise ValueError("init profile lives on a different grid")
         v = init.values.copy()
 
-    ab, mass = assemble_pencil(grid)
-    precond = cholesky_banded(ab)
-    d0, d1, d2 = stiffness_diagonals(grid)
+    precond = grid.pencil_factor
 
     e_cur = energy_of_values(grid, v, mu)
     if not np.isfinite(e_cur):
@@ -153,7 +146,7 @@ def minimize(
         step = None
         slope = 0.0
         if gnorm <= NEWTON_GATE:
-            step, slope = _newton_direction(grid, d0, d1, d2, v, mu, wg)
+            step, slope = _newton_direction(grid, v, mu, wg)
         if step is None:
             step = cho_solve_banded((precond, False), -wg)
             slope = 2.0 * np.pi * float(wg @ step)
@@ -256,7 +249,6 @@ def verify_trivial_uniqueness(
         "mu": params.mu,
         "trials": trials,
         "passed": not nontrivial,
-        "all_trivial": not nontrivial,
         "n_nontrivial": len(nontrivial),
         "worst_norm": max(norms),
         "worst_energy": min(rep.energy for rep in reports),

@@ -198,6 +198,7 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         ("minimize", "--mu", 1.0, "--n", 1),
         ("minimize", "--mu", 1.0, "--grading", 0.5),
         ("eigen", "--tol", 0.0),
+        ("fields", "--mu", 2.0, "--samples", 2),  # no lattice point inside the disk
     ],
 )
 def test_invalid_configs_exit_2(tmp_path, args):

@@ -9,8 +9,7 @@ from magnetodisk import (
     second_eigenpair,
     smallest_eigenpair,
 )
-from magnetodisk.eigen import assemble_pencil, banded_matvec
-from magnetodisk.grid import stiffness_apply
+from magnetodisk.grid import assemble_pencil, banded_matvec, stiffness_apply
 
 import oracles
 from oracles import GAMMA0_CONTINUUM, J1PRIME_ROOT

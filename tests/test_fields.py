@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from magnetodisk import (
-    FieldSample,
     ModelParams,
     Profile,
     check_reduction_identity,
@@ -118,11 +117,3 @@ def test_coupled_energy_mismatch_shrinks_under_refinement(minimizer256, minimize
         w = reconstruct_w(h, LAM)
         diffs.append(abs(coupled_energy(h, w, LAM) - energy(h, ModelParams(mu=mu))))
     assert diffs[1] < diffs[0]
-
-
-def test_field_sample_validation():
-    FieldSample(x=0.3, y=0.4, m=(0.0, 0.0, 1.0), w=0.01)
-    with pytest.raises(ValueError):
-        FieldSample(x=1.2, y=0.4, m=(0.0, 0.0, 1.0), w=0.0)
-    with pytest.raises(ValueError):
-        FieldSample(x=0.1, y=0.1, m=(0.0, 0.0, 0.5), w=0.0)

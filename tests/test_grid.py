@@ -38,6 +38,13 @@ def test_grid_is_immutable():
         g.nodes[0] = 1.0
     with pytest.raises(ValueError):
         g.weights[0] = 1.0
+    # the operator arrays are built once per grid and shared read-only
+    assert g.stencils is g.stencils
+    assert g.stiffness_bands is g.stiffness_bands
+    assert g.pencil_factor is g.pencil_factor
+    for array in (*g.stencils, g.stiffness_bands, g.pencil_factor):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
 
 
 def test_integrate_constants():
