@@ -2,8 +2,11 @@
 
 Descent in the inner product of the linearized operator (the stiffness plus
 centrifugal pencil), with backtracking line search and a damped Newton
-endgame on the banded linearization.  Every accepted iterate is folded back
-into [0, pi/2], which never changes the energy of the limit.
+endgame on the banded linearization.  A descent step's line search starts
+one doubling above the previous accepted descent step (never above 1), so
+at large mu it does not backtrack from 1 every time; a Newton step always
+starts at 1, which its quadratic convergence needs.  Every accepted iterate
+is folded back into [0, pi/2], which never changes the energy of the limit.
 """
 
 from __future__ import annotations
@@ -38,8 +41,12 @@ class SolveReport:
     """Outcome of one minimization run.
 
     residual is the L^2(r dr) norm of the energy gradient at the returned
-    minimizer; converged reports always satisfy residual <= tol.  The energy
-    history lists the energy after every accepted step and is non-increasing.
+    minimizer; converged reports are meant to satisfy residual <= tol, but a
+    flat-energy tail can break this (see
+    tests/test_solver.py::test_converged_report_satisfies_tol_at_large_mu).
+    The energy history lists the energy after every accepted step and is
+    non-increasing.  energy_evals counts every energy evaluation of the run
+    and backtracks every trial step that the Armijo test rejected.
     """
 
     minimizer: Profile
@@ -53,6 +60,8 @@ class SolveReport:
     energy_history: tuple[float, ...] = field(repr=False, default=())
     trivial: bool = False
     diverged: bool = False
+    energy_evals: int = 0
+    backtracks: int = 0
 
 
 def random_profile(grid: RadialGrid, rng: np.random.Generator,
@@ -128,6 +137,8 @@ def minimize(
     precond = grid.pencil_factor
 
     e_cur = energy_of_values(grid, v, mu)
+    energy_evals = 1
+    backtracks = 0
     if not np.isfinite(e_cur):
         raise ValueError("initial profile has non-finite energy")
     g = gradient_values(grid, v, mu)
@@ -140,6 +151,7 @@ def minimize(
     converged = False
     diverged = False
     iterations = 0
+    alpha_prev = 1.0  # last accepted step of a preconditioned-descent direction
 
     for iterations in range(1, params.max_iter + 1):
         wg = w[1:] * g[1:]
@@ -147,19 +159,21 @@ def minimize(
         slope = 0.0
         if gnorm <= NEWTON_GATE:
             step, slope = _newton_direction(grid, v, mu, wg)
-        if step is None:
+        newton = step is not None
+        if not newton:
             step = cho_solve_banded((precond, False), -wg)
             slope = 2.0 * np.pi * float(wg @ step)
         if slope >= 0.0:
             break  # no descent direction left; g is numerically zero
 
         direction = np.concatenate(([0.0], step))
-        alpha = 1.0
+        alpha = 1.0 if newton else min(1.0, alpha_prev / BACKTRACK)
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             raw = v + alpha * direction
             cand = fold_values(raw) if fold_iterates else raw
             e_new = energy_of_values(grid, cand, mu)
+            energy_evals += 1
             if np.isnan(e_new):
                 diverged = True
                 break
@@ -168,8 +182,11 @@ def minimize(
                 accepted = True
                 break
             alpha *= BACKTRACK
+            backtracks += 1
         if diverged or not accepted:
             break
+        if not newton:
+            alpha_prev = alpha
 
         if folded:
             fold_count += 1
@@ -208,6 +225,8 @@ def minimize(
             bc_residual=0.0,
             energy_history=tuple(history),
             trivial=True,
+            energy_evals=energy_evals,
+            backtracks=backtracks,
         )
 
     g_best = gradient_values(grid, best_v, mu)
@@ -222,6 +241,8 @@ def minimize(
         bc_residual=abs(float(derivative(grid, best_v)[-1])),
         energy_history=tuple(history),
         diverged=diverged,
+        energy_evals=energy_evals,
+        backtracks=backtracks,
     )
 
 

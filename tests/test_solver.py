@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import magnetodisk.solver as solver
 from magnetodisk import (
     ModelParams,
     Profile,
@@ -109,6 +110,34 @@ def test_multistart_flags_nontrivial_minimizers_above_threshold(grid256, pair256
     assert not out["passed"]
     assert out["n_nontrivial"] >= 1
     assert out["worst_energy"] < -1e-9
+
+
+@pytest.mark.parametrize("mu", [20.0, 100.0])
+def test_descent_line_search_does_not_restart_from_one(grid256, pair256, monkeypatch, mu):
+    calls = []
+    energy = solver.energy_of_values
+
+    def counted(*args):
+        calls.append(None)
+        return energy(*args)
+
+    monkeypatch.setattr(solver, "energy_of_values", counted)
+    rep = minimize(grid256, ModelParams(mu=mu), eigenpair=pair256)
+    # measured 1.97 and 2.00; 3.35 and 5.78 when every descent step starts at 1
+    assert len(calls) <= 2.1 * rep.iterations
+    assert rep.energy_evals == len(calls)
+    # the initial evaluation, one accepted trial per iteration, one per rejection
+    assert rep.energy_evals == 1 + rep.iterations + rep.backtracks
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "best_v is updated only on a strict energy decrease, so on a flat-energy "
+    "tail the reported profile is older than the iterate whose gradient passed; "
+    "see the CHANGES.md FOUND line on best_v (deferred fix for the mu = 100 fault)"))
+def test_converged_report_satisfies_tol_at_large_mu(grid256, pair256):
+    p = ModelParams(mu=100.0)
+    rep = minimize(grid256, p, eigenpair=pair256)
+    assert not rep.converged or rep.residual <= p.tol  # measured 3.5e-7, converged
 
 
 def test_iteration_cap_reports_honest_failure(grid256, pair256):
