@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _BRANCH_ORDER = {"trivial": 0, "plus": 1, "minus": 2}
+DELTA0 = 0.5  # no nontrivial point may appear at mu <= gamma0/2 - DELTA0
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,6 @@ class BranchPoint:
 class BifurcationDiagram:
     """Traced branch points, sorted by mu then branch, with stored profiles.
 
-    delta0 is the configured safety margin: no nontrivial point may appear
-    at mu <= gamma0/2 - delta0.
     truncated_at records the first mu where continuation failed, if any.
     """
 
@@ -64,7 +63,6 @@ class BifurcationDiagram:
     points: tuple[BranchPoint, ...]
     profiles: dict[str, Profile]
     mu_step: float
-    delta0: float = 0.5
     truncated_at: float | None = None
 
 
@@ -106,7 +104,6 @@ def trace_branches(
     steps: int,
     *,
     init_eps: float = 0.1,
-    delta0: float = 0.5,
     eigenpair: EigenPair | None = None,
 ) -> BifurcationDiagram:
     """Natural-parameter continuation over [mu_lo, mu_hi] with `steps` points.
@@ -115,7 +112,8 @@ def trace_branches(
     seeded with the previous nontrivial profile (or the scaled eigenprofile
     when entering the supercritical range); the minus branch is the negation
     of the plus branch.  If a step fails to converge the diagram is truncated
-    there and the failure mu recorded.
+    there and the failure mu recorded.  A nontrivial minimizer at
+    mu <= gamma0/2 - DELTA0 raises RuntimeError.
     """
     if not (np.isfinite(mu_lo) and np.isfinite(mu_hi) and mu_lo < mu_hi):
         raise ValueError(f"need mu_lo < mu_hi, got [{mu_lo}, {mu_hi}]")
@@ -147,10 +145,10 @@ def trace_branches(
             prev = None
             continue
         h = report.minimizer
-        if mu <= threshold - delta0:
+        if mu <= threshold - DELTA0:
             raise RuntimeError(
                 f"nontrivial minimizer at mu={mu}, below threshold {threshold} "
-                f"by more than the margin {delta0}"
+                f"by more than the margin {DELTA0}"
             )
         beta = integrate(grid, h.values * eigenpair.phi0.values)
         if beta < 0.0:
@@ -176,7 +174,6 @@ def trace_branches(
         points=tuple(points),
         profiles=profiles,
         mu_step=float(mus[1] - mus[0]),
-        delta0=delta0,
         truncated_at=truncated_at,
     )
 

@@ -1,8 +1,10 @@
-"""Command-line driver: magnetodisk <eigen|minimize|sweep|fields|verify>.
+"""Command-line driver: magnetodisk <eigen|minimize|sweep|fields>.
 
 Exit codes: 0 success, 1 numerical failure, 2 invalid input.  Output files
 carry a metadata header with the package version and a hash of the resolved
-configuration; reruns with identical configuration and seed are bit-identical.
+configuration; reruns with identical configuration are bit-identical.  The
+invariants behind the outputs are checked by tests/test_acceptance.py, not
+by a subcommand.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +23,10 @@ import numpy as np
 from . import __version__
 from .bifurcation import amplitude_fit_slope, detected_threshold, trace_branches
 from .eigen import smallest_eigenpair
-from .fields import check_reduction_identity, magnetization_grid, reconstruct_w
-from .grid import build_grid, integrate, l2_norm
-from .operators import ModelParams, Profile, energy, fold, gradient, nonlinear_split
-from .solver import minimize, random_profile
+from .fields import magnetization_grid, reconstruct_w
+from .grid import build_grid
+from .operators import ModelParams
+from .solver import minimize
 
 __all__ = ["RunConfig", "main"]
 
@@ -48,13 +50,9 @@ class RunConfig:
     out: str = "."
     format: str = "csv"
     samples: int = 41
-    inject_sign_error: bool = False
 
 
-_CONFIG_KEYS = {
-    "n", "grading", "mu", "mu_range", "lam", "seed", "tol",
-    "max_iter", "init_eps", "out", "format", "samples",
-}
+_CONFIG_KEYS = frozenset(f.name for f in fields(RunConfig)) - {"command"}
 
 
 def _parse_mu_range(text: str) -> tuple[float, float, int]:
@@ -99,7 +97,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    merged.setdefault("inject_sign_error", getattr(args, "inject_sign_error", False))
 
     cfg = RunConfig(command=args.command, **merged)
 
@@ -348,103 +345,11 @@ def cmd_fields(cfg: RunConfig) -> int:
     return 0
 
 
-def _verify_checks(cfg: RunConfig) -> dict:
-    grid = build_grid(cfg.n, cfg.grading)
-    rng = np.random.default_rng(cfg.seed)
-    checks: dict[str, dict] = {}
-    skipped = "skipped (insufficient resolution)"
-
-    worst_rel = 0.0
-    p = ModelParams(mu=1.3)
-    for _ in range(5):
-        h = random_profile(grid, rng, amplitude=1.0)
-        v = random_profile(grid, rng, amplitude=1.0)
-        g = gradient(h, p).values
-        if cfg.inject_sign_error:
-            g = -g
-        directional = 2.0 * np.pi * integrate(grid, g * v.values)
-        t = 1e-5
-        plus = energy(Profile(grid, h.values + t * v.values), p)
-        minus = energy(Profile(grid, h.values - t * v.values), p)
-        fd = (plus - minus) / (2.0 * t)
-        worst_rel = max(worst_rel, abs(directional - fd) / max(1.0, abs(fd)))
-    checks["gradient_consistency"] = {
-        "status": "pass" if worst_rel < 1e-6 else "fail",
-        "worst_relative_error": worst_rel,
-    }
-
-    worst_slack = np.inf
-    for _ in range(20):
-        mu = rng.uniform(0.0, 4.0)
-        h = random_profile(grid, rng, amplitude=np.pi)
-        slack = energy(h, ModelParams(mu=mu)) + np.pi * mu / 4.0
-        worst_slack = min(worst_slack, slack)
-    checks["energy_lower_bound"] = {
-        "status": "pass" if worst_slack >= -1e-6 else "fail",
-        "worst_slack": worst_slack,
-    }
-
-    worst_sym = 0.0
-    p_sym = ModelParams(mu=2.0)
-    for sign in (-1.0, 1.0):
-        for _ in range(5):
-            h = random_profile(grid, rng, amplitude=np.pi / 2)
-            one_branch = Profile(grid, sign * np.abs(h.values))
-            e0 = energy(one_branch, p_sym)
-            worst_sym = max(worst_sym, abs(energy(fold(one_branch), p_sym) - e0))
-            negated = Profile(grid, -one_branch.values)
-            worst_sym = max(worst_sym, abs(energy(negated, p_sym) - e0))
-    checks["fold_odd_symmetry"] = {
-        "status": "pass" if worst_sym <= 1e-10 else "fail",
-        "worst_mismatch": worst_sym,
-    }
-
-    if cfg.n < 64:
-        checks["cubic_remainder_decay"] = {"status": skipped}
-        checks["reduction_identity"] = {"status": skipped}
-        return checks
-
-    pair = smallest_eigenpair(grid)
-    p_thr = ModelParams(mu=pair.gamma0 / 2.0)
-    rates = []
-    prev = None
-    for eps in (0.1, 0.05, 0.025):
-        scaled = Profile(grid, eps * pair.phi0.values)
-        _, _, rem = nonlinear_split(scaled, p_thr)
-        q = l2_norm(grid, rem.values) / eps**3
-        if prev is not None:
-            rates.append(prev / q)
-        prev = q
-    checks["cubic_remainder_decay"] = {
-        "status": "pass" if all(rate >= 3.0 for rate in rates) else "fail",
-        "decay_factors": rates,
-    }
-
-    p_min = ModelParams(mu=2.0, tol=cfg.tol, max_iter=cfg.max_iter)
-    report = minimize(grid, p_min, eigenpair=pair)
-    err = check_reduction_identity(report.minimizer, samples=100, step=1e-4,
-                                   seed=cfg.seed)
-    checks["reduction_identity"] = {
-        "status": "pass" if (report.converged and err <= 1e-4) else "fail",
-        "max_error": err,
-    }
-    return checks
-
-
-def cmd_verify(cfg: RunConfig) -> int:
-    checks = _verify_checks(cfg)
-    passed = all(c["status"] != "fail" for c in checks.values())
-    writer = _Writer(cfg)
-    writer.json("verify.json", {"checks": checks, "passed": passed})
-    return 0 if passed else 1
-
-
 _COMMANDS = {
     "eigen": cmd_eigen,
     "minimize": cmd_minimize,
     "sweep": cmd_sweep,
     "fields": cmd_fields,
-    "verify": cmd_verify,
 }
 
 
@@ -462,7 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "minimize": "minimize the energy at fixed mu",
         "sweep": "trace solution branches over a mu range",
         "fields": "reconstruct magnetization and displacement on the disk",
-        "verify": "run the built-in invariant suite",
     }
     for name, text in descriptions.items():
         sp = sub.add_parser(name, help=text)
@@ -477,7 +381,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output directory (default .)")
         sp.add_argument("--format", choices=("csv", "json"),
                         help="table format (default csv)")
-        sp.add_argument("--seed", type=int, help="RNG seed (default 0)")
+        sp.add_argument("--seed", type=int,
+                        help="kept in the config hash; no subcommand draws "
+                             "random numbers (default 0)")
         sp.add_argument("--tol", type=float, help="solver residual tolerance")
         sp.add_argument("--max-iter", dest="max_iter", type=int,
                         help="solver iteration cap")
@@ -485,9 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="seed amplitude for the default start")
         sp.add_argument("--samples", type=int,
                         help="lattice points per axis for fields output")
-        if name == "verify":
-            sp.add_argument("--inject-sign-error", action="store_true",
-                            help=argparse.SUPPRESS)
     return parser
 
 

@@ -7,6 +7,10 @@ one doubling above the previous accepted descent step (never above 1), so
 at large mu it does not backtrack from 1 every time; a Newton step always
 starts at 1, which its quadratic convergence needs.  Every accepted iterate
 is folded back into [0, pi/2], which never changes the energy of the limit.
+A run stops converged once the gradient passes tol and the decrease the
+next step predicts (minus half its slope; for a Newton step, half the squared
+Newton decrement, Boyd & Vandenberghe, Convex Optimization, 9.5.1) is at the
+roundoff floor of the energy.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ BACKTRACK = 0.5
 MAX_BACKTRACKS = 40
 NEWTON_GATE = 1e-2
 FLAT_TOL = 1e-12
-FLAT_SPAN = 3
 
 
 @dataclass(frozen=True)
@@ -45,8 +48,10 @@ class SolveReport:
     flat-energy tail can break this (see
     tests/test_solver.py::test_converged_report_satisfies_tol_at_large_mu).
     The energy history lists the energy after every accepted step and is
-    non-increasing.  energy_evals counts every energy evaluation of the run
-    and backtracks every trial step that the Armijo test rejected.
+    non-increasing; iterations counts the accepted steps.  energy_evals
+    counts every energy evaluation of the run and backtracks every trial step
+    that the Armijo test rejected, so energy_evals == 1 + iterations +
+    backtracks unless a trial energy came out NaN (diverged).
     """
 
     minimizer: Profile
@@ -147,13 +152,10 @@ def minimize(
     history = [e_cur]
     best_e, best_v = e_cur, v.copy()
     fold_count = 0
-    flat_run = 0
-    converged = False
     diverged = False
-    iterations = 0
     alpha_prev = 1.0  # last accepted step of a preconditioned-descent direction
 
-    for iterations in range(1, params.max_iter + 1):
+    for _ in range(params.max_iter):
         wg = w[1:] * g[1:]
         step = None
         slope = 0.0
@@ -165,6 +167,8 @@ def minimize(
             slope = 2.0 * np.pi * float(wg @ step)
         if slope >= 0.0:
             break  # no descent direction left; g is numerically zero
+        if gnorm <= params.tol and -0.5 * slope <= FLAT_TOL * (1.0 + abs(e_cur)):
+            break  # converged: the Newton decrement is at the roundoff floor
 
         direction = np.concatenate(([0.0], step))
         alpha = 1.0 if newton else min(1.0, alpha_prev / BACKTRACK)
@@ -190,7 +194,6 @@ def minimize(
 
         if folded:
             fold_count += 1
-        de = e_cur - e_new
         v = cand
         e_cur = e_new
         history.append(e_cur)
@@ -202,13 +205,9 @@ def minimize(
         if not np.isfinite(gnorm):
             diverged = True
             break
-        flat_run = flat_run + 1 if abs(de) <= FLAT_TOL * (1.0 + abs(e_cur)) else 0
-        if gnorm <= params.tol and flat_run >= FLAT_SPAN:
-            converged = True
-            break
 
-    if not diverged and gnorm <= params.tol:
-        converged = True
+    converged = not diverged and gnorm <= params.tol
+    iterations = len(history) - 1
 
     if not diverged and best_e >= 0.0:
         zero = np.zeros_like(v)
@@ -236,7 +235,7 @@ def minimize(
         residual=_wnorm(w, g_best),
         iterations=iterations,
         mu=mu,
-        converged=converged and not diverged,
+        converged=converged,
         fold_applied=fold_count,
         bc_residual=abs(float(derivative(grid, best_v)[-1])),
         energy_history=tuple(history),

@@ -1,5 +1,6 @@
-"""Acceptance gate: one check per shipped guarantee, one printed verdict line
-each.  Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
+"""Invariant suite and acceptance gate: one check per shipped guarantee, one
+printed verdict line each.  Run with `pytest tests/test_acceptance.py -v -s`
+to see the lines.
 """
 
 import json

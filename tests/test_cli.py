@@ -131,42 +131,6 @@ def test_fields_command(tmp_path):
     assert np.all(np.isfinite(data))
 
 
-def test_verify_command(tmp_path):
-    assert run("verify", "--n", 96, "--out", tmp_path) == 0
-    payload = json.loads((tmp_path / "verify.json").read_text())
-    assert payload["passed"] is True
-    statuses = {name: c["status"] for name, c in payload["checks"].items()}
-    assert set(statuses) == {
-        "gradient_consistency",
-        "energy_lower_bound",
-        "fold_odd_symmetry",
-        "cubic_remainder_decay",
-        "reduction_identity",
-    }
-    assert all(s == "pass" for s in statuses.values())
-
-
-def test_verify_catches_injected_defect(tmp_path):
-    # the hidden debug flag flips the gradient sign; only the consistency
-    # check should trip
-    code = run("verify", "--n", 96, "--inject-sign-error", "--out", tmp_path)
-    assert code == 1
-    payload = json.loads((tmp_path / "verify.json").read_text())
-    assert payload["passed"] is False
-    checks = payload["checks"]
-    assert checks["gradient_consistency"]["status"] == "fail"
-    failed = [name for name, c in checks.items() if c["status"] == "fail"]
-    assert failed == ["gradient_consistency"]
-
-
-def test_verify_skips_resolution_bound_checks_on_coarse_meshes(tmp_path):
-    assert run("verify", "--n", 8, "--out", tmp_path) == 0
-    payload = json.loads((tmp_path / "verify.json").read_text())
-    assert payload["passed"] is True
-    assert payload["checks"]["cubic_remainder_decay"]["status"].startswith("skipped")
-    assert payload["checks"]["reduction_identity"]["status"].startswith("skipped")
-
-
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"n": 64, "mu": 2.5}))
@@ -178,10 +142,12 @@ def test_config_file_with_flag_override(tmp_path):
 
 def test_config_file_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"mu": 2.5, "bogus": 1}))
     out = tmp_path / "out"
-    assert run("minimize", "--config", cfg, "--out", out) == 2
-    assert not out.exists()  # nothing may be written on invalid input
+    # the subcommand comes from the command line only
+    for key in ("bogus", "command"):
+        cfg.write_text(json.dumps({"mu": 2.5, key: 1}))
+        assert run("minimize", "--config", cfg, "--out", out) == 2
+        assert not out.exists()  # nothing may be written on invalid input
 
 
 @pytest.mark.parametrize(
@@ -216,6 +182,14 @@ def test_malformed_mu_range_flag_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as info:
         run("sweep", "--mu-range", "nope", "--out", tmp_path)
     assert info.value.code == 2
+
+
+def test_verify_is_not_a_subcommand(tmp_path):
+    # the invariant suite is tests/test_acceptance.py
+    with pytest.raises(SystemExit) as info:
+        run("verify", "--n", 96, "--out", tmp_path / "x")
+    assert info.value.code == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_json_table_format(tmp_path):

@@ -123,11 +123,22 @@ def test_descent_line_search_does_not_restart_from_one(grid256, pair256, monkeyp
 
     monkeypatch.setattr(solver, "energy_of_values", counted)
     rep = minimize(grid256, ModelParams(mu=mu), eigenpair=pair256)
-    # measured 1.97 and 2.00; 3.35 and 5.78 when every descent step starts at 1
+    # measured 2.03 and 2.01; 3.35 and 5.78 when every descent step starts at 1
     assert len(calls) <= 2.1 * rep.iterations
     assert rep.energy_evals == len(calls)
     # the initial evaluation, one accepted trial per iteration, one per rejection
     assert rep.energy_evals == 1 + rep.iterations + rep.backtracks
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4096])
+def test_solve_stops_without_line_searches_at_the_roundoff_floor(n):
+    # Once the gradient passes tol, the stop reads the decrease the Newton
+    # step predicts; it does not wait for flat accepted steps, whose Armijo
+    # tests at the roundoff floor compare noise with noise.
+    rep = minimize(build_grid(n, 2.0), ModelParams(mu=2.0))
+    assert rep.converged
+    assert rep.backtracks <= 2  # measured 0; 12, 18 and 24 with a flat-step stop
+    assert rep.energy_evals <= 14  # measured 12; 27, 33 and 39 with a flat-step stop
 
 
 @pytest.mark.xfail(strict=True, reason=(
