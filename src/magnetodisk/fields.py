@@ -11,11 +11,15 @@ which reduces the three-dimensional exchange density through the identity
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .grid import derivative, integrate
 from .operators import Profile
+
+if TYPE_CHECKING:
+    from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "reconstruct_w",
@@ -44,7 +48,11 @@ def reconstruct_w(h: Profile, lam: float) -> Profile:
 
 
 def _angle_interpolant(h: Profile) -> PchipInterpolator:
-    # monotone piecewise cubic: no overshoot between nodes, C^1 derivative
+    # monotone piecewise cubic: no overshoot between nodes, C^1 derivative.
+    # Imported here: scipy.interpolate loads scipy.optimize, scipy.spatial and
+    # scipy.special, which only the field reconstruction needs.
+    from scipy.interpolate import PchipInterpolator
+
     return PchipInterpolator(h.grid.nodes, h.values, extrapolate=False)
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import magnetodisk
 from magnetodisk.cli import main
 
 
@@ -45,6 +50,31 @@ def test_outputs_are_deterministic(tmp_path):
         assert run("eigen", "--n", 96, "--out", out) == 0
     assert (a / "eigen.json").read_bytes() == (b / "eigen.json").read_bytes()
     assert (a / "phi0.csv").read_bytes() == (b / "phi0.csv").read_bytes()
+
+
+def fresh_python(*args, blas_threads="1"):
+    """Run python with the package importable, in a new interpreter."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+               PYTHONPATH=str(Path(magnetodisk.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, check=True)
+
+
+def test_eigen_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # at this size a BLAS dot splits across threads and sums in another order
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        fresh_python("-m", "magnetodisk.cli", "eigen", "--n", "20000", "--out", str(out),
+                     blas_threads=threads)
+        outs.append(out)
+    for name in ("eigen.json", "phi0.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    probe = "import sys, magnetodisk.cli; print('scipy.interpolate' in sys.modules)"
+    assert fresh_python("-c", probe).stdout.strip() == "False"
 
 
 def test_minimize_subcritical(tmp_path):
