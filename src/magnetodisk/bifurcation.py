@@ -74,9 +74,8 @@ def cbar(phi0: Profile, p: ModelParams) -> float:
     """
     grid = phi0.grid
     v = phi0.values
-    r = grid.nodes
     f = np.zeros_like(v)
-    f[1:] = -(2.0 / 3.0) * v[1:] ** 4 / r[1:] ** 2 + (16.0 / 3.0) * p.mu * v[1:] ** 4
+    f[1:] = -(2.0 / 3.0) * v[1:] ** 4 / grid.r_squared + (16.0 / 3.0) * p.mu * v[1:] ** 4
     return integrate(grid, f)
 
 

@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded
 
-from .grid import RadialGrid, assemble_pencil, banded_matvec
+from .grid import RadialGrid, assemble_pencil, banded_matvec, banded_solve
 from .operators import Profile
 
 __all__ = ["EigenPair", "smallest_eigenpair", "second_eigenpair"]
@@ -101,7 +100,7 @@ def _inverse_iteration(
     gamma = np.inf
     for it in range(1, max_iter + 1):
         mv = m * v
-        u = project(cho_solve_banded((factor, False), mv))
+        u = project(banded_solve(factor, mv))
         mv *= u  # (M v) . u in mv's buffer: one n-vector less at the peak
         gamma = 1.0 / float(np.sum(mv))
         u /= np.sqrt(_dot(m, u * u))

@@ -4,7 +4,9 @@ The unit disk problems in this package reduce to one-dimensional integrals
 of the form int_0^1 f(r) r dr.  This module provides the mesh, the matching
 quadrature rule, and the discrete operator of the mesh: second-order
 finite-difference derivatives, the stiffness D^T W D of the quadratic form
-sum_k w_k (Df)_k^2, and the threshold pencil with its Cholesky factor.
+sum_k w_k (Df)_k^2, the squared nodes r^2 of the centrifugal terms, and the
+threshold pencil with its Cholesky factor.  banded_solve is the one solve
+with a banded Cholesky factor, for the eigensolver and the minimizer alike.
 """
 
 from __future__ import annotations
@@ -13,9 +15,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cholesky_banded
+from scipy.linalg import cholesky_banded, get_lapack_funcs
 
-__all__ = ["RadialGrid", "build_grid", "integrate", "derivative", "l2_norm", "assemble_pencil"]
+__all__ = ["RadialGrid", "build_grid", "integrate", "derivative", "l2_norm", "assemble_pencil",
+           "banded_solve"]
+
+_PBTRS = get_lapack_funcs("pbtrs", dtype=np.float64)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -32,8 +37,8 @@ class RadialGrid:
     r = 0 is identically zero (the measure r dr vanishes there); the weights
     sum to 1/2, the total mass of r dr on [0, 1].
 
-    The operator arrays (stencils, stiffness_bands, pencil_factor) are built
-    on first access, at most once per grid, and are read-only.
+    The operator arrays (stencils, r_squared, stiffness_bands, pencil_factor)
+    are built on first access, at most once per grid, and are read-only.
     """
 
     nodes: np.ndarray
@@ -64,6 +69,11 @@ class RadialGrid:
             [b / (a * (a + b)), -(a + b) / (a * b), (a + 2.0 * b) / (b * (a + b))]
         )
         return _read_only(lo, mid, hi, left, right)
+
+    @cached_property
+    def r_squared(self) -> np.ndarray:
+        """nodes[1:] ** 2, the r^2 of the centrifugal terms at nodes 1..n."""
+        return _read_only(self.nodes[1:] ** 2)[0]
 
     @cached_property
     def stiffness_bands(self) -> np.ndarray:
@@ -212,7 +222,21 @@ def assemble_pencil(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
     over the nodes 1..n, and m holds the quadrature weights at the same
     nodes.  The generalized problem is A phi = gamma * diag(m) * phi.
     """
-    r = grid.nodes
     w = grid.weights
-    ab = banded_operator(grid, grid.stiffness_bands[2, 1:] + w[1:] / r[1:] ** 2)
+    ab = banded_operator(grid, grid.stiffness_bands[2, 1:] + w[1:] / grid.r_squared)
     return ab, w[1:]
+
+
+def banded_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b, given the upper banded Cholesky factor of A from
+    cholesky_banded: LAPACK pbtrs, the same x bit for bit as scipy's
+    cho_solve_banded, without its per-call wrapper.  b is left unchanged.
+    Raises ValueError on a non-finite b or one not matching the factor."""
+    if b.shape != factor.shape[1:]:
+        raise ValueError(f"expected a right-hand side of shape {factor.shape[1:]}, got {b.shape}")
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side must be finite")
+    x, info = _PBTRS(factor, b)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of pbtrs")
+    return x

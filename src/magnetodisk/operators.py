@@ -7,6 +7,12 @@ eliminating the displacement (w_r = -(lambda/2) sin 2h) the energy is
 
 with mu = lambda^2 / 2 and the natural boundary condition h_r(1) = 0 encoded
 weakly.  E(0) = 0 and E(h) >= -pi*mu/4 for every profile.
+
+energy_of_values and gradient_values, the kernels of the minimizer's descent
+loop, build their fields in place in the buffers of the grid's derivative
+and stiffness product.  They do the same floating-point operations in the
+same order as the one-expression formulas that tests/test_operators.py keeps
+as their bitwise reference.
 """
 
 from __future__ import annotations
@@ -92,12 +98,18 @@ class ModelParams:
 def energy_of_values(grid: RadialGrid, values: np.ndarray, mu: float) -> float:
     """Discrete energy from raw nodal values (no Profile validation)."""
     d = derivative(grid, values)
-    s = np.empty_like(values)
-    s[1:] = np.sin(values[1:]) / grid.nodes[1:]
+    s = np.sin(values)
+    s[1:] /= grid.nodes[1:]
     s[0] = d[0]  # limit of sin(h)/r at r = 0; its weight is zero regardless
     sin2h = np.sin(2.0 * values)
-    integrand = d * d + s * s - 0.5 * mu * sin2h * sin2h
-    return np.pi * integrate(grid, integrand)
+    # d^2 + s^2 - (mu/2) sin^2 2h, built in d's buffer
+    d *= d
+    s *= s
+    d += s
+    t = (0.5 * mu) * sin2h
+    t *= sin2h
+    d -= t
+    return np.pi * integrate(grid, d)
 
 
 def energy(h: Profile, p: ModelParams) -> float:
@@ -107,16 +119,19 @@ def energy(h: Profile, p: ModelParams) -> float:
 
 def gradient_values(grid: RadialGrid, values: np.ndarray, mu: float) -> np.ndarray:
     """Raw nodal gradient field; see gradient()."""
-    r = grid.nodes
-    w = grid.weights
-    q = stiffness_apply(grid, values)
-    sin2h = np.sin(2.0 * values)
-    g = np.zeros_like(values)
-    g[1:] = (
-        q[1:] / w[1:]
-        + sin2h[1:] / (2.0 * r[1:] ** 2)
-        - mu * sin2h[1:] * np.cos(2.0 * values[1:])
-    )
+    g = stiffness_apply(grid, values)
+    g[0] = 0.0
+    two_h = 2.0 * values[1:]
+    sin2h = np.sin(two_h)
+    cos2h = np.cos(two_h, out=two_h)
+    # q / w + sin 2h / (2 r^2) - mu sin 2h cos 2h, built in the buffer of the
+    # stiffness product q
+    gi = g[1:]
+    gi /= grid.weights[1:]
+    gi += sin2h / (2.0 * grid.r_squared)
+    sin2h *= mu
+    sin2h *= cos2h
+    gi -= sin2h
     return g
 
 
@@ -185,26 +200,26 @@ def nonlinear_split(h: Profile, p: ModelParams) -> tuple[Profile, Profile, Profi
     field identically.  All three vanish at r = 0.
     """
     grid, v, mu = h.grid, h.values, p.mu
-    r = grid.nodes
+    r2 = grid.r_squared
     w = grid.weights
 
     q = stiffness_apply(grid, v)
     lin = np.zeros_like(v)
-    lin[1:] = q[1:] / w[1:] + v[1:] / r[1:] ** 2
+    lin[1:] = q[1:] / w[1:] + v[1:] / r2
 
     # cube by plain multiplication: unlike the pow ufunc this commutes bitwise
     # with power-of-two rescalings of h, keeping C exactly homogeneous
     cube = v[1:] * v[1:] * v[1:]
 
     cub = np.zeros_like(v)
-    cub[1:] = -(2.0 / 3.0) * cube / r[1:] ** 2 + (16.0 / 3.0) * mu * cube
+    cub[1:] = -(2.0 / 3.0) * cube / r2 + (16.0 / 3.0) * mu * cube
 
     rem = np.zeros_like(v)
     sin2h = np.sin(2.0 * v[1:])
     sin4h = np.sin(4.0 * v[1:])
     rem[1:] = (
-        -(v[1:] - sin2h / 2.0) / r[1:] ** 2
-        + (2.0 / 3.0) * cube / r[1:] ** 2
+        -(v[1:] - sin2h / 2.0) / r2
+        + (2.0 / 3.0) * cube / r2
         + 0.5 * mu * (4.0 * v[1:] - sin4h)
         - (16.0 / 3.0) * mu * cube
     )

@@ -10,7 +10,9 @@ is folded back into [0, pi/2], which never changes the energy of the limit.
 A run stops converged once the gradient passes tol and the decrease the
 next step predicts (minus half its slope; for a Newton step, half the squared
 Newton decrement, Boyd & Vandenberghe, Convex Optimization, 9.5.1) is at the
-roundoff floor of the energy.
+roundoff floor of the energy.  Both directions come from grid.banded_solve
+with a banded Cholesky factor: the grid's cached pencil factor for descent,
+a fresh factor of the shifted Hessian for Newton.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded
 
 from .eigen import EigenPair, smallest_eigenpair
-from .grid import RadialGrid, banded_operator, derivative, l2_norm
+from .grid import RadialGrid, banded_operator, banded_solve, derivative, l2_norm
 from .operators import (
     ModelParams,
     Profile,
@@ -90,9 +92,8 @@ def _wnorm(w: np.ndarray, values: np.ndarray) -> float:
 
 def _newton_direction(grid, values, mu, wg):
     """Damped Newton step for the full system: solve (H + tau W) d = -W g."""
-    r = grid.nodes
     w = grid.weights
-    curvature = np.cos(2.0 * values[1:]) / r[1:] ** 2 - 2.0 * mu * np.cos(4.0 * values[1:])
+    curvature = np.cos(2.0 * values[1:]) / grid.r_squared - 2.0 * mu * np.cos(4.0 * values[1:])
     h0 = grid.stiffness_bands[2, 1:] + w[1:] * curvature
     tau = 0.0
     scale = float(np.max(np.abs(h0))) or 1.0
@@ -102,7 +103,7 @@ def _newton_direction(grid, values, mu, wg):
         except np.linalg.LinAlgError:
             tau = max(tau * 100.0, 1e-12 * scale)
             continue
-        step = cho_solve_banded((factor, False), -wg)
+        step = banded_solve(factor, -wg)
         slope = 2.0 * np.pi * float(wg @ step)
         if slope < 0.0:
             return step, slope
@@ -163,7 +164,7 @@ def minimize(
             step, slope = _newton_direction(grid, v, mu, wg)
         newton = step is not None
         if not newton:
-            step = cho_solve_banded((precond, False), -wg)
+            step = banded_solve(precond, -wg)
             slope = 2.0 * np.pi * float(wg @ step)
         if slope >= 0.0:
             break  # no descent direction left; g is numerically zero

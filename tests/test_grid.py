@@ -1,8 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded
 
-from magnetodisk import build_grid, integrate, l2_norm
-from magnetodisk.grid import derivative
+from magnetodisk import ModelParams, build_grid, integrate, l2_norm, minimize
+from magnetodisk.grid import banded_solve, derivative
+from magnetodisk.operators import gradient_values
 
 from oracles import adaptive_simpson
 
@@ -42,9 +47,48 @@ def test_grid_is_immutable():
     assert g.stencils is g.stencils
     assert g.stiffness_bands is g.stiffness_bands
     assert g.pencil_factor is g.pencil_factor
-    for array in (*g.stencils, g.stiffness_bands, g.pencil_factor):
+    assert g.r_squared is g.r_squared
+    for array in (*g.stencils, g.stiffness_bands, g.pencil_factor, g.r_squared):
         with pytest.raises(ValueError):
             array[0] = 1.0
+    assert np.array_equal(g.r_squared, g.nodes[1:] ** 2)
+
+
+def test_grid_is_collected_once_dropped():
+    # the per-grid arrays live on the grid itself, so nothing outlives it
+    g = build_grid(64, 2.0)
+    minimize(g, ModelParams(mu=2.0))
+    gradient_values(g, 0.5 * g.nodes, 2.0)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("n", [256, 4096])
+def test_banded_solve_matches_cho_solve_banded_bitwise(n):
+    g = build_grid(n, 2.0)
+    b = np.random.default_rng(n).normal(size=n)
+    kept = b.copy()
+    x = banded_solve(g.pencil_factor, b)
+    assert x.tobytes() == cho_solve_banded((g.pencil_factor, False), b).tobytes()
+    assert np.array_equal(b, kept)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_banded_solve_rejects_nonfinite_right_hand_sides(bad):
+    g = build_grid(64, 2.0)
+    b = np.ones(64)
+    b[10] = bad
+    with pytest.raises(ValueError, match="finite"):
+        banded_solve(g.pencil_factor, b)
+
+
+def test_banded_solve_rejects_mismatched_right_hand_sides():
+    g = build_grid(64, 2.0)
+    for b in (np.ones(63), np.ones(65), np.ones((64, 1))):
+        with pytest.raises(ValueError, match="shape"):
+            banded_solve(g.pencil_factor, b)
 
 
 def test_integrate_constants():

@@ -11,7 +11,9 @@ from magnetodisk import (
     integrate,
     l2_norm,
     minimize,
+    random_profile,
 )
+from magnetodisk.grid import derivative, stiffness_apply
 from magnetodisk.operators import (
     energy_of_values,
     euler_residual,
@@ -254,3 +256,60 @@ def test_defect_term_decays_past_cubic_order(grid256):
         scaled_norms.append(l2_norm(grid256, defect.values) / eps**3)
     assert scaled_norms[0] / scaled_norms[1] >= 3.0  # measured 3.97
     assert scaled_norms[1] / scaled_norms[2] >= 3.0
+
+
+# The energy and gradient as first written, one numpy expression each, kept
+# here as the reference for the in-place kernels of magnetodisk.operators:
+# those do the same floating-point operations in the same order, so they must
+# agree with these bit for bit.
+
+
+def _reference_energy(grid, values, mu):
+    d = derivative(grid, values)
+    s = np.empty_like(values)
+    s[1:] = np.sin(values[1:]) / grid.nodes[1:]
+    s[0] = d[0]
+    sin2h = np.sin(2.0 * values)
+    integrand = d * d + s * s - 0.5 * mu * sin2h * sin2h
+    return np.pi * integrate(grid, integrand)
+
+
+def _reference_gradient(grid, values, mu):
+    r = grid.nodes
+    w = grid.weights
+    q = stiffness_apply(grid, values)
+    sin2h = np.sin(2.0 * values)
+    g = np.zeros_like(values)
+    g[1:] = (
+        q[1:] / w[1:]
+        + sin2h[1:] / (2.0 * r[1:] ** 2)
+        - mu * sin2h[1:] * np.cos(2.0 * values[1:])
+    )
+    return g
+
+
+def _kernel_profiles(grid):
+    """Smooth, rough and unfolded nodal profiles (amplitudes up to 3 pi), one
+    of them holding -0.0 at the origin and at interior nodes."""
+    rng = np.random.default_rng(grid.n)
+    size = grid.nodes.shape[0]
+    profiles = [random_profile(grid, rng, amplitude=a).values for a in (0.3, np.pi / 2, 3 * np.pi)]
+    rough = rng.uniform(-3 * np.pi, 3 * np.pi, size)
+    rough[0] = 0.0
+    profiles.append(rough)
+    signed_zeros = rng.uniform(-1.0, 1.0, size)
+    signed_zeros[::7] = -0.0
+    profiles.append(signed_zeros)
+    return profiles
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4097])
+@pytest.mark.parametrize("mu", [0.0, 2.0, 20.0, 1000.0])
+def test_kernels_match_the_reference_formulas_bitwise(n, mu):
+    grid = build_grid(n, 2.0)
+    for values in _kernel_profiles(grid):
+        e = energy_of_values(grid, values, mu)
+        assert e.hex() == _reference_energy(grid, values, mu).hex()
+        g = gradient_values(grid, values, mu)
+        ref = _reference_gradient(grid, values, mu)
+        assert g.tobytes() == ref.tobytes()  # stricter than array_equal: -0.0 != 0.0
