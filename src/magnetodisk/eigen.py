@@ -1,10 +1,12 @@
 """Smallest eigenpair of the linearized operator at the trivial profile.
 
 The quadratic form v -> int (v_r^2 + v^2/r^2) r dr restricted to v(0) = 0,
-with the natural condition at r = 1, is discretized with the same derivative
-stencils and quadrature as the energy.  Its smallest generalized eigenvalue
-gamma0 against the lumped r dr mass fixes the instability threshold
-mu = gamma0 / 2 of the trivial profile.
+with the natural condition at r = 1, is discretized like the energy: the
+grid's tridiagonal P1 stiffness plus the lumped v^2/r^2 term.  Its smallest
+generalized eigenvalue gamma0 against the lumped r dr mass fixes the
+instability threshold mu = gamma0 / 2 of the trivial profile.  P1 has no
+spurious odd-even modes, so the second eigenpair is the discrete mode of
+J1(j'_{1,2} r).
 
 Inverse iteration reads gamma off the solve it already does: for an
 M-normalized iterate v and u = A^-1 M v, 1/gamma = (M v) . u is the Rayleigh

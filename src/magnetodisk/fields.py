@@ -6,7 +6,9 @@ w_r(0) = 0; the unit magnetization at a disk point (x, y) with radius r is
     m = (x/r sin h(r), y/r sin h(r), cos h(r)),
 
 which reduces the three-dimensional exchange density through the identity
-|grad m|^2 = (sin h / r)^2 + h_r^2.
+|grad m|^2 = (sin h / r)^2 + h_r^2.  Nodal slopes of w and sin 2h come from
+the grid's second-order derivative; the exchange term h_r^2 of
+coupled_energy is the P1 cell form of the reduced energy.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .grid import derivative, integrate
-from .operators import Profile
+from .operators import Profile, energy_of_values
 
 if TYPE_CHECKING:
     from scipy.interpolate import PchipInterpolator
@@ -114,22 +116,18 @@ def check_reduction_identity(
 def coupled_energy(h: Profile, w: Profile, lam: float) -> float:
     """Energy of the pair (h, w) before eliminating the displacement:
 
-        pi * int [ h_r^2 + (sin h/r)^2 + lam sin(2h) w_r + w_r^2 ] r dr,
+        pi * int [ h_r^2 + (sin h/r)^2 + lam sin(2h) w_r + w_r^2 ] r dr.
 
-    evaluated with the grid derivative applied to the reconstructed w.  For w
-    reconstructed from h this matches the reduced energy up to quadrature
-    error.
+    The first two terms are the reduced energy at mu = 0 (the grid's P1
+    exchange term and the lumped sin^2 h / r^2); the coupling terms use the
+    grid derivative of w.  For w reconstructed from h this matches the
+    reduced energy up to quadrature error.
     """
     grid = h.grid
-    r = grid.nodes
-    dh = derivative(grid, h.values)
     dw = derivative(grid, w.values)
-    s = np.empty_like(h.values)
-    s[1:] = np.sin(h.values[1:]) / r[1:]
-    s[0] = dh[0]
     sin2h = np.sin(2.0 * h.values)
-    integrand = dh * dh + s * s + lam * sin2h * dw + dw * dw
-    return np.pi * integrate(grid, integrand)
+    coupling = integrate(grid, lam * sin2h * dw + dw * dw)
+    return energy_of_values(grid, h.values, 0.0) + np.pi * coupling
 
 
 def displacement_equation_residual(h: Profile, w: Profile, lam: float) -> np.ndarray:

@@ -2,11 +2,13 @@
 
 The unit disk problems in this package reduce to one-dimensional integrals
 of the form int_0^1 f(r) r dr.  This module provides the mesh, the matching
-quadrature rule, and the discrete operator of the mesh: second-order
-finite-difference derivatives, the stiffness D^T W D of the quadratic form
-sum_k w_k (Df)_k^2, the squared nodes r^2 of the centrifugal terms, and the
-threshold pencil with its Cholesky factor.  banded_solve is the one solve
-with a banded Cholesky factor, for the eigensolver and the minimizer alike.
+quadrature rule, and the discrete operator of the mesh: the tridiagonal P1
+stiffness K of int v_r^2 r dr, the squared nodes r^2 of the centrifugal
+terms, and the threshold pencil with its LDL^T factor (LAPACK pttrf).
+banded_solve (pttrs) is the one solve with such a factor, for the
+eigensolver and the minimizer alike.  The nodal derivative remains for
+boundary slopes and fields.  Reductions are numpy sums of products, never a
+BLAS dot, so results do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cholesky_banded, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 
 __all__ = ["RadialGrid", "build_grid", "integrate", "derivative", "l2_norm", "assemble_pencil",
            "banded_solve"]
 
-_PBTRS = get_lapack_funcs("pbtrs", dtype=np.float64)
+_PTTRF, _PTTRS = get_lapack_funcs(("pttrf", "pttrs"), dtype=np.float64)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -76,42 +78,27 @@ class RadialGrid:
         return _read_only(self.nodes[1:] ** 2)[0]
 
     @cached_property
-    def stiffness_bands(self) -> np.ndarray:
-        """D^T W D, the quadratic form of sum_k w_k (Df)_k^2 where D is the
-        nodal derivative operator, in upper-banded storage: rows 0, 1, 2 hold
-        the diagonals of offsets 2, 1, 0, right-aligned.
+    def stiffness_bands(self) -> tuple[np.ndarray, np.ndarray]:
+        """The P1 stiffness K of sum_k kappa_k (v_{k+1} - v_k)^2 as two bands:
+        its main diagonal on the nodes 0..n and the cell coefficients
+        kappa_k = (r_k + r_{k+1}) / (2 (r_{k+1} - r_k)), so that K's
+        off-diagonal is -kappa.
 
-        The matrix is symmetric positive semidefinite and pentadiagonal.  Row
-        r = 0 of D never contributes because its quadrature weight is zero.
+        v^T K v is int (I v)_r^2 r dr for the piecewise-linear interpolant
+        I v, cell by cell, so K is symmetric positive semidefinite.
         """
-        w = self.weights
-        lo, mid, hi, _, right = self.stencils
-        bands = np.zeros((3, self.n + 1))
-        d0, d1, d2 = bands[2], bands[1, 1:], bands[0, 2:]
-
-        wk = w[1:-1]
-        d0[:-2] += wk * lo * lo
-        d0[1:-1] += wk * mid * mid
-        d0[2:] += wk * hi * hi
-        d1[:-1] += wk * lo * mid
-        d1[1:] += wk * mid * hi
-        d2[:] += wk * lo * hi
-
-        wn = w[-1]
-        e0, e1, e2 = right
-        d0[-3] += wn * e0 * e0
-        d0[-2] += wn * e1 * e1
-        d0[-1] += wn * e2 * e2
-        d1[-2] += wn * e0 * e1
-        d1[-1] += wn * e1 * e2
-        d2[-1] += wn * e0 * e2
-        return _read_only(bands)[0]
+        r = self.nodes
+        kappa = (r[:-1] + r[1:]) / (2.0 * np.diff(r))
+        diagonal = np.zeros(self.n + 1)
+        diagonal[:-1] += kappa
+        diagonal[1:] += kappa
+        return _read_only(diagonal, kappa)
 
     @cached_property
-    def pencil_factor(self) -> np.ndarray:
-        """Upper banded Cholesky factor of the pencil matrix of assemble_pencil:
-        the inverse-iteration solve in eigen and the preconditioner of minimize."""
-        return _read_only(cholesky_banded(assemble_pencil(self)[0]))[0]
+    def pencil_factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """LDL^T factor of the pencil matrix of assemble_pencil: the
+        inverse-iteration solve in eigen and the preconditioner of minimize."""
+        return _read_only(*banded_factor(self, assemble_pencil(self)[0][0]))
 
 
 def build_grid(n: int, grading: float = 2.0) -> RadialGrid:
@@ -158,7 +145,7 @@ def integrate(grid: RadialGrid, values: np.ndarray) -> float:
         raise ValueError(
             f"expected {grid.nodes.shape[0]} nodal values, got {values.shape}"
         )
-    return float(grid.weights @ values)
+    return float(np.sum(grid.weights * values))
 
 
 def l2_norm(grid: RadialGrid, values: np.ndarray) -> float:
@@ -186,57 +173,59 @@ def derivative(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def banded_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Product of a symmetric upper-banded matrix (bandwidth 2) with x."""
-    y = ab[2] * x
-    off1 = ab[1, 1:]
-    off2 = ab[0, 2:]
-    y[:-1] += off1 * x[1:]
-    y[1:] += off1 * x[:-1]
-    y[:-2] += off2 * x[2:]
-    y[2:] += off2 * x[:-2]
+def banded_matvec(ab: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Product of the symmetric tridiagonal matrix with bands ab = (main,
+    off-diagonal) with x."""
+    main, off = ab
+    y = main * x
+    y[:-1] += off * x[1:]
+    y[1:] += off * x[:-1]
     return y
 
 
 def stiffness_apply(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
-    """Matrix-vector product (D^T W D) values."""
-    return banded_matvec(grid.stiffness_bands, np.asarray(values, dtype=float))
+    """K values in flux form: the cell fluxes f = kappa * diff(values) enter
+    the right node of their cell with + and the left one with -."""
+    flux = np.diff(np.asarray(values, dtype=float))
+    flux *= grid.stiffness_bands[1]
+    y = np.concatenate(([0.0], flux))
+    y[:-1] -= flux
+    return y
 
 
-def banded_operator(grid: RadialGrid, diagonal: np.ndarray) -> np.ndarray:
-    """Upper-banded storage (offsets 2, 1, 0 by row) over the nodes 1..n of
-    the matrix with the given main diagonal and the off-diagonals of D^T W D,
-    i.e. with the r = 0 value eliminated by the Dirichlet condition."""
-    bands = grid.stiffness_bands
-    ab = np.zeros((3, diagonal.shape[0]))
-    ab[2, :] = diagonal
-    ab[1, 1:] = bands[1, 2:]
-    ab[0, 2:] = bands[0, 3:]
-    return ab
+def banded_factor(grid: RadialGrid, diagonal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LDL^T factor (LAPACK pttrf) of the matrix over the nodes 1..n with the
+    given main diagonal and the off-diagonal of K, i.e. with the r = 0 value
+    eliminated by the Dirichlet condition.  Raises LinAlgError unless that
+    matrix is positive definite."""
+    d, e, info = _PTTRF(diagonal, -grid.stiffness_bands[1][1:])
+    if info:
+        raise np.linalg.LinAlgError(f"pttrf info {info}: the matrix is not positive definite")
+    return d, e
 
 
-def assemble_pencil(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
+def assemble_pencil(grid: RadialGrid) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     """Stiffness-plus-centrifugal matrix A and lumped mass diagonal m.
 
-    A is returned in symmetric upper-banded storage (see banded_operator)
-    over the nodes 1..n, and m holds the quadrature weights at the same
-    nodes.  The generalized problem is A phi = gamma * diag(m) * phi.
+    A is returned as its bands (main, off-diagonal) over the nodes 1..n, the
+    r = 0 value eliminated by the Dirichlet condition, and m holds the
+    quadrature weights at the same nodes.  The generalized problem is
+    A phi = gamma * diag(m) * phi.
     """
+    diagonal, kappa = grid.stiffness_bands
     w = grid.weights
-    ab = banded_operator(grid, grid.stiffness_bands[2, 1:] + w[1:] / grid.r_squared)
-    return ab, w[1:]
+    return (diagonal[1:] + w[1:] / grid.r_squared, -kappa[1:]), w[1:]
 
 
-def banded_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b, given the upper banded Cholesky factor of A from
-    cholesky_banded: LAPACK pbtrs, the same x bit for bit as scipy's
-    cho_solve_banded, without its per-call wrapper.  b is left unchanged.
-    Raises ValueError on a non-finite b or one not matching the factor."""
-    if b.shape != factor.shape[1:]:
-        raise ValueError(f"expected a right-hand side of shape {factor.shape[1:]}, got {b.shape}")
+def banded_solve(factor: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
+    """Solve A x = b, given the LDL^T factor of A from banded_factor: LAPACK
+    pttrs.  b is left unchanged.  Raises ValueError on a non-finite b or one
+    not matching the factor."""
+    if b.shape != factor[0].shape:
+        raise ValueError(f"expected a right-hand side of shape {factor[0].shape}, got {b.shape}")
     if not np.isfinite(b).all():
         raise ValueError("right-hand side must be finite")
-    x, info = _PBTRS(factor, b)
+    x, info = _PTTRS(*factor, b)
     if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of pbtrs")
+        raise ValueError(f"illegal value in argument {-info} of pttrs")
     return x

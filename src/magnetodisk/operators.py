@@ -8,11 +8,12 @@ eliminating the displacement (w_r = -(lambda/2) sin 2h) the energy is
 with mu = lambda^2 / 2 and the natural boundary condition h_r(1) = 0 encoded
 weakly.  E(0) = 0 and E(h) >= -pi*mu/4 for every profile.
 
-energy_of_values and gradient_values, the kernels of the minimizer's descent
-loop, build their fields in place in the buffers of the grid's derivative
-and stiffness product.  They do the same floating-point operations in the
-same order as the one-expression formulas that tests/test_operators.py keeps
-as their bitwise reference.
+The exchange term h_r^2 is the P1 stiffness of the grid, sum_k kappa_k
+(h_{k+1} - h_k)^2; the sin^2 h / r^2 and sin^2 2h terms are lumped on the
+nodal quadrature weights.  energy_of_values and gradient_values, the kernels
+of the minimizer's descent loop, build their fields in place.  They do the
+same floating-point operations in the same order as the one-expression
+formulas that tests/test_operators.py keeps as their bitwise reference.
 """
 
 from __future__ import annotations
@@ -22,12 +23,7 @@ from math import sqrt
 
 import numpy as np
 
-from .grid import (
-    RadialGrid,
-    derivative,
-    integrate,
-    stiffness_apply,
-)
+from .grid import RadialGrid, derivative, stiffness_apply
 
 __all__ = [
     "Profile",
@@ -97,19 +93,20 @@ class ModelParams:
 
 def energy_of_values(grid: RadialGrid, values: np.ndarray, mu: float) -> float:
     """Discrete energy from raw nodal values (no Profile validation)."""
-    d = derivative(grid, values)
-    s = np.sin(values)
-    s[1:] /= grid.nodes[1:]
-    s[0] = d[0]  # limit of sin(h)/r at r = 0; its weight is zero regardless
-    sin2h = np.sin(2.0 * values)
-    # d^2 + s^2 - (mu/2) sin^2 2h, built in d's buffer
-    d *= d
+    exchange = np.diff(values)
+    exchange *= exchange
+    exchange *= grid.stiffness_bands[1]
+    v = values[1:]
+    s = np.sin(v)
+    s /= grid.nodes[1:]
+    sin2h = np.sin(2.0 * v)
+    # w * (s^2 - (mu/2) sin^2 2h), built in s's buffer
     s *= s
-    d += s
     t = (0.5 * mu) * sin2h
     t *= sin2h
-    d -= t
-    return np.pi * integrate(grid, d)
+    s -= t
+    s *= grid.weights[1:]
+    return np.pi * (float(np.sum(exchange)) + float(np.sum(s)))
 
 
 def energy(h: Profile, p: ModelParams) -> float:
@@ -155,9 +152,9 @@ def euler_residual(h: Profile, p: ModelParams) -> float:
     """Convergence certificate for the strong-form critical-point equation.
 
     Returns the r dr-weighted 2-norm of the residual field at interior nodes
-    plus |h_r(1)| for the natural boundary condition.  The residual field is
-    assembled from the same stencils as the gradient, so discrete critical
-    points score at truncation level.
+    plus |h_r(1)| (the nodal derivative's one-sided slope) for the natural
+    boundary condition.  The residual field is the gradient field, so
+    discrete critical points score at truncation level.
     """
     rho = gradient_values(h.grid, h.values, p.mu)
     w = h.grid.weights
@@ -165,13 +162,17 @@ def euler_residual(h: Profile, p: ModelParams) -> float:
     return interior + abs(boundary_slope(h))
 
 
-def fold_values(values: np.ndarray) -> np.ndarray:
-    """Map nodal values into [0, pi/2] by |.| and reflections at pi/2."""
-    a = np.abs(np.asarray(values, dtype=float))
+def fold_values(values: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Map nodal values into [0, pi/2] by |.| and reflections at pi/2.
+    Returns the mapped values and whether any value changed."""
+    values = np.asarray(values, dtype=float)
+    a = np.abs(values)
+    changed = bool(values.min() < 0.0)
     while True:
         mask = a > np.pi / 2.0
         if not mask.any():
-            return a
+            return a, changed
+        changed = True
         a = np.where(mask, np.abs(np.pi - a), a)
 
 
@@ -184,7 +185,7 @@ def fold(h: Profile) -> Profile:
     energy invariant (exactly so whenever it acts as a single global
     reflection; up to mesh-resolution error across kinks it introduces).
     """
-    return Profile(h.grid, fold_values(h.values))
+    return Profile(h.grid, fold_values(h.values)[0])
 
 
 def nonlinear_split(h: Profile, p: ModelParams) -> tuple[Profile, Profile, Profile]:

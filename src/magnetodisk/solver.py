@@ -10,9 +10,10 @@ is folded back into [0, pi/2], which never changes the energy of the limit.
 A run stops converged once the gradient passes tol and the decrease the
 next step predicts (minus half its slope; for a Newton step, half the squared
 Newton decrement, Boyd & Vandenberghe, Convex Optimization, 9.5.1) is at the
-roundoff floor of the energy.  Both directions come from grid.banded_solve
-with a banded Cholesky factor: the grid's cached pencil factor for descent,
-a fresh factor of the shifted Hessian for Newton.
+roundoff floor of the energy; a Newton step predicting less than that floor
+is taken whole unless the energy rises past it.  Both directions come from
+grid.banded_solve with a tridiagonal LDL^T factor: the grid's cached pencil
+factor for descent, a fresh factor of the shifted Hessian for Newton.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky_banded
 
 from .eigen import EigenPair, smallest_eigenpair
-from .grid import RadialGrid, banded_operator, banded_solve, derivative, l2_norm
+from .grid import RadialGrid, banded_factor, banded_solve, derivative, l2_norm
 from .operators import (
     ModelParams,
     Profile,
@@ -49,11 +49,13 @@ class SolveReport:
     minimizer; converged reports are meant to satisfy residual <= tol, but a
     flat-energy tail can break this (see
     tests/test_solver.py::test_converged_report_satisfies_tol_at_large_mu).
-    The energy history lists the energy after every accepted step and is
-    non-increasing; iterations counts the accepted steps.  energy_evals
-    counts every energy evaluation of the run and backtracks every trial step
-    that the Armijo test rejected, so energy_evals == 1 + iterations +
-    backtracks unless a trial energy came out NaN (diverged).
+    The energy history lists the energy after every accepted step.  It is
+    non-increasing up to the roundoff floor FLAT_TOL * (1 + |E|), by which a
+    Newton step predicting less than that floor may raise it; iterations
+    counts the accepted steps.  energy_evals counts every energy evaluation
+    of the run and backtracks every trial step that the line search
+    rejected, so energy_evals == 1 + iterations + backtracks unless a trial
+    energy came out NaN (diverged).
     """
 
     minimizer: Profile
@@ -94,17 +96,17 @@ def _newton_direction(grid, values, mu, wg):
     """Damped Newton step for the full system: solve (H + tau W) d = -W g."""
     w = grid.weights
     curvature = np.cos(2.0 * values[1:]) / grid.r_squared - 2.0 * mu * np.cos(4.0 * values[1:])
-    h0 = grid.stiffness_bands[2, 1:] + w[1:] * curvature
+    h0 = grid.stiffness_bands[0][1:] + w[1:] * curvature
     tau = 0.0
     scale = float(np.max(np.abs(h0))) or 1.0
     for _ in range(25):
         try:
-            factor = cholesky_banded(banded_operator(grid, h0 + tau * w[1:]))
+            factor = banded_factor(grid, h0 + tau * w[1:])
         except np.linalg.LinAlgError:
             tau = max(tau * 100.0, 1e-12 * scale)
             continue
         step = banded_solve(factor, -wg)
-        slope = 2.0 * np.pi * float(wg @ step)
+        slope = 2.0 * np.pi * float(np.sum(wg * step))
         if slope < 0.0:
             return step, slope
         tau = max(tau * 100.0, 1e-12 * scale)
@@ -155,38 +157,42 @@ def minimize(
     fold_count = 0
     diverged = False
     alpha_prev = 1.0  # last accepted step of a preconditioned-descent direction
+    direction = np.zeros_like(v)  # the search direction; r = 0 stays pinned
 
     for _ in range(params.max_iter):
         wg = w[1:] * g[1:]
-        step = None
-        slope = 0.0
-        if gnorm <= NEWTON_GATE:
-            step, slope = _newton_direction(grid, v, mu, wg)
+        step, slope = _newton_direction(grid, v, mu, wg) if gnorm <= NEWTON_GATE else (None, 0.0)
         newton = step is not None
         if not newton:
             step = banded_solve(precond, -wg)
-            slope = 2.0 * np.pi * float(wg @ step)
+            slope = 2.0 * np.pi * float(np.sum(wg * step))
         if slope >= 0.0:
             break  # no descent direction left; g is numerically zero
-        if gnorm <= params.tol and -0.5 * slope <= FLAT_TOL * (1.0 + abs(e_cur)):
+        floor = FLAT_TOL * (1.0 + abs(e_cur))
+        if gnorm <= params.tol and -0.5 * slope <= floor:
             break  # converged: the Newton decrement is at the roundoff floor
 
-        direction = np.concatenate(([0.0], step))
+        direction[1:] = step
         alpha = 1.0 if newton else min(1.0, alpha_prev / BACKTRACK)
+        # a full Newton step that predicts less than the floor may raise E by
+        # up to the floor: an Armijo test there compares noise with noise
+        flat = newton and -0.5 * slope <= floor
         accepted = False
         for _ in range(MAX_BACKTRACKS):
-            raw = v + alpha * direction
-            cand = fold_values(raw) if fold_iterates else raw
+            cand = v + alpha * direction
+            folded = False
+            if fold_iterates:
+                cand, folded = fold_values(cand)
             e_new = energy_of_values(grid, cand, mu)
             energy_evals += 1
             if np.isnan(e_new):
                 diverged = True
                 break
-            if e_new <= e_cur + ARMIJO_C1 * alpha * slope:
-                folded = fold_iterates and not np.array_equal(cand, raw)
+            if e_new <= e_cur + (floor if flat else ARMIJO_C1 * alpha * slope):
                 accepted = True
                 break
             alpha *= BACKTRACK
+            flat = False
             backtracks += 1
         if diverged or not accepted:
             break

@@ -61,15 +61,22 @@ def fresh_python(*args, blas_threads="1"):
 
 
 def test_eigen_outputs_do_not_depend_on_blas_threads(tmp_path):
-    # at this size a BLAS dot splits across threads and sums in another order
-    outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        fresh_python("-m", "magnetodisk.cli", "eigen", "--n", "20000", "--out", str(out),
-                     blas_threads=threads)
-        outs.append(out)
-    for name in ("eigen.json", "phi0.csv"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    # at this size a BLAS dot splits across threads and sums in another order;
+    # minimize and sweep cover the r dr reductions of grid and solver
+    commands = {
+        "eigen": (["eigen"], ("eigen.json", "phi0.csv")),
+        "minimize": (["minimize", "--mu", "2"], ("report.json", "profile.csv")),
+        "sweep": (["sweep", "--mu-range", "1.5:2.2:4"], ("summary.json", "diagram.csv")),
+    }
+    for command, (args, names) in commands.items():
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{command}{threads}"
+            fresh_python("-m", "magnetodisk.cli", *args, "--n", "20000", "--out", str(out),
+                         blas_threads=threads)
+            outs.append(out)
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded():

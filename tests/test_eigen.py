@@ -10,8 +10,7 @@ from magnetodisk import (
     smallest_eigenpair,
 )
 from magnetodisk.eigen import _inverse_iteration
-from magnetodisk.grid import assemble_pencil, banded_matvec, stiffness_apply
-from scipy.linalg import cho_solve_banded
+from magnetodisk.grid import assemble_pencil, banded_matvec, banded_solve, stiffness_apply
 
 import oracles
 from oracles import GAMMA0_CONTINUUM, J1PRIME_ROOT
@@ -31,16 +30,19 @@ def test_pencil_matches_elimination_of_the_origin_node(grid256):
 
 
 def test_quadratic_form_matches_quadrature(grid256):
-    from magnetodisk.grid import derivative
-
+    # the stiffness part is int (I v)_r^2 r dr of the piecewise-linear
+    # interpolant I v: on each cell the slope is constant and r is linear, so
+    # the midpoint rule integrates it exactly
     ab, _ = assemble_pencil(grid256)
     rng = np.random.default_rng(1)
     v = rng.standard_normal(grid256.n)
     full = np.concatenate(([0.0], v))
-    d = derivative(grid256, full)
+    r = grid256.nodes
+    cells = [((full[k + 1] - full[k]) / (r[k + 1] - r[k])) ** 2 * 0.5 * (r[k] + r[k + 1])
+             * (r[k + 1] - r[k]) for k in range(grid256.n)]
     s = np.zeros_like(full)
-    s[1:] = full[1:] / grid256.nodes[1:]
-    direct = integrate(grid256, d * d + s * s)
+    s[1:] = full[1:] / r[1:]
+    direct = sum(cells) + integrate(grid256, s * s)
     form = float(v @ banded_matvec(ab, v))
     assert abs(form - direct) <= 1e-12 * max(1.0, abs(direct))
 
@@ -61,7 +63,7 @@ def test_ground_eigenvalue_exceeds_one(n):
 
 def test_ground_eigenvalue_matches_bessel_oracle(pair512):
     rel = abs(pair512.gamma0 - GAMMA0_CONTINUUM) / GAMMA0_CONTINUUM
-    assert rel <= 1e-4  # measured 4.5e-6
+    assert rel <= 1e-4  # measured 3.0e-6
 
 
 def test_oracle_constants_recompute():
@@ -85,15 +87,15 @@ def test_eigenprofile_contract(pair256, grid256):
 
 def test_eigenprofile_natural_boundary_condition():
     # the weak form never imposes phi_r(1) = 0, yet the computed mode must
-    # satisfy it at the stencil's second-order truncation level
+    # satisfy it at least at second-order truncation level
     slopes = []
     for n in (128, 256, 512, 1024):
         pair = smallest_eigenpair(build_grid(n, 2.0))
         s = abs(boundary_slope(pair.phi0))
-        assert s <= 2.0 * (2.0 / n) ** 2  # measured ~1.1x(2/n)^2
+        assert s <= 0.1 * (2.0 / n) ** 2  # measured 0.052 -> 0.013 x (2/n)^2
         slopes.append(s)
     for coarse, fine in zip(slopes, slopes[1:]):
-        assert 3.5 <= coarse / fine <= 4.5
+        assert coarse / fine >= 3.5  # measured 7.0, 6.5, 5.8
 
 
 def test_ground_eigenvalue_is_a_lower_bound(grid256, pair256):
@@ -122,8 +124,6 @@ def test_second_eigenpair(grid256, pair256):
     assert psi.values.min() < 0.0 < psi.values.max()  # excited mode changes sign
 
 
-@pytest.mark.xfail(strict=True, reason="the centered first difference has a "
-                   "spurious odd-even mode near 19.2 below j'_{1,2}^2 = 28.42")
 def test_second_eigenpair_converges_to_the_second_bessel_mode():
     gamma1_continuum = oracles.bisect_root(oracles.bessel_j1_prime, 5.0, 6.0) ** 2
     errors, sign_changes = [], []
@@ -152,7 +152,7 @@ def test_ground_mode_is_the_inverse_iteration_fixed_point(n):
     v = pair.phi0.values[1:]
     u = v.copy()
     for _ in range(60):
-        u = cho_solve_banded((grid.pencil_factor, False), mass * u)
+        u = banded_solve(grid.pencil_factor, mass * u)
         u /= np.sqrt(np.sum(mass * u * u))
     assert np.sqrt(np.sum(mass * (u - v) ** 2)) <= 1e-9  # measured <= 1.4e-10
 

@@ -3,10 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve_banded
-
 from magnetodisk import ModelParams, build_grid, integrate, l2_norm, minimize
-from magnetodisk.grid import banded_solve, derivative
+from magnetodisk.grid import assemble_pencil, banded_factor, banded_solve, derivative, stiffness_apply
 from magnetodisk.operators import gradient_values
 
 from oracles import adaptive_simpson
@@ -48,7 +46,7 @@ def test_grid_is_immutable():
     assert g.stiffness_bands is g.stiffness_bands
     assert g.pencil_factor is g.pencil_factor
     assert g.r_squared is g.r_squared
-    for array in (*g.stencils, g.stiffness_bands, g.pencil_factor, g.r_squared):
+    for array in (*g.stencils, *g.stiffness_bands, *g.pencil_factor, g.r_squared):
         with pytest.raises(ValueError):
             array[0] = 1.0
     assert np.array_equal(g.r_squared, g.nodes[1:] ** 2)
@@ -66,13 +64,26 @@ def test_grid_is_collected_once_dropped():
 
 
 @pytest.mark.parametrize("n", [256, 4096])
-def test_banded_solve_matches_cho_solve_banded_bitwise(n):
+def test_banded_solve_matches_a_dense_solve(n):
     g = build_grid(n, 2.0)
+    (main, off), _ = assemble_pencil(g)
+    dense = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
     b = np.random.default_rng(n).normal(size=n)
     kept = b.copy()
     x = banded_solve(g.pencil_factor, b)
-    assert x.tobytes() == cho_solve_banded((g.pencil_factor, False), b).tobytes()
+    ref = np.linalg.solve(dense, b)
+    assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
     assert np.array_equal(b, kept)
+
+
+def test_banded_factor_rejects_indefinite_matrices():
+    # the Newton step's tau shift relies on this to find a positive definite shift
+    g = build_grid(64, 2.0)
+    (main, _), _ = assemble_pencil(g)
+    bad = main.copy()
+    bad[10] = -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        banded_factor(g, bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -142,6 +153,15 @@ def test_derivative_exactness_classes():
     assert np.abs(derivative(g, np.full(65, 3.3))).max() <= 1e-12
     assert np.abs(derivative(g, 2.0 * g.nodes - 1.0) - 2.0).max() <= 1e-12
     assert np.abs(derivative(g, g.nodes**2) - 2.0 * g.nodes).max() <= 1e-10
+
+
+def test_stiffness_exactness_classes():
+    # K annihilates constants, and v^T K v = int v_r^2 r dr = b^2 / 2 holds
+    # exactly for linear v = a + b r
+    g = build_grid(64, 1.7)
+    assert np.array_equal(stiffness_apply(g, np.full(65, 3.3)), np.zeros(65))
+    v = 2.0 * g.nodes - 1.0
+    assert abs(np.sum(v * stiffness_apply(g, v)) - 2.0) <= 1e-12
 
 
 def test_derivative_smooth_accuracy():
