@@ -18,7 +18,6 @@ from .fields import (
     check_reduction_identity,
     coupled_energy,
     displacement_equation_residual,
-    magnetization_at,
     magnetization_grid,
     reconstruct_w,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "gradient",
     "integrate",
     "l2_norm",
-    "magnetization_at",
     "magnetization_grid",
     "minimize",
     "nonlinear_split",

@@ -8,7 +8,7 @@ Euler operator at the threshold eigenprofile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -16,11 +16,6 @@ from .eigen import EigenPair, smallest_eigenpair
 from .grid import RadialGrid, integrate
 from .operators import ModelParams, Profile, energy_of_values
 from .solver import SolveReport, minimize
-
-
-def _at_mu(params: ModelParams, mu: float) -> ModelParams:
-    # lam is derived from mu, so dataclasses.replace would carry a stale pair.
-    return ModelParams(mu=mu, tol=params.tol, max_iter=params.max_iter)
 
 __all__ = [
     "BranchPoint",
@@ -122,7 +117,7 @@ def trace_branches(
     if eigenpair is None:
         eigenpair = smallest_eigenpair(grid)
     threshold = eigenpair.gamma0 / 2.0
-    cb = cbar(eigenpair.phi0, _at_mu(params, threshold))
+    cb = cbar(eigenpair.phi0, replace(params, mu=threshold))
 
     mus = np.linspace(mu_lo, mu_hi, steps)
     zero = Profile(grid, np.zeros_like(grid.nodes))
@@ -133,9 +128,8 @@ def trace_branches(
 
     for i, mu in enumerate(map(float, mus)):
         points.append(BranchPoint(mu, "trivial", 0.0, 0.0, "trivial"))
-        p_i = _at_mu(params, mu)
         report: SolveReport = minimize(
-            grid, p_i, init=prev, eigenpair=eigenpair, init_eps=init_eps
+            grid, replace(params, mu=mu), init=prev, eigenpair=eigenpair, init_eps=init_eps
         )
         if not report.converged:
             truncated_at = mu

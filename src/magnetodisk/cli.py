@@ -1,10 +1,15 @@
 """Command-line driver: magnetodisk <eigen|minimize|sweep|fields>.
 
-Exit codes: 0 success, 1 numerical failure, 2 invalid input.  Output files
-carry a metadata header with the package version and a hash of the resolved
-configuration; reruns with identical configuration are bit-identical.  The
-invariants behind the outputs are checked by tests/test_acceptance.py, not
-by a subcommand.
+main resolves the configuration, builds the grid and ModelParams once and
+hands both to the subcommand.  Their constructors judge n, grading, mu, tol
+and max_iter; the CLI checks only what they never see.  lambda is read only
+here (report.json, reconstruct_w) and defaults to sqrt(2 mu).
+
+Exit codes: 0 success, 1 numerical failure, 2 invalid input (found before
+anything is written).  Output files carry a metadata header with the
+package version and a hash of the resolved configuration; reruns with
+identical configuration are bit-identical.  The invariants behind the
+outputs are checked by tests/test_acceptance.py, not by a subcommand.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,16 +28,12 @@ import numpy as np
 from . import __version__
 from .bifurcation import amplitude_fit_slope, detected_threshold, trace_branches
 from .eigen import smallest_eigenpair
-from .fields import magnetization_grid, reconstruct_w
-from .grid import build_grid
-from .operators import ModelParams
-from .solver import minimize
+from .fields import _interpolant, magnetization_grid, reconstruct_w
+from .grid import RadialGrid, build_grid
+from .operators import ModelParams, Profile
+from .solver import SolveReport, minimize
 
 __all__ = ["RunConfig", "main"]
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -52,90 +53,107 @@ class RunConfig:
     samples: int = 41
 
 
-_CONFIG_KEYS = frozenset(f.name for f in fields(RunConfig)) - {"command"}
+def _integer(value) -> int:
+    # a JSON writer may emit an integral float such as 64.0
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
-def _parse_mu_range(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"mu range must look like LO:HI:STEPS, got {text!r}")
-    try:
-        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise ConfigError(f"bad mu range {text!r}: {exc}") from exc
-    return lo, hi, steps
+def _real(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _mu_range(value) -> tuple[float, float, int]:
+    """LO:HI:STEPS text (flag or config file) or a [lo, hi, steps] list."""
+    if isinstance(value, str):
+        parts = value.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"mu range must look like LO:HI:STEPS, got {value!r}")
+        return float(parts[0]), float(parts[1]), int(parts[2])
+    if isinstance(value, (list, tuple)) and len(value) == 3:
+        return _real(value[0]), _real(value[1]), _integer(value[2])
+    raise TypeError(f"expected [lo, hi, steps] or 'LO:HI:STEPS', got {value!r}")
+
+
+# The converter of each config key.  A config-file value and a flag value
+# (which argparse has already parsed from its text) go through the same one.
+_CONVERTERS = {
+    "n": _integer, "grading": _real, "mu": _real, "mu_range": _mu_range,
+    "lam": _real, "seed": _integer, "tol": _real, "max_iter": _integer,
+    "init_eps": _real, "out": _text, "format": _text, "samples": _integer,
+}
 
 
 def _load_config_file(path: str) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+        raise ValueError(f"config {path} must hold a JSON object")
+    unknown = set(raw) - set(_CONVERTERS)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "mu_range" in raw and raw["mu_range"] is not None:
-        rng = raw["mu_range"]
-        if isinstance(rng, str):
-            raw["mu_range"] = _parse_mu_range(rng)
-        elif isinstance(rng, (list, tuple)) and len(rng) == 3:
-            raw["mu_range"] = (float(rng[0]), float(rng[1]), int(rng[2]))
-        else:
-            raise ConfigError(f"mu_range must be [lo, hi, steps], got {rng!r}")
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return raw
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    merged: dict = {}
-    if args.config is not None:
-        merged.update(_load_config_file(args.config))
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
+    """Merge the config file and the flags (flags win), convert each value,
+    and check what no library constructor sees: format, samples, init_eps,
+    lambda against mu, and the shape of mu_range.  main leaves n, grading,
+    mu, tol and max_iter to build_grid and ModelParams."""
+    merged = _load_config_file(args.config) if args.config is not None else {}
+    merged.update({k: v for k, v in vars(args).items() if k in _CONVERTERS and v is not None})
+    converted = {}
+    for key, value in merged.items():
+        try:
+            if value is not None:
+                converted[key] = _CONVERTERS[key](value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad {key}: {exc}") from exc
+    cfg = RunConfig(command=args.command, **converted)
 
-    cfg = RunConfig(command=args.command, **merged)
-
-    if int(cfg.n) != cfg.n or cfg.n < 2:
-        raise ConfigError(f"n must be an integer >= 2, got {cfg.n}")
-    cfg = replace(cfg, n=int(cfg.n))
-    if not np.isfinite(cfg.grading) or cfg.grading < 1.0:
-        raise ConfigError(f"grading must be >= 1, got {cfg.grading}")
     if cfg.format not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {cfg.format!r}")
-    if cfg.tol <= 0.0 or cfg.max_iter < 1 or cfg.init_eps <= 0.0:
-        raise ConfigError("tol, max_iter, and init_eps must be positive")
+        raise ValueError(f"format must be csv or json, got {cfg.format!r}")
+    if not (math.isfinite(cfg.init_eps) and cfg.init_eps > 0.0):
+        raise ValueError(f"init_eps must be positive and finite, got {cfg.init_eps}")
     if cfg.samples < 3:
         # with 2 per axis the lattice is the four corners, all outside the disk
-        raise ConfigError(f"samples must be >= 3, got {cfg.samples}")
+        raise ValueError(f"samples must be >= 3, got {cfg.samples}")
 
-    if cfg.mu is not None and cfg.mu_range is not None:
-        raise ConfigError("give either mu or mu_range, not both")
     if cfg.lam is not None:
-        lam_mu = cfg.lam**2 / 2.0
+        try:
+            lam_mu = cfg.lam**2 / 2.0
+        except OverflowError:
+            raise ValueError(f"lambda^2/2 overflows at lambda={cfg.lam}") from None
         if cfg.mu is None:
             cfg = replace(cfg, mu=lam_mu)
-        elif abs(cfg.mu - lam_mu) > 1e-12 * max(1.0, abs(cfg.mu)):
-            raise ConfigError(
-                f"inconsistent parameters: mu={cfg.mu} but lambda^2/2={lam_mu}"
-            )
-    if cfg.mu is not None and cfg.mu < 0.0:
-        raise ConfigError(f"mu must be >= 0, got {cfg.mu}")
+        elif not abs(cfg.mu - lam_mu) <= 1e-12 * max(1.0, abs(cfg.mu)):
+            raise ValueError(f"inconsistent parameters: mu={cfg.mu} but lambda^2/2={lam_mu}")
+    if cfg.mu is not None and cfg.mu_range is not None:
+        raise ValueError("give either mu (or lambda) or mu_range, not both")
 
     if cfg.command in ("minimize", "fields") and cfg.mu is None:
-        raise ConfigError(f"{cfg.command} requires mu (or lambda)")
+        raise ValueError(f"{cfg.command} requires mu (or lambda)")
     if cfg.command == "sweep":
         if cfg.mu_range is None:
-            raise ConfigError("sweep requires mu_range LO:HI:STEPS")
+            raise ValueError("sweep requires mu_range LO:HI:STEPS")
         lo, hi, steps = cfg.mu_range
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi) or steps < 2:
-            raise ConfigError(f"bad mu_range {cfg.mu_range}")
-        if lo < 0.0:
-            raise ConfigError("mu_range must stay nonnegative")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi) or steps < 2:
+            raise ValueError(f"bad mu_range {cfg.mu_range}")
     return cfg
 
 
@@ -242,12 +260,7 @@ class _Writer:
         return path
 
 
-def _params(cfg: RunConfig) -> ModelParams:
-    return ModelParams(mu=cfg.mu, lam=cfg.lam, tol=cfg.tol, max_iter=cfg.max_iter)
-
-
-def cmd_eigen(cfg: RunConfig) -> int:
-    grid = build_grid(cfg.n, cfg.grading)
+def cmd_eigen(cfg: RunConfig, grid: RadialGrid, params: ModelParams) -> int:
     pair = smallest_eigenpair(grid)
     writer = _Writer(cfg)
     writer.json(
@@ -264,18 +277,31 @@ def cmd_eigen(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_minimize(cfg: RunConfig) -> int:
-    grid = build_grid(cfg.n, cfg.grading)
-    params = _params(cfg)
+def _solve(cfg: RunConfig, grid: RadialGrid,
+           params: ModelParams) -> tuple[SolveReport, float, Profile]:
+    """The minimizer from the default start, lambda (as given, else
+    sqrt(2 mu): only the CLI reads it) and the displacement w."""
     pair = smallest_eigenpair(grid)
     report = minimize(grid, params, eigenpair=pair, init_eps=cfg.init_eps)
-    w = reconstruct_w(report.minimizer, params.lam)
+    lam = cfg.lam if cfg.lam is not None else math.sqrt(2.0 * params.mu)
+    return report, lam, reconstruct_w(report.minimizer, lam)
+
+
+def _solve_status(report: SolveReport, params: ModelParams) -> int:
+    if report.diverged or not report.converged:
+        print(f"minimize did not converge at mu={params.mu}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def cmd_minimize(cfg: RunConfig, grid: RadialGrid, params: ModelParams) -> int:
+    report, lam, w = _solve(cfg, grid, params)
     writer = _Writer(cfg)
     writer.json(
         "report.json",
         {
             "mu": params.mu,
-            "lambda": params.lam,
+            "lambda": lam,
             "energy": report.energy,
             "residual": report.residual,
             "iterations": report.iterations,
@@ -287,16 +313,11 @@ def cmd_minimize(cfg: RunConfig) -> int:
     )
     writer.table("profile", ["r", "h", "w"],
                  [grid.nodes, report.minimizer.values, w.values])
-    if report.diverged or not report.converged:
-        print(f"minimize did not converge at mu={params.mu}", file=sys.stderr)
-        return 1
-    return 0
+    return _solve_status(report, params)
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    grid = build_grid(cfg.n, cfg.grading)
+def cmd_sweep(cfg: RunConfig, grid: RadialGrid, params: ModelParams) -> int:
     lo, hi, steps = cfg.mu_range
-    params = ModelParams(mu=lo, tol=cfg.tol, max_iter=cfg.max_iter)
     diagram = trace_branches(grid, params, lo, hi, steps, init_eps=cfg.init_eps)
     writer = _Writer(cfg)
     names = ["mu", "branch", "beta", "energy"]
@@ -319,30 +340,19 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_fields(cfg: RunConfig) -> int:
-    grid = build_grid(cfg.n, cfg.grading)
-    params = _params(cfg)
-    pair = smallest_eigenpair(grid)
-    report = minimize(grid, params, eigenpair=pair, init_eps=cfg.init_eps)
-    w = reconstruct_w(report.minimizer, params.lam)
-
-    from scipy.interpolate import PchipInterpolator
-
-    w_of_r = PchipInterpolator(grid.nodes, w.values, extrapolate=False)
+def cmd_fields(cfg: RunConfig, grid: RadialGrid, params: ModelParams) -> int:
+    report, _, w = _solve(cfg, grid, params)
     axis = np.linspace(-1.0, 1.0, cfg.samples)
     xg, yg = np.meshgrid(axis, axis)
     xs, ys = xg.ravel(), yg.ravel()
     keep = xs**2 + ys**2 <= 1.0
     xs, ys = xs[keep], ys[keep]
     m = magnetization_grid(report.minimizer, xs, ys)
-    wvals = w_of_r(np.hypot(xs, ys))
+    wvals = _interpolant(w)(np.hypot(xs, ys))
 
     writer = _Writer(cfg)
     writer.table("fields", ["x", "y", "m1", "m2", "m3", "w"], [xs, ys, *m.T, wvals])
-    if report.diverged or not report.converged:
-        print(f"minimize did not converge at mu={params.mu}", file=sys.stderr)
-        return 1
-    return 0
+    return _solve_status(report, params)
 
 
 _COMMANDS = {
@@ -374,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n", type=int, help="mesh cells (default 512)")
         sp.add_argument("--grading", type=float, help="mesh grading (default 2)")
         sp.add_argument("--mu", type=float, help="field strength parameter")
-        sp.add_argument("--mu-range", dest="mu_range", type=_parse_mu_range,
+        sp.add_argument("--mu-range", dest="mu_range", type=_mu_range,
                         metavar="LO:HI:STEPS", help="sweep range")
         sp.add_argument("--lambda", dest="lam", type=float,
                         help="coupling; must satisfy mu = lambda^2/2")
@@ -398,12 +408,19 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-    except ConfigError as exc:
+        # mu from --mu or --lambda, else the low end of --mu-range, else 0
+        lo = cfg.mu_range[0] if cfg.mu_range is not None else 0.0
+        mu = cfg.mu if cfg.mu is not None else lo
+        params = ModelParams(mu=mu, tol=cfg.tol, max_iter=cfg.max_iter)
+        grid = build_grid(cfg.n, cfg.grading)
+    except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[cfg.command](cfg)
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        return _COMMANDS[cfg.command](cfg, grid, params)
+    except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
+        # every input passed the checks above, so a ValueError here comes
+        # from the numbers, e.g. a start whose energy is not finite
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

@@ -32,6 +32,9 @@ __all__ = ["EigenPair", "smallest_eigenpair", "second_eigenpair"]
 # unit disk is J1(j'_{1,1} r), with eigenvalue j'_{1,1}^2
 _J1PRIME_ROOT = 1.8411837813406593
 
+MAX_ITER = 400  # inverse-iteration solves before the iteration gives up
+RQ_TOL = 1e-14  # relative change of the Rayleigh quotient that counts as settled
+
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """sum(a * b) in numpy's pairwise order, whatever the BLAS thread count."""
@@ -140,7 +143,7 @@ def _signed_mode(grid: RadialGrid, v: np.ndarray) -> Profile:
     return Profile(grid, np.concatenate(([0.0], v)))
 
 
-def smallest_eigenpair(grid: RadialGrid, max_iter: int = 400, rq_tol: float = 1e-14) -> EigenPair:
+def smallest_eigenpair(grid: RadialGrid) -> EigenPair:
     """Smallest eigenpair of the pencil by inverse iteration (shift 0),
     started at the sampled continuum mode J1(j'_{1,1} r).
 
@@ -152,17 +155,16 @@ def smallest_eigenpair(grid: RadialGrid, max_iter: int = 400, rq_tol: float = 1e
     the iteration does not settle.
     """
     gamma, v, residual, it = _inverse_iteration(
-        grid, _bessel_j1(_J1PRIME_ROOT * grid.nodes[1:]), None, max_iter, rq_tol)
+        grid, _bessel_j1(_J1PRIME_ROOT * grid.nodes[1:]), None, MAX_ITER, RQ_TOL)
     return EigenPair(gamma0=gamma, phi0=_signed_mode(grid, v), residual=residual, iterations=it)
 
 
-def second_eigenpair(grid: RadialGrid, first: EigenPair, max_iter: int = 400,
-                     rq_tol: float = 1e-14) -> tuple[float, Profile]:
+def second_eigenpair(grid: RadialGrid, first: EigenPair) -> tuple[float, Profile]:
     """Next-smallest eigenvalue and its eigenprofile, via deflation against
     the first pair in the mass inner product, started at sin(pi r / 2).
     Unlike the ground mode, this profile changes sign, so it is returned as a
     plain (value, profile) pair.
     """
     gamma, v, _, _ = _inverse_iteration(
-        grid, np.sin(0.5 * np.pi * grid.nodes[1:]), first.phi0.values[1:], max_iter, rq_tol)
+        grid, np.sin(0.5 * np.pi * grid.nodes[1:]), first.phi0.values[1:], MAX_ITER, RQ_TOL)
     return gamma, _signed_mode(grid, v)

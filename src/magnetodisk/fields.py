@@ -25,7 +25,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "reconstruct_w",
-    "magnetization_at",
     "magnetization_grid",
     "check_reduction_identity",
     "coupled_energy",
@@ -49,18 +48,14 @@ def reconstruct_w(h: Profile, lam: float) -> Profile:
     return Profile(grid, w, pin_origin=False)
 
 
-def _angle_interpolant(h: Profile) -> PchipInterpolator:
-    # monotone piecewise cubic: no overshoot between nodes, C^1 derivative.
+def _interpolant(h: Profile) -> PchipInterpolator:
+    # monotone piecewise cubic in r, for the angle h and the displacement w:
+    # no overshoot between nodes, C^1 derivative.
     # Imported here: scipy.interpolate loads scipy.optimize, scipy.spatial and
     # scipy.special, which only the field reconstruction needs.
     from scipy.interpolate import PchipInterpolator
 
     return PchipInterpolator(h.grid.nodes, h.values, extrapolate=False)
-
-
-def magnetization_at(h: Profile, x: float, y: float) -> np.ndarray:
-    """Unit magnetization vector at a point of the closed unit disk."""
-    return magnetization_grid(h, [x], [y])[0]
 
 
 def magnetization_grid(h: Profile, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -70,7 +65,7 @@ def magnetization_grid(h: Profile, xs: np.ndarray, ys: np.ndarray) -> np.ndarray
     rad = np.hypot(xs, ys)
     if np.any(rad > 1.0 + 1e-12):
         raise ValueError("sample points outside the unit disk")
-    angle = _angle_interpolant(h)(np.minimum(rad, 1.0))
+    angle = _interpolant(h)(np.minimum(rad, 1.0))
     out = np.empty((len(xs), 3))
     safe = np.where(rad == 0.0, 1.0, rad)
     s = np.sin(angle)
@@ -98,14 +93,13 @@ def check_reduction_identity(
     xs = rad * np.cos(theta)
     ys = rad * np.sin(theta)
 
-    interp = _angle_interpolant(h)
+    interp = _interpolant(h)
     dinterp = interp.derivative()
 
-    def m_at(px, py):
-        return magnetization_grid(h, px, py)
-
-    gx = (m_at(xs + step, ys) - m_at(xs - step, ys)) / (2.0 * step)
-    gy = (m_at(xs, ys + step) - m_at(xs, ys - step)) / (2.0 * step)
+    gx = (magnetization_grid(h, xs + step, ys)
+          - magnetization_grid(h, xs - step, ys)) / (2.0 * step)
+    gy = (magnetization_grid(h, xs, ys + step)
+          - magnetization_grid(h, xs, ys - step)) / (2.0 * step)
     lhs = np.sum(gx * gx + gy * gy, axis=1)
 
     angle = interp(rad)

@@ -19,7 +19,6 @@ formulas that tests/test_operators.py keeps as their bitwise reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 
@@ -64,31 +63,24 @@ class Profile:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Model parameters: field strength mu >= 0 with coupling lam = sqrt(2 mu).
+    """Model parameters: field strength mu = lambda^2 / 2, finite and >= 0.
 
     tol is the solver residual tolerance in the L^2(r dr) norm; max_iter caps
-    descent iterations.
+    descent iterations.  The constructor holds every range rule, and
+    dataclasses.replace runs it too; lambda goes to the fields functions.
     """
 
     mu: float
-    lam: float | None = None
     tol: float = 1e-8
     max_iter: int = 500
 
     def __post_init__(self):
         if not np.isfinite(self.mu) or self.mu < 0.0:
             raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
-        if self.lam is None:
-            object.__setattr__(self, "lam", sqrt(2.0 * self.mu))
-        else:
-            if abs(self.mu - self.lam**2 / 2.0) > 1e-12 * max(1.0, abs(self.mu)):
-                raise ValueError(
-                    f"inconsistent coupling: mu={self.mu} but lam^2/2={self.lam ** 2 / 2.0}"
-                )
         if not (self.tol > 0.0):
-            raise ValueError("tol must be positive")
+            raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 def energy_of_values(grid: RadialGrid, values: np.ndarray, mu: float) -> float:

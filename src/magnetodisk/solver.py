@@ -144,7 +144,8 @@ def minimize(
 
     precond = grid.pencil_factor
 
-    e_cur = energy_of_values(grid, v, mu)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        e_cur = energy_of_values(grid, v, mu)
     energy_evals = 1
     backtracks = 0
     if not np.isfinite(e_cur):

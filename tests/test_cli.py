@@ -202,11 +202,56 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         ("minimize", "--mu", 1.0, "--grading", 0.5),
         ("eigen", "--tol", 0.0),
         ("fields", "--mu", 2.0, "--samples", 2),  # no lattice point inside the disk
+        ("minimize", "--mu", "nan"),
+        ("minimize", "--mu", "inf"),
+        ("minimize", "--lambda", "nan"),
+        ("minimize", "--mu", 2.0, "--tol", "nan"),
+        ("minimize", "--mu", 2.0, "--init-eps", "nan"),
+        ("sweep", "--mu-range", "1:2:3", "--tol", "nan"),
+        ("sweep", "--mu-range", "1:2:3", "--lambda", 2.0),  # lambda sets mu
+        ("eigen", "--mu", "nan"),
+        ("minimize", "--mu", 2.0, "--lambda", "nan"),
+        ("minimize", "--lambda", 1e200),  # lambda^2 overflows
     ],
 )
-def test_invalid_configs_exit_2(tmp_path, args):
+def test_invalid_configs_exit_2(tmp_path, capsys, args):
     assert run(*args, "--out", tmp_path / "x") == 2
     assert not (tmp_path / "x").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")  # no RuntimeWarning lines on stderr either
+def test_overflowing_start_is_a_numerical_failure(tmp_path, capsys):
+    # a finite init_eps whose start has non-finite energy
+    code = run("fields", "--mu", 2.0, "--n", 64, "--init-eps", 1e308, "--out", tmp_path / "x")
+    assert code == 1
+    assert not (tmp_path / "x").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "values",
+    [{"tol": "x"}, {"mu": "2"}, {"mu": 2, "max_iter": 1.5}, {"mu_range": [1, 2, "x"]}],
+)
+def test_config_file_values_of_the_wrong_type_exit_2(tmp_path, capsys, values):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(values))
+    command = "sweep" if "mu_range" in values else "minimize"
+    assert run(command, "--config", cfg, "--n", 64, "--out", tmp_path / "x") == 2
+    assert not (tmp_path / "x").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_config_file_accepts_integral_floats(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": 64.0, "mu": 2, "max_iter": 500.0}))
+    assert run("minimize", "--config", cfg, "--out", tmp_path / "a") == 0
+    assert run("minimize", "--mu", 2, "--n", 64, "--out", tmp_path / "b") == 0
+    for name in ("report.json", "profile.csv"):  # the same config hash too
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_malformed_mu_range_in_config_file(tmp_path):

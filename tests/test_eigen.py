@@ -9,7 +9,8 @@ from magnetodisk import (
     second_eigenpair,
     smallest_eigenpair,
 )
-from magnetodisk.eigen import _inverse_iteration
+from magnetodisk import eigen
+from magnetodisk.eigen import MAX_ITER, RQ_TOL, _inverse_iteration
 from magnetodisk.grid import assemble_pencil, banded_matvec, banded_solve, stiffness_apply
 
 import oracles
@@ -162,17 +163,18 @@ def test_start_vector_does_not_change_the_eigenvalue(n):
     grid = build_grid(n, 2.0)
     gamma0 = smallest_eigenpair(grid).gamma0
     gamma, _, _, _ = _inverse_iteration(
-        grid, np.sin(0.5 * np.pi * grid.nodes[1:]), None, 400, 1e-14)
+        grid, np.sin(0.5 * np.pi * grid.nodes[1:]), None, MAX_ITER, RQ_TOL)
     assert abs(gamma - gamma0) <= 1e-12 * gamma0
 
 
-def test_iteration_budget_failure_is_loud(grid256):
+def test_iteration_budget_failure_is_loud(grid256, monkeypatch):
+    monkeypatch.setattr(eigen, "MAX_ITER", 1)
     with pytest.raises(RuntimeError, match="did not settle"):
-        smallest_eigenpair(grid256, max_iter=1)
+        smallest_eigenpair(grid256)
 
 
 def test_threshold_couples_eigenvalue_to_model(pair256):
     # the trivial profile loses stability exactly at mu = gamma0/2, so the
     # threshold parameters must be constructible without rounding surprises
     p = ModelParams(mu=pair256.gamma0 / 2.0)
-    assert abs(p.lam**2 / 2.0 - p.mu) <= 1e-12
+    assert 2.0 * p.mu == pair256.gamma0

@@ -8,7 +8,6 @@ from magnetodisk import (
     coupled_energy,
     displacement_equation_residual,
     energy,
-    magnetization_at,
     magnetization_grid,
     reconstruct_w,
 )
@@ -45,14 +44,14 @@ def test_displacement_solves_its_balance_equation(minimizer256, minimizer512):
 
 def test_magnetization_at_center_and_for_trivial_profile(grid256):
     zero = Profile(grid256, np.zeros_like(grid256.nodes))
-    assert np.array_equal(magnetization_at(zero, 0.0, 0.0), [0.0, 0.0, 1.0])
-    assert np.allclose(magnetization_at(zero, 0.3, -0.4), [0.0, 0.0, 1.0],
+    assert np.array_equal(magnetization_grid(zero, [0.0], [0.0])[0], [0.0, 0.0, 1.0])
+    assert np.allclose(magnetization_grid(zero, [0.3], [-0.4])[0], [0.0, 0.0, 1.0],
                        rtol=0.0, atol=1e-15)
 
 
 def test_magnetization_rejects_points_outside_the_disk(minimizer256):
     with pytest.raises(ValueError):
-        magnetization_at(minimizer256.minimizer, 1.2, 0.0)
+        magnetization_grid(minimizer256.minimizer, [1.2], [0.0])
     with pytest.raises(ValueError):
         magnetization_grid(minimizer256.minimizer, np.array([0.0, 0.9]),
                            np.array([0.0, 0.9]))
@@ -74,7 +73,7 @@ def test_magnetization_grid_matches_pointwise_evaluation(minimizer256):
     ys = np.array([0.0, 0.1, 0.3, -0.7, 0.99])
     batch = magnetization_grid(h, xs, ys)
     for i in range(len(xs)):
-        single = magnetization_at(h, xs[i], ys[i])
+        single = magnetization_grid(h, [xs[i]], [ys[i]])[0]
         assert np.abs(batch[i] - single).max() <= 1e-15
 
 
@@ -83,8 +82,8 @@ def test_magnetization_is_rotation_equivariant(minimizer256):
     alpha = 0.73
     c, s = np.cos(alpha), np.sin(alpha)
     x, y = 0.44, -0.31
-    m = magnetization_at(h, x, y)
-    m_rot = magnetization_at(h, c * x - s * y, s * x + c * y)
+    m = magnetization_grid(h, [x], [y])[0]
+    m_rot = magnetization_grid(h, [c * x - s * y], [s * x + c * y])[0]
     expected = np.array([c * m[0] - s * m[1], s * m[0] + c * m[1], m[2]])
     assert np.abs(m_rot - expected).max() <= 1e-12  # measured 1.1e-16
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -52,13 +54,15 @@ def test_profile_pin_origin_opt_out():
 
 def test_model_params():
     p = ModelParams(mu=2.0)
-    assert abs(p.lam - 2.0) <= 1e-15  # lam defaults to sqrt(2 mu)
-    with pytest.raises(ValueError):
-        ModelParams(mu=2.0, lam=1.0)
-    with pytest.raises(ValueError):
-        ModelParams(mu=-1.0)
-    with pytest.raises(ValueError):
-        ModelParams(mu=1.0, tol=0.0)
+    assert (p.mu, p.tol, p.max_iter) == (2.0, 1e-8, 500)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ModelParams(mu=bad)
+        with pytest.raises(ValueError):  # a copy is checked like a new one
+            replace(p, mu=bad)
+    for tol in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError):
+            ModelParams(mu=1.0, tol=tol)
     with pytest.raises(ValueError):
         ModelParams(mu=1.0, max_iter=0)
 
