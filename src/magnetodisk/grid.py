@@ -124,6 +124,12 @@ def build_grid(n: int, grading: float = 2.0) -> RadialGrid:
     a = nodes[:-1]
     b = nodes[1:]
     d = b - a
+    # a steep grading underflows (k/n)**grading, or its square, to 0 for small k
+    if not (d > 0.0).all():
+        raise ValueError(f"grading {grading} at n={n} gives nodes that are not strictly increasing")
+    if b[0] * b[0] < np.finfo(float).tiny:
+        raise ValueError(f"grading {grading} at n={n} gives r_1^2 = {b[0] * b[0]:g}, "
+                         "where 1/r^2 overflows")
     # exact hat-function moments against r dr on the cell [a, b]
     left = d * (2.0 * a + b) / 6.0
     right = d * (a + 2.0 * b) / 6.0

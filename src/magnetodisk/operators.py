@@ -10,10 +10,19 @@ weakly.  E(0) = 0 and E(h) >= -pi*mu/4 for every profile.
 
 The exchange term h_r^2 is the P1 stiffness of the grid, sum_k kappa_k
 (h_{k+1} - h_k)^2; the sin^2 h / r^2 and sin^2 2h terms are lumped on the
-nodal quadrature weights.  energy_of_values and gradient_values, the kernels
-of the minimizer's descent loop, build their fields in place.  They do the
-same floating-point operations in the same order as the one-expression
-formulas that tests/test_operators.py keeps as their bitwise reference.
+nodal quadrature weights.
+
+Two kernels hold the formulas, and build their fields in place.
+energy_parts computes E together with the cell differences dv = diff(h) and
+sin 2h at the nodes 1..n.  gradient_from_parts turns those two arrays into
+the gradient (flux kappa dv, then the nodal terms) and also returns cos 2h,
+which the minimizer's Newton step reuses.  A line-search trial that is
+accepted thus hands its dv and sin 2h to the gradient at the same point, so
+the descent loop computes diff(h), sin 2h and cos 2h once per iterate.
+energy_of_values and gradient_values are the same kernels called from raw
+values.  Both do the same floating-point operations in the same order as the
+one-expression formulas that tests/test_operators.py keeps as their bitwise
+reference.
 """
 
 from __future__ import annotations
@@ -33,6 +42,13 @@ __all__ = [
     "fold",
     "nonlinear_split",
 ]
+
+# fold_values reduces values above this modulo pi before its reflection
+# sweeps, so at most 82 sweeps remain.  It is not lower because from 32 up a
+# sweep's a - pi rounds where fmod is exact: a lower cutoff would move the
+# folded trials, and so the trajectories, of large-mu solves (trial values
+# reach about 0.1 mu)
+FOLD_REDUCE_ABOVE = 256.0
 
 
 @dataclass(frozen=True)
@@ -83,22 +99,32 @@ class ModelParams:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
-def energy_of_values(grid: RadialGrid, values: np.ndarray, mu: float) -> float:
-    """Discrete energy from raw nodal values (no Profile validation)."""
-    exchange = np.diff(values)
-    exchange *= exchange
+def energy_parts(grid: RadialGrid, values: np.ndarray,
+                 mu: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """E from raw nodal values (no Profile validation), with the two fields
+    the gradient at the same values needs: the cell differences
+    dv = values[1:] - values[:-1] and sin2h = sin(2 values[1:])."""
+    dv = values[1:] - values[:-1]
+    exchange = dv * dv
     exchange *= grid.stiffness_bands[1]
     v = values[1:]
     s = np.sin(v)
     s /= grid.nodes[1:]
-    sin2h = np.sin(2.0 * v)
+    t = 2.0 * v
+    sin2h = np.sin(t)
     # w * (s^2 - (mu/2) sin^2 2h), built in s's buffer
     s *= s
-    t = (0.5 * mu) * sin2h
+    np.multiply(sin2h, 0.5 * mu, out=t)
     t *= sin2h
     s -= t
     s *= grid.weights[1:]
-    return np.pi * (float(np.sum(exchange)) + float(np.sum(s)))
+    e = np.pi * (float(np.add.reduce(exchange)) + float(np.add.reduce(s)))
+    return e, dv, sin2h
+
+
+def energy_of_values(grid: RadialGrid, values: np.ndarray, mu: float) -> float:
+    """Discrete energy from raw nodal values (no Profile validation)."""
+    return energy_parts(grid, values, mu)[0]
 
 
 def energy(h: Profile, p: ModelParams) -> float:
@@ -106,22 +132,36 @@ def energy(h: Profile, p: ModelParams) -> float:
     return energy_of_values(h.grid, h.values, p.mu)
 
 
-def gradient_values(grid: RadialGrid, values: np.ndarray, mu: float) -> np.ndarray:
-    """Raw nodal gradient field; see gradient()."""
-    g = stiffness_apply(grid, values)
-    g[0] = 0.0
-    two_h = 2.0 * values[1:]
-    sin2h = np.sin(two_h)
-    cos2h = np.cos(two_h, out=two_h)
+def gradient_from_parts(grid: RadialGrid, values: np.ndarray, mu: float, dv: np.ndarray,
+                        sin2h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Raw nodal gradient field (see gradient()) and cos(2 values[1:]), from
+    the dv and sin2h of energy_parts at the same values, which it overwrites."""
+    flux = dv
+    flux *= grid.stiffness_bands[1]
     # q / w + sin 2h / (2 r^2) - mu sin 2h cos 2h, built in the buffer of the
-    # stiffness product q
+    # stiffness product q, whose cell fluxes enter the right node of their
+    # cell with + and the left one with -
+    g = np.empty_like(values)
+    g[0] = 0.0
+    np.subtract(flux[:-1], flux[1:], out=g[1:-1])
+    g[-1] = flux[-1]
+    cos2h = 2.0 * values[1:]
+    np.cos(cos2h, out=cos2h)
     gi = g[1:]
     gi /= grid.weights[1:]
-    gi += sin2h / (2.0 * grid.r_squared)
+    t = 2.0 * grid.r_squared
+    np.divide(sin2h, t, out=t)
+    gi += t
     sin2h *= mu
     sin2h *= cos2h
     gi -= sin2h
-    return g
+    return g, cos2h
+
+
+def gradient_values(grid: RadialGrid, values: np.ndarray, mu: float) -> np.ndarray:
+    """Raw nodal gradient field; see gradient()."""
+    dv = values[1:] - values[:-1]
+    return gradient_from_parts(grid, values, mu, dv, np.sin(2.0 * values[1:]))[0]
 
 
 def gradient(h: Profile, p: ModelParams) -> Profile:
@@ -156,10 +196,22 @@ def euler_residual(h: Profile, p: ModelParams) -> float:
 
 def fold_values(values: np.ndarray) -> tuple[np.ndarray, bool]:
     """Map nodal values into [0, pi/2] by |.| and reflections at pi/2.
-    Returns the mapped values and whether any value changed."""
+    Returns the mapped values and whether any value changed.
+
+    One reflection sweep maps a to |pi - a|, so a value needs about a / pi
+    sweeps, and above 2**55, where a - pi rounds to a, no number of sweeps
+    ends.  Values above FOLD_REDUCE_ABOVE are therefore first reduced modulo
+    pi (np.fmod, exact for the double pi); values up to it take the sweeps."""
     values = np.asarray(values, dtype=float)
     a = np.abs(values)
-    changed = bool(values.min() < 0.0)
+    changed = bool(np.minimum.reduce(values) < 0.0)
+    if np.maximum.reduce(a) <= np.pi / 2.0:
+        return a, changed
+    huge = a > FOLD_REDUCE_ABOVE
+    if huge.any():
+        with np.errstate(invalid="ignore"):  # inf folds to nan, as divergence
+            a[huge] = np.fmod(a[huge], np.pi)
+        changed = True
     while True:
         mask = a > np.pi / 2.0
         if not mask.any():
@@ -173,8 +225,8 @@ def fold(h: Profile) -> Profile:
 
     Values are first replaced by their absolute value, then values above pi/2
     are reflected to pi - value, repeating until all values land in
-    [0, pi/2].  The map terminates after finitely many sweeps and leaves the
-    energy invariant (exactly so whenever it acts as a single global
+    [0, pi/2]; see fold_values for values too large to sweep.  The map
+    leaves the energy invariant (exactly so whenever it acts as a single global
     reflection; up to mesh-resolution error across kinks it introduces).
     """
     return Profile(h.grid, fold_values(h.values)[0])

@@ -14,10 +14,20 @@ roundoff floor of the energy; a Newton step predicting less than that floor
 is taken whole unless the energy rises past it.  Both directions come from
 grid.banded_solve with a tridiagonal LDL^T factor: the grid's cached pencil
 factor for descent, a fresh factor of the shifted Hessian for Newton.
+
+Each trial of the line search is one operators.energy_parts call.  The
+accepted trial's cell differences and sin 2h go to
+operators.gradient_from_parts, whose cos 2h the Newton step reuses, and the
+closing residual is the last gradient's norm whenever the returned profile
+is the last iterate.  So every quantity is computed once per iterate, with
+the operations and operands of the standalone energy_of_values and
+gradient_values, and the trajectory is bit for bit the one that evaluating
+each afresh gives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +37,9 @@ from .grid import RadialGrid, banded_factor, banded_solve, derivative, l2_norm
 from .operators import (
     ModelParams,
     Profile,
-    energy_of_values,
+    energy_parts,
     fold_values,
+    gradient_from_parts,
     gradient_values,
 )
 
@@ -89,13 +100,16 @@ def random_profile(grid: RadialGrid, rng: np.random.Generator,
 
 
 def _wnorm(w: np.ndarray, values: np.ndarray) -> float:
-    return float(np.sqrt(max(np.sum(w * values * values), 0.0)))
+    t = w * values
+    t *= values
+    return math.sqrt(max(float(np.add.reduce(t)), 0.0))
 
 
-def _newton_direction(grid, values, mu, wg):
-    """Damped Newton step for the full system: solve (H + tau W) d = -W g."""
+def _newton_direction(grid, values, mu, wg, cos2h):
+    """Damped Newton step for the full system: solve (H + tau W) d = -W g.
+    cos2h is cos(2 values[1:]), as the gradient at values computed it."""
     w = grid.weights
-    curvature = np.cos(2.0 * values[1:]) / grid.r_squared - 2.0 * mu * np.cos(4.0 * values[1:])
+    curvature = cos2h / grid.r_squared - 2.0 * mu * np.cos(4.0 * values[1:])
     h0 = grid.stiffness_bands[0][1:] + w[1:] * curvature
     tau = 0.0
     scale = float(np.max(np.abs(h0))) or 1.0
@@ -106,7 +120,7 @@ def _newton_direction(grid, values, mu, wg):
             tau = max(tau * 100.0, 1e-12 * scale)
             continue
         step = banded_solve(factor, -wg)
-        slope = 2.0 * np.pi * float(np.sum(wg * step))
+        slope = 2.0 * np.pi * float(np.add.reduce(wg * step))
         if slope < 0.0:
             return step, slope
         tau = max(tau * 100.0, 1e-12 * scale)
@@ -145,16 +159,17 @@ def minimize(
     precond = grid.pencil_factor
 
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        e_cur = energy_of_values(grid, v, mu)
+        e_cur, dv, sin2h = energy_parts(grid, v, mu)
     energy_evals = 1
     backtracks = 0
     if not np.isfinite(e_cur):
         raise ValueError("initial profile has non-finite energy")
-    g = gradient_values(grid, v, mu)
+    g, cos2h = gradient_from_parts(grid, v, mu, dv, sin2h)
     gnorm = _wnorm(w, g)
 
     history = [e_cur]
     best_e, best_v = e_cur, v.copy()
+    best_is_v = True  # best_v equals v, whose residual is gnorm
     fold_count = 0
     diverged = False
     alpha_prev = 1.0  # last accepted step of a preconditioned-descent direction
@@ -162,11 +177,12 @@ def minimize(
 
     for _ in range(params.max_iter):
         wg = w[1:] * g[1:]
-        step, slope = _newton_direction(grid, v, mu, wg) if gnorm <= NEWTON_GATE else (None, 0.0)
+        step, slope = (_newton_direction(grid, v, mu, wg, cos2h) if gnorm <= NEWTON_GATE
+                       else (None, 0.0))
         newton = step is not None
         if not newton:
             step = banded_solve(precond, -wg)
-            slope = 2.0 * np.pi * float(np.sum(wg * step))
+            slope = 2.0 * np.pi * float(np.add.reduce(wg * step))
         if slope >= 0.0:
             break  # no descent direction left; g is numerically zero
         floor = FLAT_TOL * (1.0 + abs(e_cur))
@@ -184,9 +200,9 @@ def minimize(
             folded = False
             if fold_iterates:
                 cand, folded = fold_values(cand)
-            e_new = energy_of_values(grid, cand, mu)
+            e_new, dv, sin2h = energy_parts(grid, cand, mu)
             energy_evals += 1
-            if np.isnan(e_new):
+            if math.isnan(e_new):
                 diverged = True
                 break
             if e_new <= e_cur + (floor if flat else ARMIJO_C1 * alpha * slope):
@@ -205,12 +221,13 @@ def minimize(
         v = cand
         e_cur = e_new
         history.append(e_cur)
-        if e_cur < best_e:
+        best_is_v = e_cur < best_e
+        if best_is_v:
             best_e, best_v = e_cur, v.copy()
 
-        g = gradient_values(grid, v, mu)
+        g, cos2h = gradient_from_parts(grid, v, mu, dv, sin2h)
         gnorm = _wnorm(w, g)
-        if not np.isfinite(gnorm):
+        if not math.isfinite(gnorm):
             diverged = True
             break
 
@@ -236,11 +253,10 @@ def minimize(
             backtracks=backtracks,
         )
 
-    g_best = gradient_values(grid, best_v, mu)
     return SolveReport(
         minimizer=Profile(grid, best_v),
         energy=best_e,
-        residual=_wnorm(w, g_best),
+        residual=gnorm if best_is_v else _wnorm(w, gradient_values(grid, best_v, mu)),
         iterations=iterations,
         mu=mu,
         converged=converged,

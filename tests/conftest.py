@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import magnetodisk
 from magnetodisk import ModelParams, Profile, build_grid, minimize, smallest_eigenpair
 
 
@@ -57,3 +63,11 @@ def smooth_profile(grid, coeffs, scale=1.0):
     values *= scale
     values[0] = 0.0
     return Profile(grid, values)
+
+
+def fresh_python(*args, blas_threads="1", check=True, timeout=None):
+    """Run python with the package importable, in a new interpreter."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+               PYTHONPATH=str(Path(magnetodisk.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, check=check, timeout=timeout)

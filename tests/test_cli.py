@@ -1,14 +1,11 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import magnetodisk
 from magnetodisk.cli import main
+
+from conftest import fresh_python
 
 
 def run(*args):
@@ -50,14 +47,6 @@ def test_outputs_are_deterministic(tmp_path):
         assert run("eigen", "--n", 96, "--out", out) == 0
     assert (a / "eigen.json").read_bytes() == (b / "eigen.json").read_bytes()
     assert (a / "phi0.csv").read_bytes() == (b / "phi0.csv").read_bytes()
-
-
-def fresh_python(*args, blas_threads="1"):
-    """Run python with the package importable, in a new interpreter."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
-               PYTHONPATH=str(Path(magnetodisk.__file__).parents[1]))
-    return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, check=True)
 
 
 def test_eigen_outputs_do_not_depend_on_blas_threads(tmp_path):
@@ -229,6 +218,26 @@ def test_overflowing_start_is_a_numerical_failure(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")  # no RuntimeWarning lines on stderr either
+def test_grading_that_collapses_nodes_exits_2(tmp_path, capsys):
+    assert run("eigen", "--n", 64, "--grading", 1e6, "--out", tmp_path / "x") == 2
+    assert not (tmp_path / "x").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_minimize_from_a_huge_start_ends_with_a_truthful_report(tmp_path):
+    # every trial of the first step lies far outside [0, pi/2]; the fold must
+    # not take one sweep per pi of amplitude
+    code = fresh_python("-m", "magnetodisk.cli", "minimize", "--mu", "2", "--n", "64",
+                        "--init-eps", "1e100", "--out", str(tmp_path), check=False,
+                        timeout=60).returncode
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert code in (0, 1)
+    assert (code == 0) <= (report["converged"] and report["residual"] <= 1e-8)
+    assert report["energy"] >= -np.pi * 2.0 / 4.0
 
 
 @pytest.mark.parametrize(

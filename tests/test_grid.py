@@ -35,6 +35,17 @@ def test_grid_rejects_bad_arguments():
         build_grid(64, 0.5)
 
 
+def test_grid_rejects_collapsed_nodes():
+    # (k/64)**1e6 underflows to 0 for k < 64: 63 cells of zero width
+    with pytest.raises(ValueError, match="strictly increasing"):
+        build_grid(64, 1e6)
+    # (1/64)**100 is a normal double but its square underflows, so the
+    # centrifugal terms w / r^2 of the pencil would be 0/0
+    with pytest.raises(ValueError, match="1/r\\^2 overflows"):
+        build_grid(64, 100.0)
+    assert build_grid(64, 85.0).r_squared[0] > 0.0
+
+
 def test_grid_is_immutable():
     g = build_grid(16, 2.0)
     with pytest.raises(ValueError):

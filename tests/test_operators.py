@@ -16,15 +16,19 @@ from magnetodisk import (
     random_profile,
 )
 from magnetodisk.operators import (
+    FOLD_REDUCE_ABOVE,
     energy_of_values,
+    energy_parts,
     euler_residual,
     fold_values,
+    gradient_from_parts,
     gradient_values,
     nonlinear_split,
 )
 
-from conftest import smooth_profile
+from conftest import fresh_python, smooth_profile
 from oracles import TILTED_ENERGY_CONTINUUM
+from reference_kernels import kappa, reference_energy, reference_fold, reference_gradient
 
 
 def test_profile_validation():
@@ -179,6 +183,34 @@ def test_fold_lands_in_range_and_is_idempotent(grid256):
     assert not folded
 
 
+def test_fold_is_the_reflection_loop_bitwise_up_to_its_cutoff():
+    rng = np.random.default_rng(17)
+    for hi in (np.pi / 2.0, 8.0, 100.0, FOLD_REDUCE_ABOVE):
+        vals = rng.uniform(-hi, hi, 4097)
+        vals[0] = 0.0
+        vals[1:4] = (hi, -hi, -0.0)
+        out, changed = fold_values(vals)
+        ref, ref_changed = reference_fold(vals)
+        assert out.tobytes() == ref.tobytes()
+        assert changed == ref_changed
+
+
+def test_fold_finishes_on_huge_values():
+    # one sweep per pi of amplitude never ends at 1e100, where x - pi == x;
+    # a fresh interpreter lets the time limit stop it
+    probe = ("import numpy as np; from magnetodisk.operators import fold_values; "
+             "out, changed = fold_values(np.array([0.0, 1e100, -1e300, 5e3, 1.0])); "
+             "print(changed, *(x.hex() for x in out))")
+    changed, *hexes = fresh_python("-c", probe, timeout=30).stdout.split()
+    out = np.array([float.fromhex(x) for x in hexes])
+    assert changed == "True"
+    assert np.all(out >= 0.0) and np.all(out <= np.pi / 2.0)
+    assert out[0] == 0.0 and out[-1] == 1.0
+    # above the cutoff the fold is the distance to the nearest multiple of
+    # the double pi, which fmod computes exactly
+    assert out[3] == min(np.fmod(5e3, np.pi), np.pi - np.fmod(5e3, np.pi))
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_fold_preserves_energy_on_single_signed_profiles(grid512, sign):
     # one-signed profiles within |h| <= pi/2 fold by a single global
@@ -203,7 +235,7 @@ def test_fold_drift_on_crossing_profiles_shrinks_with_resolution():
         before = energy_of_values(g, vals, 2.0)
         after = energy_of_values(g, fold_values(vals)[0], 2.0)
         cross = vals[:-1] * vals[1:] < 0.0
-        identity = -4.0 * np.pi * np.sum(_kappa(g)[cross] * np.abs(vals[:-1] * vals[1:])[cross])
+        identity = -4.0 * np.pi * np.sum(kappa(g)[cross] * np.abs(vals[:-1] * vals[1:])[cross])
         assert abs((after - before) - identity) <= 1e-12 * max(1.0, abs(before))
         # |v_k v_{k+1}| <= (h max|v_r|)^2 / 4 and kappa ~ r / h, so the drift
         # shrinks like h; how far below that bound it falls depends on where
@@ -272,42 +304,6 @@ def test_defect_term_decays_past_cubic_order(grid256):
     assert scaled_norms[1] / scaled_norms[2] >= 3.0
 
 
-# The energy and gradient as first written, one numpy expression each, kept
-# here as the reference for the in-place kernels of magnetodisk.operators:
-# those do the same floating-point operations in the same order, so they must
-# agree with these bit for bit.
-
-
-def _kappa(grid):
-    """P1 cell coefficients: kappa_k (v_{k+1} - v_k)^2 = int v_r^2 r dr on
-    cell k for linear v."""
-    r = grid.nodes
-    return (r[:-1] + r[1:]) / (2.0 * (r[1:] - r[:-1]))
-
-
-def _reference_energy(grid, values, mu):
-    v = values[1:]
-    sin2h = np.sin(2.0 * v)
-    nodal = (np.sin(v) / grid.nodes[1:]) ** 2 - 0.5 * mu * sin2h * sin2h
-    return np.pi * (float(np.sum(_kappa(grid) * np.diff(values) ** 2))
-                    + float(np.sum(grid.weights[1:] * nodal)))
-
-
-def _reference_gradient(grid, values, mu):
-    r = grid.nodes
-    w = grid.weights
-    flux = _kappa(grid) * np.diff(values)
-    q = np.concatenate(([0.0], flux)) - np.concatenate((flux, [0.0]))
-    sin2h = np.sin(2.0 * values)
-    g = np.zeros_like(values)
-    g[1:] = (
-        q[1:] / w[1:]
-        + sin2h[1:] / (2.0 * r[1:] ** 2)
-        - mu * sin2h[1:] * np.cos(2.0 * values[1:])
-    )
-    return g
-
-
 def _kernel_profiles(grid):
     """Smooth, rough and unfolded nodal profiles (amplitudes up to 3 pi), one
     of them holding -0.0 at the origin and at interior nodes."""
@@ -329,7 +325,15 @@ def test_kernels_match_the_reference_formulas_bitwise(n, mu):
     grid = build_grid(n, 2.0)
     for values in _kernel_profiles(grid):
         e = energy_of_values(grid, values, mu)
-        assert e.hex() == _reference_energy(grid, values, mu).hex()
+        assert e.hex() == reference_energy(grid, values, mu).hex()
         g = gradient_values(grid, values, mu)
-        ref = _reference_gradient(grid, values, mu)
+        ref = reference_gradient(grid, values, mu)
         assert g.tobytes() == ref.tobytes()  # stricter than array_equal: -0.0 != 0.0
+        # the descent loop's path: a trial's energy hands its parts to the gradient
+        e_trial, dv, sin2h = energy_parts(grid, values, mu)
+        assert e_trial.hex() == e.hex()
+        assert dv.tobytes() == np.diff(values).tobytes()
+        assert sin2h.tobytes() == np.sin(2.0 * values[1:]).tobytes()
+        g_trial, cos2h = gradient_from_parts(grid, values, mu, dv, sin2h)
+        assert g_trial.tobytes() == ref.tobytes()
+        assert cos2h.tobytes() == np.cos(2.0 * values[1:]).tobytes()
