@@ -194,7 +194,119 @@ def _config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-_BLOCK_ROWS = 4096  # rows per % call: bounds the text held in memory at once
+_BLOCK_ROWS = 4096  # rows formatted and written at a time: bounds the text in memory
+
+# The "%.17g" kernel.  A float x = mant * 2**(e-53) with 10**k <= |x| < 10**(k+1)
+# has the 17 digits round(mant * 5**q * 2**(e-53+q)), q = 16 - k.  In the range
+# below, q <= 27, so 5**q < 2**63 and mant * 5**q < 2**116 is exact in two
+# uint64 words, and the shift 53 - e - q lies in [1, 63].
+_G17_MIN, _G17_MAX = 1e-10, 1e15
+_G17_WIDTH = 28  # sign, "0.000", 17 digits and a point, "e-XX"
+_U64_1, _U64_32, _U64_64 = np.uint64(1), np.uint64(32), np.uint64(64)
+_LOW32, _HALF = np.uint64(0xFFFFFFFF), np.uint64(1 << 63)
+_E8, _E16, _E17 = np.uint64(10**8), np.uint64(10**16), np.uint64(10**17)
+_POW5 = 5 ** np.arange(28, dtype=np.uint64)
+_POW5_LO, _POW5_HI = _POW5 & _LOW32, _POW5 >> _U64_32
+_POW10_8 = (10 ** np.arange(7, -1, -1)).astype(np.uint32)[:, None]
+_SLOT = np.arange(17, dtype=np.int8)[:, None]
+_RANK = (_SLOT + 1).view(np.uint8)
+_LEAD = np.frombuffer(b"0.000", np.uint8)[:, None]
+_LEAD_K = np.array([-1, -1, -2, -3, -4], np.int8)[:, None]  # each shown for k <= it
+
+
+def _digits17(mant, e, q):
+    """floor(mant * 5**q / 2**s), s = 53 - e - q, and whether the remainder
+    rounds it up (half to even), from the 128-bit product in 32-bit limbs."""
+    m0, m1 = mant & _LOW32, mant >> _U64_32
+    p0, p1 = _POW5_LO[q], _POW5_HI[q]
+    low = m0 * p0
+    mid = m0 * p1 + m1 * p0
+    lo = low + (mid << _U64_32)
+    hi = m1 * p1 + (mid >> _U64_32) + (lo < low)
+    s = (53 - e - q).astype(np.uint64)
+    t = _U64_64 - s
+    d = (hi << t) | (lo >> s)
+    # the remainder, moved to the top bits, against half: above it, or at
+    # it with d odd, rounds up
+    return d, (lo << t) + (d & _U64_1) > _HALF
+
+
+def _g17(x: np.ndarray, null: bool = False) -> np.ndarray:
+    """The text of "%.17g" % v for each float v of x, as a uint8 matrix whose
+    column i holds cell i padded with NULs, which may sit anywhere in the
+    column: the writer drops them.  Cells with 1e-10 <= |v| < 1e15 are
+    computed exactly in integers, and so are zeros (laid out as 1 is, with
+    the digit 0); the rest (non-finite values, the extremes) are formatted
+    by % one by one, non-finite ones as null if null is set."""
+    n = len(x)
+    a = np.abs(x)
+    fast = (a >= _G17_MIN) & (a < _G17_MAX)
+    zero = a == 0.0
+    a[~fast] = 1.0
+    m, e = np.frexp(a)
+    mant = (m * 2.0**53).astype(np.uint64)
+    k = np.floor(np.log10(a)).astype(np.int64)  # may be one off next to 10**k
+    d, up = _digits17(mant, e, 16 - k)
+    off = np.flatnonzero(d - _E16 >= _E17 - _E16)  # d outside [1e16, 1e17)
+    if off.size:
+        k[off] += np.where(d[off] < _E16, -1, 1)
+        d[off], up[off] = _digits17(mant[off], e[off], 16 - k[off])
+    # no double in the range lies within half a unit of the 17th digit below
+    # a power of ten, so rounding never carries d up to 10**17
+    d += up
+    d[zero] = 0
+    k = k.astype(np.int8)
+
+    # digit rows: digit j of an 8-digit half h is t[h, j] - 10 t[h, j-1],
+    # t[h, j] = h // 10**(7-j), exact in the low bytes
+    dg = np.empty((17, n), np.uint8)
+    dg[0] = d // _E16
+    rest = d - dg[0] * _E16
+    halves = np.empty((2, 1, n), np.uint32)
+    halves[0, 0] = rest // _E8
+    halves[1, 0] = rest - halves[0, 0] * _E8
+    t = (halves // _POW10_8).astype(np.uint8)
+    digits = dg[1:].reshape(2, 8, n)
+    digits[:, 0] = t[:, 0]
+    np.subtract(t[:, 1:], t[:, :-1] * np.uint8(10), out=digits[:, 1:])
+    sig = ((dg != 0).view(np.uint8) * _RANK).max(axis=0).view(np.int8)
+
+    # %g: fixed notation for -4 <= k < 17, else d.dddde-XX (only k < -4 here).
+    # Digits before the point: k + 1, 1 in scientific notation, none for
+    # k < 0, where "0." and -k-1 zeros come first.  Trailing zeros after the
+    # point are dropped, and the point with them if no digit follows it.
+    sci = k < -4
+    whole = np.maximum(k + np.int8(1), sci.view(np.int8))
+    dg += np.uint8(48)
+    dg *= (_SLOT < np.maximum(sig, whole)).view(np.uint8)
+    out = np.empty((_G17_WIDTH, n), np.uint8)
+    out[0] = np.signbit(x).view(np.uint8) * np.uint8(45)
+    out[1:6] = _LEAD * (np.where(sci, np.int8(0), k) <= _LEAD_K).view(np.uint8)
+    # body: the digits with the point in slot `whole`, or in the spare last
+    # slot (then NUL) when "0." leads
+    body = out[6:24]
+    point = np.where(whole > 0, whole, np.int8(17))
+    body[0] = dg[0]
+    body[1:17] = dg[1:]
+    body[1:17] += (_SLOT[1:] >= point).view(np.uint8) * (dg[:-1] - dg[1:])
+    body[17] = dg[16]
+    dot = ((whole > 0) & (sig > whole)).view(np.uint8) * np.uint8(46)
+    out.reshape(-1)[(point.astype(np.intp) + 6) * n + np.arange(n)] = dot
+    shown = sci.view(np.uint8)
+    exp_k = (-k).view(np.uint8)
+    tens = exp_k // np.uint8(10)
+    out[24] = shown * np.uint8(101)
+    out[25] = shown * np.uint8(45)
+    out[26] = shown * (tens + np.uint8(48))
+    out[27] = shown * (exp_k - tens * np.uint8(10) + np.uint8(48))
+
+    slow = np.flatnonzero(~(fast | zero))
+    if slow.size:
+        cells = ["%.17g" % v if not null or math.isfinite(v) else "null"
+                 for v in x[slow].tolist()]
+        padded = np.array(cells, dtype=f"S{_G17_WIDTH}")
+        out[:, slow] = padded.view(np.uint8).reshape(-1, _G17_WIDTH).T
+    return out
 
 
 class _Writer:
@@ -214,49 +326,67 @@ class _Writer:
     def table(self, stem: str, names: list[str], columns) -> Path:
         """Write a table given column by column: each column is an array of
         floats or a sequence of str.  Floats are written as %.17g (in JSON,
-        non-finite ones as null), strings as they are (JSON-quoted in JSON).
-        Each block of rows is formatted by a single % over a flat tuple."""
-        self.out.mkdir(parents=True, exist_ok=True)
+        non-finite ones as null) by _g17, strings as they are (JSON-quoted
+        in JSON; a csv string may not hold NUL).  Each block of rows is laid
+        out as one uint8 matrix, a row per table row with the cells' text
+        between separator bytes, and written with its NULs dropped."""
         as_json = self.cfg.format == "json"
-        specs, cells = [], []
-        for column in map(np.asarray, columns):
-            if column.dtype.kind != "f":
-                if as_json:
-                    column = np.array([json.dumps(s) for s in column.tolist()])
-                specs.append("%s")
-            elif as_json and not np.isfinite(column).all():
-                column = np.array(["%.17g" % x if math.isfinite(x) else "null"
-                                   for x in column.tolist()])
-                specs.append("%s")
-            else:
-                specs.append("%.17g")
-            cells.append(column)
+        columns = [np.asarray(c) for c in columns]
+        texts = {}  # a str column's text, NUL-padded, a row per cell
+        for j, column in enumerate(columns):
+            if column.dtype.kind == "f":
+                columns[j] = column.astype(np.float64, copy=False)
+                continue
+            cells = [(json.dumps(s) if as_json else str(s)).encode()
+                     for s in column.tolist()]
+            if any(b"\0" in c for c in cells):
+                raise ValueError(f"column {names[j]!r} holds a NUL character")
+            text = np.array(cells, dtype=bytes)
+            texts[j] = text.view(np.uint8).reshape(len(cells), text.itemsize)
+        floats = [j for j in range(len(columns)) if j not in texts]
+
         if as_json:
             path = self.out / f"{stem}.json"
             head, tail = _json_text(
                 {"meta": self.meta, "columns": names, "rows": []}
             ).rsplit("[]", 1)
             opening, closing = head + "[", "]" + tail + "\n"
-            row, sep = "[" + ", ".join(specs) + "]", ", "
+            # each row is followed by ", ", cut after the last one
+            before, between, after = b"[", b", ", b"], "
         else:
             path = self.out / f"{stem}.csv"
             opening = (f"# magnetodisk={self.meta['version']} "
                        f"config_hash={self.meta['config_hash']}\n"
                        + ",".join(names) + "\n")
-            row, sep, closing = ",".join(specs) + "\n", "", ""
+            closing = ""
+            before, between, after = b"", b",", b"\n"
+        seps = [np.frombuffer(sep, np.uint8)
+                for sep in (before, *[between] * (len(columns) - 1), after)]
 
-        n_rows, width = len(cells[0]), len(cells)
-        with open(path, "w") as fh:
-            fh.write(opening)
+        self.out.mkdir(parents=True, exist_ok=True)
+        n_rows = len(columns[0])
+        with open(path, "wb") as fh:
+            fh.write(opening.encode())
             for start in range(0, n_rows, _BLOCK_ROWS):
                 stop = min(start + _BLOCK_ROWS, n_rows)
-                flat = [None] * ((stop - start) * width)
-                for j, column in enumerate(cells):
-                    flat[j::width] = column[start:stop].tolist()
-                if start:
-                    fh.write(sep)
-                fh.write(sep.join([row] * (stop - start)) % tuple(flat))
-            fh.write(closing)
+                size = stop - start
+                cells = {j: text[start:stop] for j, text in texts.items()}
+                if floats:
+                    block = _g17(np.concatenate([columns[j][start:stop] for j in floats]),
+                                 null=as_json)
+                    for i, j in enumerate(floats):
+                        cells[j] = block[:, i * size:(i + 1) * size].T
+                pieces = [seps[0]]
+                for j in range(len(columns)):
+                    pieces += [cells[j], seps[j + 1]]
+                rows = np.empty((size, sum(p.shape[-1] for p in pieces)), np.uint8)
+                at = 0
+                for piece in pieces:  # a separator is the same in every row
+                    rows[:, at:at + piece.shape[-1]] = piece
+                    at += piece.shape[-1]
+                text = rows.tobytes().translate(None, b"\0")
+                fh.write(text[:-2] if as_json and stop == n_rows else text)
+            fh.write(closing.encode())
         return path
 
 

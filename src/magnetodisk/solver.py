@@ -127,6 +127,12 @@ def _newton_direction(grid, values, mu, wg, cos2h):
     return None, 0.0
 
 
+# Overflow is checked, not warned about: a non-finite start energy raises, a
+# nan trial energy or a non-finite gradient norm or slope ends the run as
+# diverged, and an infinite trial energy fails the Armijo test.  One errstate
+# per call, not per iteration: entering one costs about 4 % of an n = 256
+# iteration.
+@np.errstate(over="ignore", invalid="ignore")
 def minimize(
     grid: RadialGrid,
     params: ModelParams,
@@ -158,8 +164,7 @@ def minimize(
 
     precond = grid.pencil_factor
 
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        e_cur, dv, sin2h = energy_parts(grid, v, mu)
+    e_cur, dv, sin2h = energy_parts(grid, v, mu)
     energy_evals = 1
     backtracks = 0
     if not np.isfinite(e_cur):
@@ -171,11 +176,11 @@ def minimize(
     best_e, best_v = e_cur, v.copy()
     best_is_v = True  # best_v equals v, whose residual is gnorm
     fold_count = 0
-    diverged = False
+    diverged = not math.isfinite(gnorm)  # e.g. mu = 1e300
     alpha_prev = 1.0  # last accepted step of a preconditioned-descent direction
     direction = np.zeros_like(v)  # the search direction; r = 0 stays pinned
 
-    for _ in range(params.max_iter):
+    for _ in range(0 if diverged else params.max_iter):
         wg = w[1:] * g[1:]
         step, slope = (_newton_direction(grid, v, mu, wg, cos2h) if gnorm <= NEWTON_GATE
                        else (None, 0.0))
@@ -183,6 +188,9 @@ def minimize(
         if not newton:
             step = banded_solve(precond, -wg)
             slope = 2.0 * np.pi * float(np.add.reduce(wg * step))
+        if not math.isfinite(slope):
+            diverged = True
+            break
         if slope >= 0.0:
             break  # no descent direction left; g is numerically zero
         floor = FLAT_TOL * (1.0 + abs(e_cur))

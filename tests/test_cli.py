@@ -221,6 +221,16 @@ def test_overflowing_start_is_a_numerical_failure(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")  # no RuntimeWarning lines on stderr either
+def test_overflowing_gradient_is_a_failed_solve(tmp_path, capsys):
+    # the start's energy is finite, its gradient norm and descent slope are not
+    assert run("minimize", "--mu", 1e300, "--n", 64, "--out", tmp_path) == 1
+    assert capsys.readouterr().err == "minimize did not converge at mu=1e+300\n"
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["residual"] is None and not report["converged"]
+    assert report["iterations"] == 0
+
+
+@pytest.mark.filterwarnings("error")  # no RuntimeWarning lines on stderr either
 def test_grading_that_collapses_nodes_exits_2(tmp_path, capsys):
     assert run("eigen", "--n", 64, "--grading", 1e6, "--out", tmp_path / "x") == 2
     assert not (tmp_path / "x").exists()

@@ -204,6 +204,17 @@ def test_nonfinite_initial_energy_is_rejected(grid256):
         minimize(grid256, ModelParams(mu=2.0), init=huge)
 
 
+@pytest.mark.filterwarnings("error")  # an overflow must not surface as a warning
+def test_overflowing_gradient_ends_the_run_as_diverged(grid256, pair256):
+    # at mu = 1e300 the start's energy is finite but its gradient norm is not
+    rep = minimize(grid256, ModelParams(mu=1e300), eigenpair=pair256)
+    assert rep.diverged
+    assert not rep.converged
+    assert rep.iterations == 0
+    assert rep.residual == np.inf
+    assert np.isfinite(rep.energy)
+
+
 def test_init_on_wrong_grid_is_rejected(grid256):
     other = build_grid(128, 2.0)
     init = Profile(other, np.zeros(129))

@@ -2,13 +2,17 @@
 
 reference_table below is the per-row path (one format call per cell, the
 JSON text built recursively), kept here as the reference: every table the
-writer produces must match it byte for byte, in csv and in json.
+writer produces must match it byte for byte, in csv and in json.  The
+writer's float kernel _g17 is checked against format(x, ".17g") itself.
 """
+
+import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from magnetodisk.cli import _BLOCK_ROWS, RunConfig, _Writer
+from magnetodisk.cli import _BLOCK_ROWS, _G17_MAX, _G17_MIN, RunConfig, _g17, _Writer
 
 
 def _fmt(x):
@@ -129,3 +133,100 @@ def test_large_table(tmp_path, fmt):
     values = floats(n_rows, 3)
     values[::1000] = np.nan
     assert_same_bytes(tmp_path, fmt, ["r", "v"], [np.linspace(0.0, 1.0, n_rows), values])
+
+
+def in_range(n, seed=0):
+    """Floats the kernel formats itself, log-uniform over its range, both
+    signs; every fifth one has few digits, so trailing zeros are dropped."""
+    rng = np.random.default_rng(seed)
+    values = 10.0 ** rng.uniform(math.log10(_G17_MIN), math.log10(_G17_MAX), n)
+    values[::5] = np.round(values[::5] * 1e6) / 1e6 + 1.0
+    return values * rng.choice([-1.0, 1.0], n)
+
+
+@FORMATS
+@pytest.mark.parametrize("n_rows", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 65537])
+def test_in_range_tables(tmp_path, fmt, n_rows):
+    assert_same_bytes(tmp_path, fmt, ["r", "branch", "v"],
+                      [in_range(n_rows, 4), ["plus", "minus"] * (n_rows // 2) + ["x"] * (n_rows % 2),
+                       in_range(n_rows, 5)])
+
+
+@FORMATS
+def test_empty_str_column(tmp_path, fmt):
+    assert_same_bytes(tmp_path, fmt, ["x", "branch"], [np.zeros(0), np.array([], dtype=str)])
+
+
+def test_csv_str_cell_with_nul_is_refused(tmp_path):
+    writer = _Writer(RunConfig(command="sweep", out=str(tmp_path / "x")))
+    with pytest.raises(ValueError, match="NUL"):
+        writer.table("t", ["mu", "branch"], [[1.5, 1.6], ["plus", "mi\0nus"]])
+    assert not (tmp_path / "x").exists()
+
+
+def test_json_str_cell_with_nul_is_escaped(tmp_path):
+    # json.dumps writes it as \u0000, so no NUL reaches the text
+    assert_same_bytes(tmp_path, "json", ["mu", "branch"], [[1.5, 1.6], ["plus", "mi\0nus"]])
+
+
+def assert_g17(values, null=False):
+    """_g17 gives format(v, ".17g") for every v (null for a non-finite one
+    with null set), cell by cell."""
+    values = np.asarray(values, dtype=np.float64)
+    want = [format(v, ".17g") if not null or math.isfinite(v) else "null"
+            for v in values.tolist()]
+    got = []
+    for start in range(0, len(values), 1 << 16):  # bounds the kernel's temporaries
+        cells = _g17(values[start:start + (1 << 16)], null)
+        newline = np.full((1, cells.shape[1]), ord("\n"), np.uint8)
+        got += np.vstack([cells, newline]).T.tobytes().translate(None, b"\0").decode().split()
+    wrong = [(v, w, g) for v, w, g in zip(values.tolist(), want, got) if w != g]
+    assert len(got) == len(want) and not wrong, wrong[:5]
+
+
+def neighbours(x):
+    x = np.asarray(x, dtype=np.float64)
+    return np.concatenate([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)])
+
+
+def test_g17_matches_format_on_a_million_log_uniform_values():
+    rng = np.random.default_rng(12)
+    n = 10**6
+    values = 10.0 ** rng.uniform(math.log10(_G17_MIN), math.log10(_G17_MAX), n)
+    assert_g17(values * rng.choice([-1.0, 1.0], n))
+
+
+def test_g17_matches_format_next_to_powers_of_ten_and_the_range_bounds():
+    # the kernel's first guess of the decimal exponent is one off next to a
+    # power of ten; a 17-digit rounding that carried would show there too
+    powers = [float(f"1e{j}") for j in range(-10, 16)]
+    nines = [float(f"9.99999999999999999e{j}") for j in range(-11, 15)]
+    values = neighbours(powers + nines + [_G17_MIN, _G17_MAX])
+    assert_g17(np.concatenate([values, -values]))
+
+
+def test_g17_rounds_exact_halfway_cases_to_even():
+    # m 2**-j with m odd has exactly j decimals; with 18 significant digits,
+    # the last a 5, the 17-digit rounding is a tie (m 5**j < 10**18 needs
+    # j <= 25, m < 2**53 needs j >= 3)
+    rng = np.random.default_rng(13)
+    values = []
+    for j in range(3, 26):
+        lo, hi = -(-10**17 // 5**j), min((10**18 - 1) // 5**j, 2**53 - 1)
+        for m in 2 * rng.integers(lo // 2, (hi - 1) // 2 + 1, 40) + 1:
+            x = math.ldexp(int(m), -j)
+            digits = Decimal(x).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+            values.append(x)
+    assert _G17_MIN <= min(values) and max(values) < _G17_MAX
+    assert_g17(np.concatenate([values, np.negative(values)]))
+
+
+@pytest.mark.parametrize("null", [False, True])
+def test_g17_formats_zeros_and_the_cells_outside_its_range(null):
+    # signed zeros, and the cells left to %: non-finite values, subnormal and
+    # extreme magnitudes, and the widest text %.17g writes
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, 1e-300, 1e16, 123456789012345678.0, 1e22,
+               -1.2345678901234567e-300, 0.5]
+    assert_g17(np.array(special), null)
