@@ -10,29 +10,13 @@ from .bifurcation import (
     amplitude_fit_slope,
     cbar,
     detected_threshold,
-    predicted_amplitude,
     trace_branches,
 )
 from .eigen import EigenPair, second_eigenpair, smallest_eigenpair
-from .fields import (
-    check_reduction_identity,
-    coupled_energy,
-    displacement_equation_residual,
-    magnetization_grid,
-    reconstruct_w,
-)
-from .grid import RadialGrid, assemble_pencil, build_grid, derivative, integrate, l2_norm
-from .operators import (
-    ModelParams,
-    Profile,
-    boundary_slope,
-    energy,
-    euler_residual,
-    fold,
-    gradient,
-    nonlinear_split,
-)
-from .solver import SolveReport, minimize, random_profile, verify_trivial_uniqueness
+from .fields import magnetization_grid, reconstruct_w
+from .grid import RadialGrid, assemble_pencil, build_grid, integrate
+from .operators import ModelParams, Profile
+from .solver import SolveReport, minimize
 
 __all__ = [
     "BifurcationDiagram",
@@ -44,29 +28,15 @@ __all__ = [
     "SolveReport",
     "amplitude_fit_slope",
     "assemble_pencil",
-    "boundary_slope",
     "build_grid",
     "cbar",
-    "check_reduction_identity",
-    "coupled_energy",
-    "derivative",
     "detected_threshold",
-    "displacement_equation_residual",
-    "energy",
-    "euler_residual",
-    "fold",
-    "gradient",
     "integrate",
-    "l2_norm",
     "magnetization_grid",
     "minimize",
-    "nonlinear_split",
-    "predicted_amplitude",
-    "random_profile",
     "reconstruct_w",
     "second_eigenpair",
     "smallest_eigenpair",
     "trace_branches",
-    "verify_trivial_uniqueness",
     "__version__",
 ]

@@ -14,14 +14,13 @@ import numpy as np
 
 from .eigen import EigenPair, smallest_eigenpair
 from .grid import RadialGrid, integrate
-from .operators import ModelParams, Profile, energy_of_values
+from .operators import ModelParams, Profile
 from .solver import SolveReport, minimize
 
 __all__ = [
     "BranchPoint",
     "BifurcationDiagram",
     "cbar",
-    "predicted_amplitude",
     "trace_branches",
     "detected_threshold",
     "amplitude_fit_slope",
@@ -74,22 +73,6 @@ def cbar(phi0: Profile, p: ModelParams) -> float:
     return integrate(grid, f)
 
 
-def predicted_amplitude(mu: float, gamma0: float, cbar_value: float) -> list[tuple[float, bool]]:
-    """Lowest-order amplitudes with stability flags at the given mu.
-
-    Returns [(0, stable)] at or below the threshold; above it the trivial
-    state turns unstable and the two branch amplitudes +-sqrt(delta/cbar)
-    are the stable ones.
-    """
-    if not cbar_value > 0.0:
-        raise ValueError(f"cubic coefficient must be positive, got {cbar_value}")
-    delta = 2.0 * mu - gamma0
-    if delta <= 0.0:
-        return [(0.0, True)]
-    beta = float(np.sqrt(delta / cbar_value))
-    return [(0.0, False), (beta, True), (-beta, True)]
-
-
 def trace_branches(
     grid: RadialGrid,
     params: ModelParams,
@@ -105,9 +88,10 @@ def trace_branches(
     Every step records the trivial branch.  Each step is solved by minimize
     seeded with the previous nontrivial profile (or the scaled eigenprofile
     when entering the supercritical range); the minus branch is the negation
-    of the plus branch.  If a step fails to converge the diagram is truncated
-    there and the failure mu recorded.  A nontrivial minimizer at
-    mu <= gamma0/2 - DELTA0 raises RuntimeError.
+    of the plus branch, with the same energy, since E is even bit for bit.
+    If a step fails to converge the diagram is truncated there and the
+    failure mu recorded.  A nontrivial minimizer at mu <= gamma0/2 - DELTA0
+    raises RuntimeError.
     """
     if not (np.isfinite(mu_lo) and np.isfinite(mu_hi) and mu_lo < mu_hi):
         raise ValueError(f"need mu_lo < mu_hi, got [{mu_lo}, {mu_hi}]")
@@ -152,12 +136,7 @@ def trace_branches(
         profiles[f"{pid}:plus"] = h
         profiles[f"{pid}:minus"] = neg
         points.append(BranchPoint(mu, "plus", beta, report.energy, f"{pid}:plus"))
-        points.append(
-            BranchPoint(
-                mu, "minus", -beta,
-                energy_of_values(grid, neg.values, mu), f"{pid}:minus",
-            )
-        )
+        points.append(BranchPoint(mu, "minus", -beta, report.energy, f"{pid}:minus"))
         prev = h
 
     points.sort(key=lambda q: (q.mu, _BRANCH_ORDER[q.branch]))

@@ -6,9 +6,10 @@ quadrature rule, and the discrete operator of the mesh: the tridiagonal P1
 stiffness K of int v_r^2 r dr, the squared nodes r^2 of the centrifugal
 terms, and the threshold pencil with its LDL^T factor (LAPACK pttrf).
 banded_solve (pttrs) is the one solve with such a factor, for the
-eigensolver and the minimizer alike.  The nodal derivative remains for
-boundary slopes and fields.  Reductions are numpy sums of products, never a
-BLAS dot, so results do not depend on the BLAS thread count.
+eigensolver and the minimizer alike.  rim_slope is the one-sided slope at
+r = 1 by which the minimizer reports the natural boundary condition.
+Reductions over the mesh are numpy sums of products, never a BLAS dot, so
+results do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-__all__ = ["RadialGrid", "build_grid", "integrate", "derivative", "l2_norm", "assemble_pencil",
-           "banded_solve"]
+__all__ = ["RadialGrid", "build_grid", "integrate", "rim_slope", "assemble_pencil", "banded_solve"]
 
 _PTTRF, _PTTRS = get_lapack_funcs(("pttrf", "pttrs"), dtype=np.float64)
 
@@ -39,7 +39,7 @@ class RadialGrid:
     r = 0 is identically zero (the measure r dr vanishes there); the weights
     sum to 1/2, the total mass of r dr on [0, 1].
 
-    The operator arrays (stencils, r_squared, stiffness_bands, pencil_factor)
+    The operator arrays (r_squared, stiffness_bands, pencil_factor)
     are built on first access, at most once per grid, and are read-only.
     """
 
@@ -51,26 +51,6 @@ class RadialGrid:
     def n(self) -> int:
         """Number of mesh cells (nodes minus one)."""
         return len(self.nodes) - 1
-
-    @cached_property
-    def stencils(self) -> tuple[np.ndarray, ...]:
-        """Three-point first-derivative coefficients (lo, mid, hi) at nodes
-        1..n-1, then the one-sided ones (left, right) at r = 0 and r = 1."""
-        spacing = np.diff(self.nodes)
-        h1 = spacing[:-1]
-        h2 = spacing[1:]
-        lo = -h2 / (h1 * (h1 + h2))
-        mid = (h2 - h1) / (h1 * h2)
-        hi = h1 / (h2 * (h1 + h2))
-        a, b = spacing[0], spacing[1]
-        left = np.array(
-            [-(2.0 * a + b) / (a * (a + b)), (a + b) / (a * b), -a / (b * (a + b))]
-        )
-        a, b = spacing[-2], spacing[-1]
-        right = np.array(
-            [b / (a * (a + b)), -(a + b) / (a * b), (a + 2.0 * b) / (b * (a + b))]
-        )
-        return _read_only(lo, mid, hi, left, right)
 
     @cached_property
     def r_squared(self) -> np.ndarray:
@@ -154,29 +134,15 @@ def integrate(grid: RadialGrid, values: np.ndarray) -> float:
     return float(np.sum(grid.weights * values))
 
 
-def l2_norm(grid: RadialGrid, values: np.ndarray) -> float:
-    """Norm of a nodal field in L^2((0,1), r dr)."""
-    values = np.asarray(values, dtype=float)
-    return float(np.sqrt(max(integrate(grid, values * values), 0.0)))
-
-
-def derivative(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
-    """Nodal first derivative, second order on the nonuniform mesh.
-
-    Interior nodes use the centered three-point stencil; the endpoints use
-    one-sided three-point stencils.  All stencils are exact for quadratics.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape != grid.nodes.shape:
-        raise ValueError(
-            f"expected {grid.nodes.shape[0]} nodal values, got {values.shape}"
-        )
-    lo, mid, hi, left, right = grid.stencils
-    out = np.empty_like(values)
-    out[1:-1] = lo * values[:-2] + mid * values[1:-1] + hi * values[2:]
-    out[0] = left @ values[:3]
-    out[-1] = right @ values[-3:]
-    return out
+def rim_slope(grid: RadialGrid, values: np.ndarray) -> float:
+    """h_r(1) by the one-sided three-point stencil on the last two cells,
+    exact for quadratics: the residual of the natural boundary condition."""
+    r = grid.nodes
+    a, b = r[-2] - r[-3], r[-1] - r[-2]
+    right = np.array(
+        [b / (a * (a + b)), -(a + b) / (a * b), (a + 2.0 * b) / (b * (a + b))]
+    )
+    return float(right @ values[-3:])
 
 
 def banded_matvec(ab: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -186,16 +152,6 @@ def banded_matvec(ab: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarra
     y = main * x
     y[:-1] += off * x[1:]
     y[1:] += off * x[:-1]
-    return y
-
-
-def stiffness_apply(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
-    """K values in flux form: the cell fluxes f = kappa * diff(values) enter
-    the right node of their cell with + and the left one with -."""
-    flux = np.diff(np.asarray(values, dtype=float))
-    flux *= grid.stiffness_bands[1]
-    y = np.concatenate(([0.0], flux))
-    y[:-1] -= flux
     return y
 
 

@@ -21,8 +21,9 @@ accepted thus hands its dv and sin 2h to the gradient at the same point, so
 the descent loop computes diff(h), sin 2h and cos 2h once per iterate.
 energy_of_values and gradient_values are the same kernels called from raw
 values.  Both do the same floating-point operations in the same order as the
-one-expression formulas that tests/test_operators.py keeps as their bitwise
-reference.
+one-expression formulas that tests/reference_kernels.py keeps as their
+bitwise reference.  fold_values maps iterates into [0, pi/2], where the
+energy of the limit does not change.
 """
 
 from __future__ import annotations
@@ -31,17 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RadialGrid, derivative, stiffness_apply
+from .grid import RadialGrid
 
-__all__ = [
-    "Profile",
-    "ModelParams",
-    "energy",
-    "gradient",
-    "euler_residual",
-    "fold",
-    "nonlinear_split",
-]
+__all__ = ["Profile", "ModelParams", "energy_of_values", "gradient_values", "fold_values"]
 
 # fold_values reduces values above this modulo pi before its reflection
 # sweeps, so at most 82 sweeps remain.  It is not lower because from 32 up a
@@ -127,14 +120,9 @@ def energy_of_values(grid: RadialGrid, values: np.ndarray, mu: float) -> float:
     return energy_parts(grid, values, mu)[0]
 
 
-def energy(h: Profile, p: ModelParams) -> float:
-    """E(h) for the given parameters."""
-    return energy_of_values(h.grid, h.values, p.mu)
-
-
 def gradient_from_parts(grid: RadialGrid, values: np.ndarray, mu: float, dv: np.ndarray,
                         sin2h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Raw nodal gradient field (see gradient()) and cos(2 values[1:]), from
+    """Raw nodal gradient field (see gradient_values) and cos(2 values[1:]), from
     the dv and sin2h of energy_parts at the same values, which it overwrites."""
     flux = dv
     flux *= grid.stiffness_bands[1]
@@ -159,39 +147,16 @@ def gradient_from_parts(grid: RadialGrid, values: np.ndarray, mu: float, dv: np.
 
 
 def gradient_values(grid: RadialGrid, values: np.ndarray, mu: float) -> np.ndarray:
-    """Raw nodal gradient field; see gradient()."""
-    dv = values[1:] - values[:-1]
-    return gradient_from_parts(grid, values, mu, dv, np.sin(2.0 * values[1:]))[0]
-
-
-def gradient(h: Profile, p: ModelParams) -> Profile:
-    """First variation g of E: for every test profile v with v(0) = 0,
+    """First variation g of E from raw nodal values: for every test profile v
+    with v(0) = 0,
 
         d/dt E(h + t v) |_{t=0} = 2 pi <g, v>   in the r dr inner product.
 
     The value at r = 0 is 0 by convention (test profiles vanish there); the
     natural condition h_r(1) = 0 is contained in the last row weakly.
     """
-    return Profile(h.grid, gradient_values(h.grid, h.values, p.mu))
-
-
-def boundary_slope(h: Profile) -> float:
-    """Discrete h_r(1), which vanishes at truncation level for minimizers."""
-    return float(derivative(h.grid, h.values)[-1])
-
-
-def euler_residual(h: Profile, p: ModelParams) -> float:
-    """Convergence certificate for the strong-form critical-point equation.
-
-    Returns the r dr-weighted 2-norm of the residual field at interior nodes
-    plus |h_r(1)| (the nodal derivative's one-sided slope) for the natural
-    boundary condition.  The residual field is the gradient field, so
-    discrete critical points score at truncation level.
-    """
-    rho = gradient_values(h.grid, h.values, p.mu)
-    w = h.grid.weights
-    interior = float(np.sqrt(max(np.sum(w[1:-1] * rho[1:-1] ** 2), 0.0)))
-    return interior + abs(boundary_slope(h))
+    dv = values[1:] - values[:-1]
+    return gradient_from_parts(grid, values, mu, dv, np.sin(2.0 * values[1:]))[0]
 
 
 def fold_values(values: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -201,7 +166,10 @@ def fold_values(values: np.ndarray) -> tuple[np.ndarray, bool]:
     One reflection sweep maps a to |pi - a|, so a value needs about a / pi
     sweeps, and above 2**55, where a - pi rounds to a, no number of sweeps
     ends.  Values above FOLD_REDUCE_ABOVE are therefore first reduced modulo
-    pi (np.fmod, exact for the double pi); values up to it take the sweeps."""
+    pi (np.fmod, exact for the double pi); values up to it take the sweeps.
+    The map leaves the energy invariant: exactly whenever it acts as a single
+    global reflection, and up to mesh-resolution error across the kinks it
+    introduces otherwise."""
     values = np.asarray(values, dtype=float)
     a = np.abs(values)
     changed = bool(np.minimum.reduce(values) < 0.0)
@@ -218,54 +186,3 @@ def fold_values(values: np.ndarray) -> tuple[np.ndarray, bool]:
             return a, changed
         changed = True
         a = np.where(mask, np.abs(np.pi - a), a)
-
-
-def fold(h: Profile) -> Profile:
-    """Replace h by its energy-equivalent representative with values in [0, pi/2].
-
-    Values are first replaced by their absolute value, then values above pi/2
-    are reflected to pi - value, repeating until all values land in
-    [0, pi/2]; see fold_values for values too large to sweep.  The map
-    leaves the energy invariant (exactly so whenever it acts as a single global
-    reflection; up to mesh-resolution error across kinks it introduces).
-    """
-    return Profile(h.grid, fold_values(h.values)[0])
-
-
-def nonlinear_split(h: Profile, p: ModelParams) -> tuple[Profile, Profile, Profile]:
-    """Split the strong-form Euler operator into linear + cubic + remainder.
-
-    Returns nodal fields (L, C, D) with
-
-        L(h) = -h_rr - h_r/r + h/r^2          (assembled weakly, as in gradient),
-        C(h) = -(2/3) h^3/r^2 + (16/3) mu h^3  (exactly cubic),
-        D(h) = remainder, of quintic order in h,
-
-    such that L + C + D - 2 mu h reproduces the strong-form Euler residual
-    field identically.  All three vanish at r = 0.
-    """
-    grid, v, mu = h.grid, h.values, p.mu
-    r2 = grid.r_squared
-    w = grid.weights
-
-    q = stiffness_apply(grid, v)
-    lin = np.zeros_like(v)
-    lin[1:] = q[1:] / w[1:] + v[1:] / r2
-
-    # cube by plain multiplication: unlike the pow ufunc this commutes bitwise
-    # with power-of-two rescalings of h, keeping C exactly homogeneous
-    cube = v[1:] * v[1:] * v[1:]
-
-    cub = np.zeros_like(v)
-    cub[1:] = -(2.0 / 3.0) * cube / r2 + (16.0 / 3.0) * mu * cube
-
-    rem = np.zeros_like(v)
-    sin2h = np.sin(2.0 * v[1:])
-    sin4h = np.sin(4.0 * v[1:])
-    rem[1:] = (
-        -(v[1:] - sin2h / 2.0) / r2
-        + (2.0 / 3.0) * cube / r2
-        + 0.5 * mu * (4.0 * v[1:] - sin4h)
-        - (16.0 / 3.0) * mu * cube
-    )
-    return Profile(grid, lin), Profile(grid, cub), Profile(grid, rem)

@@ -22,7 +22,8 @@ closing residual is the last gradient's norm whenever the returned profile
 is the last iterate.  So every quantity is computed once per iterate, with
 the operations and operands of the standalone energy_of_values and
 gradient_values, and the trajectory is bit for bit the one that evaluating
-each afresh gives.
+each afresh gives.  The boundary certificate is grid.rim_slope of the
+returned profile.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigen import EigenPair, smallest_eigenpair
-from .grid import RadialGrid, banded_factor, banded_solve, derivative, l2_norm
+from .grid import RadialGrid, banded_factor, banded_solve, rim_slope
 from .operators import (
     ModelParams,
     Profile,
@@ -43,7 +44,7 @@ from .operators import (
     gradient_values,
 )
 
-__all__ = ["SolveReport", "minimize", "verify_trivial_uniqueness", "random_profile"]
+__all__ = ["SolveReport", "minimize"]
 
 ARMIJO_C1 = 1e-4
 BACKTRACK = 0.5
@@ -60,7 +61,9 @@ class SolveReport:
     minimizer; converged reports are meant to satisfy residual <= tol, but a
     flat-energy tail can break this (see
     tests/test_solver.py::test_converged_report_satisfies_tol_at_large_mu).
-    The energy history lists the energy after every accepted step.  It is
+    bc_residual is |h_r(1)| at the minimizer by the one-sided stencil of
+    grid.rim_slope, the residual of the natural boundary condition, which
+    the weak form holds only up to truncation.  The energy history lists the energy after every accepted step.  It is
     non-increasing up to the roundoff floor FLAT_TOL * (1 + |E|), by which a
     Newton step predicting less than that floor may raise it; iterations
     counts the accepted steps.  energy_evals counts every energy evaluation
@@ -82,21 +85,6 @@ class SolveReport:
     diverged: bool = False
     energy_evals: int = 0
     backtracks: int = 0
-
-
-def random_profile(grid: RadialGrid, rng: np.random.Generator,
-                   amplitude: float = np.pi / 2) -> Profile:
-    """Smooth random profile with values in [-amplitude, amplitude] and h(0)=0."""
-    r = grid.nodes
-    values = np.zeros_like(r)
-    for j in range(1, 7):
-        coeff = rng.standard_normal() / j**2
-        values += coeff * np.sin((j - 0.5) * np.pi * r)
-    peak = np.max(np.abs(values))
-    if peak > 0.0:
-        values *= amplitude * rng.uniform(0.3, 1.0) / peak
-    values[0] = 0.0
-    return Profile(grid, values)
 
 
 def _wnorm(w: np.ndarray, values: np.ndarray) -> float:
@@ -173,7 +161,7 @@ def minimize(
     gnorm = _wnorm(w, g)
 
     history = [e_cur]
-    best_e, best_v = e_cur, v.copy()
+    best_e, best_v = e_cur, v
     best_is_v = True  # best_v equals v, whose residual is gnorm
     fold_count = 0
     diverged = not math.isfinite(gnorm)  # e.g. mu = 1e300
@@ -231,7 +219,7 @@ def minimize(
         history.append(e_cur)
         best_is_v = e_cur < best_e
         if best_is_v:
-            best_e, best_v = e_cur, v.copy()
+            best_e, best_v = e_cur, v
 
         g, cos2h = gradient_from_parts(grid, v, mu, dv, sin2h)
         gnorm = _wnorm(w, g)
@@ -269,40 +257,9 @@ def minimize(
         mu=mu,
         converged=converged,
         fold_applied=fold_count,
-        bc_residual=abs(float(derivative(grid, best_v)[-1])),
+        bc_residual=abs(rim_slope(grid, best_v)),
         energy_history=tuple(history),
         diverged=diverged,
         energy_evals=energy_evals,
         backtracks=backtracks,
     )
-
-
-def verify_trivial_uniqueness(
-    grid: RadialGrid,
-    params: ModelParams,
-    trials: int = 8,
-    seed: int = 0,
-) -> dict:
-    """Multistart check that no start beats the trivial profile.
-
-    Intended for mu <= gamma0/2, where the zero profile is the unique global
-    minimizer: every random start must come back trivial.  Above the
-    threshold the same report is used in inverted mode, where at least one
-    start is expected to land on a nontrivial branch.
-    """
-    rng = np.random.default_rng(seed)
-    reports = [
-        minimize(grid, params, init=random_profile(grid, rng))
-        for _ in range(trials)
-    ]
-    norms = [l2_norm(grid, rep.minimizer.values) for rep in reports]
-    nontrivial = [rep for rep in reports if rep.energy < -1e-9]
-    return {
-        "mu": params.mu,
-        "trials": trials,
-        "passed": not nontrivial,
-        "n_nontrivial": len(nontrivial),
-        "worst_norm": max(norms),
-        "worst_energy": min(rep.energy for rep in reports),
-        "reports": reports,
-    }

@@ -1,14 +1,26 @@
-"""Hand-rolled reference computations that pin expected values.
+"""Hand-rolled reference computations that pin expected values, and the
+certificates the tests hold the package's results to.
 
-Nothing here touches the package: plain power series, bisection, and
-adaptive Simpson quadrature, so oracle agreement is an independent check
-rather than the code testing itself.
+The first part touches nothing of the package: plain power series,
+bisection, and adaptive Simpson quadrature, so oracle agreement is an
+independent check rather than the code testing itself.  The second part
+reads the package's grids, profiles and kernels: the second-order nodal
+derivative, the strong-form residuals, the cubic split of the Euler operator,
+the reduction identity of the magnetization, random starts and the multistart
+uniqueness check.  The command line runs none of them.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Callable
+
+import numpy as np
+
+from magnetodisk import ModelParams, Profile, RadialGrid, integrate, minimize
+from magnetodisk.fields import _interpolant, magnetization_grid
+from magnetodisk.operators import gradient_values
+from reference_kernels import stiffness_apply
 
 
 def adaptive_simpson(
@@ -149,3 +161,205 @@ J1PRIME_ROOT = 1.8411837813406597
 GAMMA0_CONTINUUM = 3.38995771667189
 CBAR_CONTINUUM = 18.309365249651385
 TILTED_ENERGY_CONTINUUM = 6.072193963753959
+
+
+# ---------------------------------------------------------------------------
+# Certificates on the package's grids and profiles.
+
+
+def l2_norm(grid: RadialGrid, values: np.ndarray) -> float:
+    """Norm of a nodal field in L^2((0,1), r dr)."""
+    values = np.asarray(values, dtype=float)
+    return float(np.sqrt(max(integrate(grid, values * values), 0.0)))
+
+
+def stencils(grid: RadialGrid) -> tuple[np.ndarray, ...]:
+    """Three-point first-derivative coefficients (lo, mid, hi) at nodes
+    1..n-1, then the one-sided ones (left, right) at r = 0 and r = 1."""
+    spacing = np.diff(grid.nodes)
+    h1 = spacing[:-1]
+    h2 = spacing[1:]
+    lo = -h2 / (h1 * (h1 + h2))
+    mid = (h2 - h1) / (h1 * h2)
+    hi = h1 / (h2 * (h1 + h2))
+    a, b = spacing[0], spacing[1]
+    left = np.array(
+        [-(2.0 * a + b) / (a * (a + b)), (a + b) / (a * b), -a / (b * (a + b))]
+    )
+    a, b = spacing[-2], spacing[-1]
+    right = np.array(
+        [b / (a * (a + b)), -(a + b) / (a * b), (a + 2.0 * b) / (b * (a + b))]
+    )
+    return lo, mid, hi, left, right
+
+
+def derivative(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
+    """Nodal first derivative, second order on the nonuniform mesh.
+
+    Interior nodes use the centered three-point stencil; the endpoints use
+    one-sided three-point stencils.  All stencils are exact for quadratics.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.shape != grid.nodes.shape:
+        raise ValueError(
+            f"expected {grid.nodes.shape[0]} nodal values, got {values.shape}"
+        )
+    lo, mid, hi, left, right = stencils(grid)
+    out = np.empty_like(values)
+    out[1:-1] = lo * values[:-2] + mid * values[1:-1] + hi * values[2:]
+    out[0] = left @ values[:3]
+    out[-1] = right @ values[-3:]
+    return out
+
+
+def boundary_slope(h: Profile) -> float:
+    """Discrete h_r(1), which vanishes at truncation level for minimizers."""
+    return float(derivative(h.grid, h.values)[-1])
+
+
+def euler_residual(h: Profile, p: ModelParams) -> float:
+    """Convergence certificate for the strong-form critical-point equation.
+
+    Returns the r dr-weighted 2-norm of the residual field at interior nodes
+    plus |h_r(1)| (the nodal derivative's one-sided slope) for the natural
+    boundary condition.  The residual field is the gradient field, so
+    discrete critical points score at truncation level.
+    """
+    rho = gradient_values(h.grid, h.values, p.mu)
+    w = h.grid.weights
+    interior = float(np.sqrt(max(np.sum(w[1:-1] * rho[1:-1] ** 2), 0.0)))
+    return interior + abs(boundary_slope(h))
+
+
+def nonlinear_split(h: Profile, p: ModelParams) -> tuple[Profile, Profile, Profile]:
+    """Split the strong-form Euler operator into linear + cubic + remainder.
+
+    Returns nodal fields (L, C, D) with
+
+        L(h) = -h_rr - h_r/r + h/r^2          (assembled weakly, as in gradient_values),
+        C(h) = -(2/3) h^3/r^2 + (16/3) mu h^3  (exactly cubic),
+        D(h) = remainder, of quintic order in h,
+
+    such that L + C + D - 2 mu h reproduces the strong-form Euler residual
+    field identically.  All three vanish at r = 0.
+    """
+    grid, v, mu = h.grid, h.values, p.mu
+    r2 = grid.r_squared
+    w = grid.weights
+
+    q = stiffness_apply(grid, v)
+    lin = np.zeros_like(v)
+    lin[1:] = q[1:] / w[1:] + v[1:] / r2
+
+    # cube by plain multiplication: unlike the pow ufunc this commutes bitwise
+    # with power-of-two rescalings of h, keeping C exactly homogeneous
+    cube = v[1:] * v[1:] * v[1:]
+
+    cub = np.zeros_like(v)
+    cub[1:] = -(2.0 / 3.0) * cube / r2 + (16.0 / 3.0) * mu * cube
+
+    rem = np.zeros_like(v)
+    sin2h = np.sin(2.0 * v[1:])
+    sin4h = np.sin(4.0 * v[1:])
+    rem[1:] = (
+        -(v[1:] - sin2h / 2.0) / r2
+        + (2.0 / 3.0) * cube / r2
+        + 0.5 * mu * (4.0 * v[1:] - sin4h)
+        - (16.0 / 3.0) * mu * cube
+    )
+    return Profile(grid, lin), Profile(grid, cub), Profile(grid, rem)
+
+
+def check_reduction_identity(
+    h: Profile,
+    samples: int = 100,
+    step: float = 1e-4,
+    seed: int = 0,
+) -> float:
+    """Max mismatch of |grad m|^2 against (sin h/r)^2 + h_r^2 at random points.
+
+    The left side is evaluated by central differences of the interpolated
+    magnetization with the given stencil step; the right side uses the same
+    angle interpolant and its derivative.  Returns the worst absolute error.
+    """
+    rng = np.random.default_rng(seed)
+    rad = rng.uniform(0.05, 1.0 - 2.0 * step, samples)
+    theta = rng.uniform(0.0, 2.0 * np.pi, samples)
+    xs = rad * np.cos(theta)
+    ys = rad * np.sin(theta)
+
+    interp = _interpolant(h)
+    dinterp = interp.derivative()
+
+    gx = (magnetization_grid(h, xs + step, ys)
+          - magnetization_grid(h, xs - step, ys)) / (2.0 * step)
+    gy = (magnetization_grid(h, xs, ys + step)
+          - magnetization_grid(h, xs, ys - step)) / (2.0 * step)
+    lhs = np.sum(gx * gx + gy * gy, axis=1)
+
+    angle = interp(rad)
+    rhs = (np.sin(angle) / rad) ** 2 + dinterp(rad) ** 2
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def displacement_equation_residual(h: Profile, w: Profile, lam: float) -> np.ndarray:
+    """Interior residual of the displacement balance
+
+        w_rr + w_r/r + (lam/2) [ (sin 2h)_r + sin(2h)/r ] = 0,
+
+    evaluated with the derivative stencils; returned on nodes 1..n-1.
+    """
+    grid = h.grid
+    r = grid.nodes
+    dw = derivative(grid, w.values)
+    ddw = derivative(grid, dw)
+    sin2h = np.sin(2.0 * h.values)
+    dsin = derivative(grid, sin2h)
+    res = ddw + dw / np.where(r == 0.0, 1.0, r) + 0.5 * lam * (dsin + sin2h / np.where(r == 0.0, 1.0, r))
+    return res[1:-1]
+
+
+def random_profile(grid: RadialGrid, rng: np.random.Generator,
+                   amplitude: float = np.pi / 2) -> Profile:
+    """Smooth random profile with values in [-amplitude, amplitude] and h(0)=0."""
+    r = grid.nodes
+    values = np.zeros_like(r)
+    for j in range(1, 7):
+        coeff = rng.standard_normal() / j**2
+        values += coeff * np.sin((j - 0.5) * np.pi * r)
+    peak = np.max(np.abs(values))
+    if peak > 0.0:
+        values *= amplitude * rng.uniform(0.3, 1.0) / peak
+    values[0] = 0.0
+    return Profile(grid, values)
+
+
+def verify_trivial_uniqueness(
+    grid: RadialGrid,
+    params: ModelParams,
+    trials: int = 8,
+    seed: int = 0,
+) -> dict:
+    """Multistart check that no start beats the trivial profile.
+
+    Intended for mu <= gamma0/2, where the zero profile is the unique global
+    minimizer: every random start must come back trivial.  Above the
+    threshold the same report is used in inverted mode, where at least one
+    start is expected to land on a nontrivial branch.
+    """
+    rng = np.random.default_rng(seed)
+    reports = [
+        minimize(grid, params, init=random_profile(grid, rng))
+        for _ in range(trials)
+    ]
+    norms = [l2_norm(grid, rep.minimizer.values) for rep in reports]
+    nontrivial = [rep for rep in reports if rep.energy < -1e-9]
+    return {
+        "mu": params.mu,
+        "trials": trials,
+        "passed": not nontrivial,
+        "n_nontrivial": len(nontrivial),
+        "worst_norm": max(norms),
+        "worst_energy": min(rep.energy for rep in reports),
+        "reports": reports,
+    }

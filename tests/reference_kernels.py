@@ -1,4 +1,5 @@
-"""The energy, gradient and fold as first written, one numpy expression each.
+"""The energy, gradient and fold as first written, one numpy expression each,
+with the flux-form stiffness apply K v that the gradient builds on.
 
 The kernels of magnetodisk.operators build the same fields in place, fused
 (energy_parts hands dv and sin 2h to gradient_from_parts), and do the same
@@ -16,6 +17,13 @@ def kappa(grid):
     return (r[:-1] + r[1:]) / (2.0 * (r[1:] - r[:-1]))
 
 
+def stiffness_apply(grid, values):
+    """K values in flux form: the cell fluxes f = kappa * diff(values) enter
+    the right node of their cell with + and the left one with -."""
+    flux = kappa(grid) * np.diff(values)
+    return np.concatenate(([0.0], flux)) - np.concatenate((flux, [0.0]))
+
+
 def reference_energy(grid, values, mu):
     v = values[1:]
     sin2h = np.sin(2.0 * v)
@@ -27,8 +35,7 @@ def reference_energy(grid, values, mu):
 def reference_gradient(grid, values, mu):
     r = grid.nodes
     w = grid.weights
-    flux = kappa(grid) * np.diff(values)
-    q = np.concatenate(([0.0], flux)) - np.concatenate((flux, [0.0]))
+    q = stiffness_apply(grid, values)
     sin2h = np.sin(2.0 * values)
     g = np.zeros_like(values)
     g[1:] = (

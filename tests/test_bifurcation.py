@@ -9,12 +9,27 @@ from magnetodisk import (
     cbar,
     detected_threshold,
     amplitude_fit_slope,
-    predicted_amplitude,
     smallest_eigenpair,
     trace_branches,
 )
 
 from oracles import CBAR_CONTINUUM
+
+
+def predicted_amplitude(mu: float, gamma0: float, cbar_value: float) -> list[tuple[float, bool]]:
+    """Lowest-order amplitudes with stability flags at the given mu.
+
+    Returns [(0, stable)] at or below the threshold; above it the trivial
+    state turns unstable and the two branch amplitudes +-sqrt(delta/cbar)
+    are the stable ones.
+    """
+    if not cbar_value > 0.0:
+        raise ValueError(f"cubic coefficient must be positive, got {cbar_value}")
+    delta = 2.0 * mu - gamma0
+    if delta <= 0.0:
+        return [(0.0, True)]
+    beta = float(np.sqrt(delta / cbar_value))
+    return [(0.0, False), (beta, True), (-beta, True)]
 
 
 def _threshold_params(pair):
@@ -103,7 +118,7 @@ def test_traced_branches_come_in_symmetric_pairs(straddling_diagram):
     for mu, q in plus.items():
         assert q.beta > 0.0
         assert minus[mu].beta == -q.beta
-        assert abs(minus[mu].energy - q.energy) <= 1e-10
+        assert minus[mu].energy == q.energy
         h = straddling_diagram.profiles[q.profile_id]
         neg = straddling_diagram.profiles[minus[mu].profile_id]
         assert np.array_equal(neg.values, -h.values)

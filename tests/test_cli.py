@@ -73,6 +73,24 @@ def test_cli_import_leaves_scipy_interpolate_unloaded():
     assert fresh_python("-c", probe).stdout.strip() == "False"
 
 
+# the test-side certificates and helpers that left the package
+MOVED_TO_TESTS = (
+    "boundary_slope", "check_reduction_identity", "coupled_energy", "derivative",
+    "displacement_equation_residual", "energy", "euler_residual", "fold", "gradient",
+    "l2_norm", "nonlinear_split", "predicted_amplitude", "random_profile",
+    "verify_trivial_uniqueness",
+)
+
+
+def test_package_exports_resolve_and_leave_the_test_helpers_out():
+    import magnetodisk
+
+    assert all(hasattr(magnetodisk, name) for name in magnetodisk.__all__)
+    assert len(set(magnetodisk.__all__)) == len(magnetodisk.__all__)
+    assert [name for name in MOVED_TO_TESTS if hasattr(magnetodisk, name)] == []
+    assert not set(MOVED_TO_TESTS) & set(magnetodisk.__all__)
+
+
 def test_minimize_subcritical(tmp_path):
     assert run("minimize", "--mu", 1.0, "--n", 64, "--out", tmp_path) == 0
     report = json.loads((tmp_path / "report.json").read_text())

@@ -3,7 +3,6 @@ import pytest
 
 from magnetodisk import (
     ModelParams,
-    boundary_slope,
     build_grid,
     integrate,
     second_eigenpair,
@@ -11,10 +10,11 @@ from magnetodisk import (
 )
 from magnetodisk import eigen
 from magnetodisk.eigen import MAX_ITER, RQ_TOL, _inverse_iteration
-from magnetodisk.grid import assemble_pencil, banded_matvec, banded_solve, stiffness_apply
+from magnetodisk.grid import assemble_pencil, banded_matvec, banded_solve
 
 import oracles
-from oracles import GAMMA0_CONTINUUM, J1PRIME_ROOT
+from oracles import GAMMA0_CONTINUUM, J1PRIME_ROOT, boundary_slope
+from reference_kernels import stiffness_apply
 
 
 def test_pencil_matches_elimination_of_the_origin_node(grid256):

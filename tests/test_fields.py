@@ -1,20 +1,30 @@
 import numpy as np
 import pytest
 
-from magnetodisk import (
-    ModelParams,
-    Profile,
-    check_reduction_identity,
-    coupled_energy,
-    displacement_equation_residual,
-    energy,
-    magnetization_grid,
-    reconstruct_w,
-)
-from magnetodisk.grid import derivative
+from magnetodisk import Profile, integrate, magnetization_grid, reconstruct_w
+from magnetodisk.operators import energy_of_values
+
+from oracles import check_reduction_identity, derivative, displacement_equation_residual
 
 
 LAM = 2.0  # coupling for mu = 2.0
+
+
+def coupled_energy(h: Profile, w: Profile, lam: float) -> float:
+    """Energy of the pair (h, w) before eliminating the displacement:
+
+        pi * int [ h_r^2 + (sin h/r)^2 + lam sin(2h) w_r + w_r^2 ] r dr.
+
+    The first two terms are the reduced energy at mu = 0 (the grid's P1
+    exchange term and the lumped sin^2 h / r^2); the coupling terms use the
+    derivative stencils on w.  For w reconstructed from h this matches the
+    reduced energy up to quadrature error.
+    """
+    grid = h.grid
+    dw = derivative(grid, w.values)
+    sin2h = np.sin(2.0 * h.values)
+    coupling = integrate(grid, lam * sin2h * dw + dw * dw)
+    return energy_of_values(grid, h.values, 0.0) + np.pi * coupling
 
 
 def test_zero_profile_reconstructs_zero_displacement(grid256):
@@ -105,7 +115,7 @@ def test_coupled_energy_matches_reduced_energy(minimizer256):
     h = minimizer256.minimizer
     w = reconstruct_w(h, LAM)
     coupled = coupled_energy(h, w, LAM)
-    reduced = energy(h, ModelParams(mu=2.0))
+    reduced = energy_of_values(h.grid, h.values, 2.0)
     assert abs(coupled - reduced) <= 1e-8  # measured 2.3e-10
 
 
@@ -114,5 +124,5 @@ def test_coupled_energy_mismatch_shrinks_under_refinement(minimizer256, minimize
     for rep, mu in ((minimizer256, 2.0), (minimizer512, 2.0)):
         h = rep.minimizer
         w = reconstruct_w(h, LAM)
-        diffs.append(abs(coupled_energy(h, w, LAM) - energy(h, ModelParams(mu=mu))))
+        diffs.append(abs(coupled_energy(h, w, LAM) - energy_of_values(h.grid, h.values, mu)))
     assert diffs[1] < diffs[0]

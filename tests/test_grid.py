@@ -3,11 +3,12 @@ import weakref
 
 import numpy as np
 import pytest
-from magnetodisk import ModelParams, build_grid, integrate, l2_norm, minimize
-from magnetodisk.grid import assemble_pencil, banded_factor, banded_solve, derivative, stiffness_apply
+from magnetodisk import ModelParams, build_grid, integrate, minimize
+from magnetodisk.grid import assemble_pencil, banded_factor, banded_solve, rim_slope
 from magnetodisk.operators import gradient_values
 
-from oracles import adaptive_simpson
+from oracles import adaptive_simpson, derivative, l2_norm
+from reference_kernels import stiffness_apply
 
 
 def test_minimal_uniform_grid():
@@ -53,11 +54,10 @@ def test_grid_is_immutable():
     with pytest.raises(ValueError):
         g.weights[0] = 1.0
     # the operator arrays are built once per grid and shared read-only
-    assert g.stencils is g.stencils
     assert g.stiffness_bands is g.stiffness_bands
     assert g.pencil_factor is g.pencil_factor
     assert g.r_squared is g.r_squared
-    for array in (*g.stencils, *g.stiffness_bands, *g.pencil_factor, g.r_squared):
+    for array in (*g.stiffness_bands, *g.pencil_factor, g.r_squared):
         with pytest.raises(ValueError):
             array[0] = 1.0
     assert np.array_equal(g.r_squared, g.nodes[1:] ** 2)
@@ -173,6 +173,21 @@ def test_stiffness_exactness_classes():
     assert np.array_equal(stiffness_apply(g, np.full(65, 3.3)), np.zeros(65))
     v = 2.0 * g.nodes - 1.0
     assert abs(np.sum(v * stiffness_apply(g, v)) - 2.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [64, 1024, 65536])
+@pytest.mark.parametrize("grading", [1.0, 2.0, 3.5])
+def test_rim_slope_is_the_one_sided_derivative_bitwise(n, grading):
+    g = build_grid(n, grading)
+    rng = np.random.default_rng(n)
+    for v in (np.sin(3.0 * g.nodes), g.nodes**2, rng.uniform(-np.pi, np.pi, n + 1)):
+        assert rim_slope(g, v).hex() == float(derivative(g, v)[-1]).hex()
+
+
+def test_minimizer_reports_the_rim_slope_as_its_boundary_residual():
+    g = build_grid(256, 2.0)
+    rep = minimize(g, ModelParams(mu=2.0))
+    assert rep.bc_residual == abs(float(derivative(g, rep.minimizer.values)[-1]))
 
 
 def test_derivative_smooth_accuracy():

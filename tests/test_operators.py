@@ -3,31 +3,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from magnetodisk import (
-    ModelParams,
-    Profile,
-    build_grid,
-    cbar,
-    energy,
-    gradient,
-    integrate,
-    l2_norm,
-    minimize,
-    random_profile,
-)
+from magnetodisk import ModelParams, Profile, build_grid, cbar, integrate, minimize
 from magnetodisk.operators import (
     FOLD_REDUCE_ABOVE,
     energy_of_values,
     energy_parts,
-    euler_residual,
     fold_values,
     gradient_from_parts,
     gradient_values,
-    nonlinear_split,
 )
 
 from conftest import fresh_python, smooth_profile
-from oracles import TILTED_ENERGY_CONTINUUM
+from oracles import TILTED_ENERGY_CONTINUUM, euler_residual, l2_norm, nonlinear_split, random_profile
 from reference_kernels import kappa, reference_energy, reference_fold, reference_gradient
 
 
@@ -75,8 +62,8 @@ def test_zero_profile_has_zero_energy_and_gradient():
     g = build_grid(64, 2.0)
     zero = Profile(g, np.zeros(65))
     p = ModelParams(mu=1.7)
-    assert energy(zero, p) == 0.0
-    assert np.abs(gradient(zero, p).values).max() == 0.0
+    assert energy_of_values(g, zero.values, p.mu) == 0.0
+    assert np.abs(gradient_values(g, zero.values, p.mu)).max() == 0.0
 
 
 def test_energy_of_tilted_profile_matches_quadrature_oracle(grid1024):
@@ -94,7 +81,8 @@ def test_gradient_matches_finite_differences(grid256):
         d = smooth_profile(grid256, rng.normal(size=4), scale=1.0)
         fd = (energy_of_values(grid256, h.values + t * d.values, p.mu)
               - energy_of_values(grid256, h.values - t * d.values, p.mu)) / (2.0 * t)
-        pairing = 2.0 * np.pi * integrate(grid256, gradient(h, p).values * d.values)
+        pairing = 2.0 * np.pi * integrate(grid256, gradient_values(grid256, h.values, p.mu)
+                                          * d.values)
         assert abs(pairing - fd) <= 1e-6 * max(1.0, abs(fd))  # measured 2.9e-10
 
 
@@ -122,8 +110,9 @@ def test_odd_symmetry_is_bitwise(grid256):
     rng = np.random.default_rng(3)
     h = smooth_profile(grid256, rng.normal(size=5), scale=1.4)
     neg = Profile(grid256, -h.values)
-    assert energy(neg, p) == energy(h, p)
-    assert np.array_equal(gradient(neg, p).values, -gradient(h, p).values)
+    assert energy_of_values(grid256, neg.values, p.mu) == energy_of_values(grid256, h.values, p.mu)
+    assert np.array_equal(gradient_values(grid256, neg.values, p.mu),
+                          -gradient_values(grid256, h.values, p.mu))
 
 
 def test_euler_residual_vanishes_on_zero():

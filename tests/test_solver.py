@@ -2,18 +2,10 @@ import numpy as np
 import pytest
 
 import magnetodisk.solver as solver
-from magnetodisk import (
-    ModelParams,
-    Profile,
-    build_grid,
-    euler_residual,
-    l2_norm,
-    minimize,
-    random_profile,
-    verify_trivial_uniqueness,
-)
+from magnetodisk import ModelParams, Profile, build_grid, minimize
 
 from conftest import smooth_profile
+from oracles import euler_residual, l2_norm, random_profile, verify_trivial_uniqueness
 from reference_kernels import reference_energy, reference_fold, reference_gradient
 
 
