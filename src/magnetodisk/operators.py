@@ -18,7 +18,7 @@ sin 2h at the nodes 1..n.  gradient_from_parts turns those two arrays into
 the gradient (flux kappa dv, then the nodal terms) and also returns cos 2h,
 which the minimizer's Newton step reuses.  A line-search trial that is
 accepted thus hands its dv and sin 2h to the gradient at the same point, so
-the descent loop computes diff(h), sin 2h and cos 2h once per iterate.
+the minimizer computes diff(h), sin 2h and cos 2h once per iterate.
 energy_of_values and gradient_values are the same kernels called from raw
 values.  Both do the same floating-point operations in the same order as the
 one-expression formulas that tests/reference_kernels.py keeps as their
@@ -75,7 +75,7 @@ class ModelParams:
     """Model parameters: field strength mu = lambda^2 / 2, finite and >= 0.
 
     tol is the solver residual tolerance in the L^2(r dr) norm; max_iter caps
-    descent iterations.  The constructor holds every range rule, and
+    the minimizer's iterations.  The constructor holds every range rule, and
     dataclasses.replace runs it too; lambda goes to the fields functions.
     """
 

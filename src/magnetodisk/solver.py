@@ -1,29 +1,34 @@
 """Energy minimization over radial profiles.
 
-Descent in the inner product of the linearized operator (the stiffness plus
-centrifugal pencil), with backtracking line search and a damped Newton
-endgame on the banded linearization.  A descent step's line search starts
-one doubling above the previous accepted descent step (never above 1), so
-at large mu it does not backtrack from 1 every time; a Newton step always
-starts at 1, which its quadratic convergence needs.  Every accepted iterate
-is folded back into [0, pi/2], which never changes the energy of the limit.
-A run stops converged once the gradient passes tol and the decrease the
-next step predicts (minus half its slope; for a Newton step, half the squared
-Newton decrement, Boyd & Vandenberghe, Convex Optimization, 9.5.1) is at the
-roundoff floor of the energy; a Newton step predicting less than that floor
-is taken whole unless the energy rises past it.  Both directions come from
-grid.banded_solve with a tridiagonal LDL^T factor: the grid's cached pencil
-factor for descent, a fresh factor of the shifted Hessian for Newton.
+Every iteration takes the same path: a shifted Newton step with a
+backtracking line search (Levenberg-Marquardt; More & Sorensen 1983; Nocedal
+& Wright, Numerical Optimization, ch. 3-4).  The step solves
+((H + tau P) / (1 + tau)) d = -W g, where H is the Hessian of the banded
+linearization and P = K + W / r^2 the threshold pencil, for the first tau of
+SHIFTS whose matrix is positive definite and whose step descends.  Divided by
+1 + tau the matrix keeps K's off-diagonal, so grid.banded_factor factors it,
+and as tau grows the step turns into -P^-1 W g, steepest descent in the
+inner product of P.  When no shift qualifies, that direction itself, solved
+with the grid's cached pencil factor, is the step, so every iteration has
+one.
+
+Every line search starts at alpha = 1 and backtracks by safeguarded
+quadratic interpolation (Nocedal & Wright 3.5).  Every accepted iterate is
+folded back into [0, pi/2], which never changes the energy of the limit.  A
+run stops converged once the gradient passes tol and the decrease the next
+step predicts (minus half its slope, half the squared Newton decrement; Boyd
+& Vandenberghe, Convex Optimization, 9.5.1) is at the roundoff floor of the
+energy; a step predicting less than that floor is taken whole unless the
+energy rises past it.  The last accepted iterate is returned, and the norm of
+its gradient is the residual.
 
 Each trial of the line search is one operators.energy_parts call.  The
 accepted trial's cell differences and sin 2h go to
-operators.gradient_from_parts, whose cos 2h the Newton step reuses, and the
-closing residual is the last gradient's norm whenever the returned profile
-is the last iterate.  So every quantity is computed once per iterate, with
-the operations and operands of the standalone energy_of_values and
-gradient_values, and the trajectory is bit for bit the one that evaluating
-each afresh gives.  The boundary certificate is grid.rim_slope of the
-returned profile.
+operators.gradient_from_parts, whose cos 2h the Newton step reuses.  So every
+quantity is computed once per iterate, with the operations and operands of
+the standalone energy and gradient kernels, and the trajectory is bit for bit
+the one that evaluating each afresh gives.  The boundary certificate is
+grid.rim_slope of the returned profile.
 """
 
 from __future__ import annotations
@@ -41,16 +46,16 @@ from .operators import (
     energy_parts,
     fold_values,
     gradient_from_parts,
-    gradient_values,
 )
 
 __all__ = ["SolveReport", "minimize"]
 
 ARMIJO_C1 = 1e-4
-BACKTRACK = 0.5
+SHRINK_MIN, SHRINK_MAX = 0.1, 0.5  # bounds on one backtrack's alpha_new / alpha
 MAX_BACKTRACKS = 40
-NEWTON_GATE = 1e-2
 FLAT_TOL = 1e-12
+# the shifts tau tried in turn; the pencil direction is the limit tau -> inf
+SHIFTS = (0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6)
 
 
 @dataclass(frozen=True)
@@ -58,17 +63,16 @@ class SolveReport:
     """Outcome of one minimization run.
 
     residual is the L^2(r dr) norm of the energy gradient at the returned
-    minimizer; converged reports are meant to satisfy residual <= tol, but a
-    flat-energy tail can break this (see
-    tests/test_solver.py::test_converged_report_satisfies_tol_at_large_mu).
-    bc_residual is |h_r(1)| at the minimizer by the one-sided stencil of
-    grid.rim_slope, the residual of the natural boundary condition, which
-    the weak form holds only up to truncation.  The energy history lists the energy after every accepted step.  It is
+    minimizer, the last accepted iterate, so a converged report satisfies
+    residual <= tol.  bc_residual is |h_r(1)| at the minimizer by the
+    one-sided stencil of grid.rim_slope, the residual of the natural
+    boundary condition, which the weak form holds only up to truncation.
+    The energy history lists the energy after every accepted step.  It is
     non-increasing up to the roundoff floor FLAT_TOL * (1 + |E|), by which a
-    Newton step predicting less than that floor may raise it; iterations
-    counts the accepted steps.  energy_evals counts every energy evaluation
-    of the run and backtracks every trial step that the line search
-    rejected, so energy_evals == 1 + iterations + backtracks unless a trial
+    step predicting less than that floor may raise it; iterations counts the
+    accepted steps.  energy_evals counts every energy evaluation of the run
+    and backtracks every trial step that the line search rejected, so
+    energy_evals == 1 + iterations + backtracks unless a trial
     energy came out NaN (diverged).
     """
 
@@ -94,25 +98,24 @@ def _wnorm(w: np.ndarray, values: np.ndarray) -> float:
 
 
 def _newton_direction(grid, values, mu, wg, cos2h):
-    """Damped Newton step for the full system: solve (H + tau W) d = -W g.
-    cos2h is cos(2 values[1:]), as the gradient at values computed it."""
-    w = grid.weights
+    """Shifted Newton step and its slope: solve ((H + tau P) / (1 + tau)) d
+    = -W g for the first tau of SHIFTS whose matrix is positive definite and
+    whose step descends, else the pencil step -P^-1 W g.  cos2h is
+    cos(2 values[1:]), as the gradient at values computed it."""
+    w = grid.weights[1:]
     curvature = cos2h / grid.r_squared - 2.0 * mu * np.cos(4.0 * values[1:])
-    h0 = grid.stiffness_bands[0][1:] + w[1:] * curvature
-    tau = 0.0
-    scale = float(np.max(np.abs(h0))) or 1.0
-    for _ in range(25):
+    k0 = grid.stiffness_bands[0][1:]
+    for tau in SHIFTS:
         try:
-            factor = banded_factor(grid, h0 + tau * w[1:])
+            factor = banded_factor(grid, k0 + w * ((curvature + tau / grid.r_squared) / (1.0 + tau)))
         except np.linalg.LinAlgError:
-            tau = max(tau * 100.0, 1e-12 * scale)
             continue
         step = banded_solve(factor, -wg)
         slope = 2.0 * np.pi * float(np.add.reduce(wg * step))
         if slope < 0.0:
             return step, slope
-        tau = max(tau * 100.0, 1e-12 * scale)
-    return None, 0.0
+    step = banded_solve(grid.pencil_factor, -wg)
+    return step, 2.0 * np.pi * float(np.add.reduce(wg * step))
 
 
 # Overflow is checked, not warned about: a non-finite start energy raises, a
@@ -134,8 +137,8 @@ def minimize(
 
     init defaults to init_eps * phi0, the scaled threshold eigenprofile.  The
     zero profile is an exact critical point with E = 0, so it always enters
-    the final candidate set: whenever the descent path ends at nonnegative
-    energy, the trivial profile is returned as the minimizer.
+    the final candidate set: whenever the run ends at nonnegative energy, the
+    trivial profile is returned as the minimizer.
     """
     mu = params.mu
     w = grid.weights
@@ -150,8 +153,6 @@ def minimize(
             raise ValueError("init profile lives on a different grid")
         v = init.values.copy()
 
-    precond = grid.pencil_factor
-
     e_cur, dv, sin2h = energy_parts(grid, v, mu)
     energy_evals = 1
     backtracks = 0
@@ -161,21 +162,13 @@ def minimize(
     gnorm = _wnorm(w, g)
 
     history = [e_cur]
-    best_e, best_v = e_cur, v
-    best_is_v = True  # best_v equals v, whose residual is gnorm
     fold_count = 0
     diverged = not math.isfinite(gnorm)  # e.g. mu = 1e300
-    alpha_prev = 1.0  # last accepted step of a preconditioned-descent direction
     direction = np.zeros_like(v)  # the search direction; r = 0 stays pinned
 
     for _ in range(0 if diverged else params.max_iter):
         wg = w[1:] * g[1:]
-        step, slope = (_newton_direction(grid, v, mu, wg, cos2h) if gnorm <= NEWTON_GATE
-                       else (None, 0.0))
-        newton = step is not None
-        if not newton:
-            step = banded_solve(precond, -wg)
-            slope = 2.0 * np.pi * float(np.add.reduce(wg * step))
+        step, slope = _newton_direction(grid, v, mu, wg, cos2h)
         if not math.isfinite(slope):
             diverged = True
             break
@@ -186,10 +179,10 @@ def minimize(
             break  # converged: the Newton decrement is at the roundoff floor
 
         direction[1:] = step
-        alpha = 1.0 if newton else min(1.0, alpha_prev / BACKTRACK)
-        # a full Newton step that predicts less than the floor may raise E by
-        # up to the floor: an Armijo test there compares noise with noise
-        flat = newton and -0.5 * slope <= floor
+        alpha = 1.0
+        # a full step that predicts less than the floor may raise E by up to
+        # the floor: an Armijo test there compares noise with noise
+        flat = -0.5 * slope <= floor
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             cand = v + alpha * direction
@@ -204,22 +197,21 @@ def minimize(
             if e_new <= e_cur + (floor if flat else ARMIJO_C1 * alpha * slope):
                 accepted = True
                 break
-            alpha *= BACKTRACK
+            # the minimizer of the quadratic through E, the slope and e_new,
+            # kept within [SHRINK_MIN, SHRINK_MAX] * alpha; an infinite e_new
+            # makes it 0, so the step shrinks by SHRINK_MIN
+            quadratic = -slope * alpha * alpha / (2.0 * (e_new - e_cur - slope * alpha))
+            alpha = min(max(quadratic, SHRINK_MIN * alpha), SHRINK_MAX * alpha)
             flat = False
             backtracks += 1
         if diverged or not accepted:
             break
-        if not newton:
-            alpha_prev = alpha
 
         if folded:
             fold_count += 1
         v = cand
         e_cur = e_new
         history.append(e_cur)
-        best_is_v = e_cur < best_e
-        if best_is_v:
-            best_e, best_v = e_cur, v
 
         g, cos2h = gradient_from_parts(grid, v, mu, dv, sin2h)
         gnorm = _wnorm(w, g)
@@ -230,9 +222,9 @@ def minimize(
     converged = not diverged and gnorm <= params.tol
     iterations = len(history) - 1
 
-    if not diverged and best_e >= 0.0:
+    if not diverged and e_cur >= 0.0:
         zero = np.zeros_like(v)
-        if best_e > 0.0:
+        if e_cur > 0.0:
             history.append(0.0)
         return SolveReport(
             minimizer=Profile(grid, zero),
@@ -250,14 +242,14 @@ def minimize(
         )
 
     return SolveReport(
-        minimizer=Profile(grid, best_v),
-        energy=best_e,
-        residual=gnorm if best_is_v else _wnorm(w, gradient_values(grid, best_v, mu)),
+        minimizer=Profile(grid, v),
+        energy=e_cur,
+        residual=gnorm,
         iterations=iterations,
         mu=mu,
         converged=converged,
         fold_applied=fold_count,
-        bc_residual=abs(rim_slope(grid, best_v)),
+        bc_residual=abs(rim_slope(grid, v)),
         energy_history=tuple(history),
         diverged=diverged,
         energy_evals=energy_evals,
