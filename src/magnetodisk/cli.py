@@ -212,6 +212,10 @@ _SLOT = np.arange(17, dtype=np.int8)[:, None]
 _RANK = (_SLOT + 1).view(np.uint8)
 _LEAD = np.frombuffer(b"0.000", np.uint8)[:, None]
 _LEAD_K = np.array([-1, -1, -2, -3, -4], np.int8)[:, None]  # each shown for k <= it
+_G17_PADDED = b"%%-%d.17g" % _G17_WIDTH  # a cell the kernel leaves out, space-padded
+_SPACE = np.uint8(ord(" "))
+_NONFINITE = np.array([b"inf", b"-inf", b"nan", b"null"], f"S{_G17_WIDTH}").view(
+    np.uint8).reshape(4, _G17_WIDTH)
 
 
 def _digits17(mant, e, q):
@@ -231,17 +235,30 @@ def _digits17(mant, e, q):
     return d, (lo << t) + (d & _U64_1) > _HALF
 
 
-def _g17(x: np.ndarray, null: bool = False) -> np.ndarray:
-    """The text of "%.17g" % v for each float v of x, as a uint8 matrix whose
-    column i holds cell i padded with NULs, which may sit anywhere in the
-    column: the writer drops them.  Cells with 1e-10 <= |v| < 1e15 are
-    computed exactly in integers, and so are zeros (laid out as 1 is, with
-    the digit 0); the rest (non-finite values, the extremes) are formatted
-    by % one by one, non-finite ones as null if null is set."""
+def _g17(x: np.ndarray, null: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The text of "%.17g" % v for each float v of x, padded with NULs, which
+    may sit anywhere in a cell: the writer drops them.  Cells with
+    1e-10 <= |v| < 1e15 are computed exactly in integers, and so are zeros
+    (laid out as 1 is, with the digit 0), into a uint8 matrix whose column i
+    holds cell i.  The rest, at the indices slow (non-finite values, the
+    extremes), are left out of that matrix: text holds them a row per cell,
+    non-finite ones looked up (as null if null is set) and finite ones
+    formatted by one % over all of them.  Returns (matrix, slow, text)."""
     n = len(x)
     a = np.abs(x)
     fast = (a >= _G17_MIN) & (a < _G17_MAX)
     zero = a == 0.0
+    slow = np.flatnonzero(~(fast | zero))
+    text = _NONFINITE[:0]
+    if slow.size:
+        v = x[slow]
+        text = _NONFINITE[np.full(v.size, 3) if null else np.where(np.isnan(v), 2, np.signbit(v))]
+        finite = np.flatnonzero(np.isfinite(v))
+        padded = np.frombuffer(_G17_PADDED * finite.size % tuple(v[finite].tolist()), np.uint8)
+        text[finite] = (padded * (padded != _SPACE)).reshape(-1, _G17_WIDTH)  # spaces to NULs
+        if slow.size == n:  # no cell for the kernel
+            return np.zeros((_G17_WIDTH, n), np.uint8), slow, text
+
     a[~fast] = 1.0
     m, e = np.frexp(a)
     mant = (m * 2.0**53).astype(np.uint64)
@@ -300,13 +317,7 @@ def _g17(x: np.ndarray, null: bool = False) -> np.ndarray:
     out[26] = shown * (tens + np.uint8(48))
     out[27] = shown * (exp_k - tens * np.uint8(10) + np.uint8(48))
 
-    slow = np.flatnonzero(~(fast | zero))
-    if slow.size:
-        cells = ["%.17g" % v if not null or math.isfinite(v) else "null"
-                 for v in x[slow].tolist()]
-        padded = np.array(cells, dtype=f"S{_G17_WIDTH}")
-        out[:, slow] = padded.view(np.uint8).reshape(-1, _G17_WIDTH).T
-    return out
+    return out, slow, text
 
 
 class _Writer:
@@ -372,8 +383,8 @@ class _Writer:
                 size = stop - start
                 cells = {j: text[start:stop] for j, text in texts.items()}
                 if floats:
-                    block = _g17(np.concatenate([columns[j][start:stop] for j in floats]),
-                                 null=as_json)
+                    block, slow, slow_text = _g17(
+                        np.concatenate([columns[j][start:stop] for j in floats]), null=as_json)
                     for i, j in enumerate(floats):
                         cells[j] = block[:, i * size:(i + 1) * size].T
                 pieces = [seps[0]]
@@ -384,6 +395,12 @@ class _Writer:
                 for piece in pieces:  # a separator is the same in every row
                     rows[:, at:at + piece.shape[-1]] = piece
                     at += piece.shape[-1]
+                if floats and slow.size:  # sorted: column i's are slow[bounds[i]:bounds[i + 1]]
+                    bounds = np.searchsorted(slow, size * np.arange(len(floats) + 1))
+                    for i, j in enumerate(floats):
+                        at = sum(p.shape[-1] for p in pieces[:2 * j + 1])
+                        mine = slice(bounds[i], bounds[i + 1])
+                        rows[slow[mine] - i * size, at:at + _G17_WIDTH] = slow_text[mine]
                 text = rows.tobytes().translate(None, b"\0")
                 fh.write(text[:-2] if as_json and stop == n_rows else text)
             fh.write(closing.encode())

@@ -14,15 +14,44 @@ results do not depend on the BLAS thread count.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 __all__ = ["RadialGrid", "build_grid", "integrate", "rim_slope", "assemble_pencil", "banded_solve"]
 
-_PTTRF, _PTTRS = get_lapack_funcs(("pttrf", "pttrs"), dtype=np.float64)
+
+def _flapack():
+    """scipy's f2py LAPACK extension scipy.linalg._flapack, loaded from its
+    file under its own name.  Neither scipy/__init__ nor scipy/linalg/__init__
+    runs: together they take longer to import than a whole eigen run.  The
+    routines are the objects scipy.linalg.get_lapack_funcs returns."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:  # scipy.linalg is imported already
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    dirs = [os.path.join(d, "linalg") for d in (spec.submodule_search_locations if spec else ())]
+    for path in [os.path.join(d, "_flapack" + suffix) for d in dirs
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES]:
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(name, path, loader=loader))
+            loader.exec_module(module)
+            # register no scipy submodule without its packages: a later import
+            # of scipy.linalg loads it again and gets the same routine objects
+            sys.modules.pop(name, None)
+            return module
+    raise ImportError(f"scipy's LAPACK extension _flapack is not in {dirs or 'any scipy'}")
+
+
+_FLAPACK = _flapack()
+_PTTRF, _PTTRS = _FLAPACK.dpttrf, _FLAPACK.dpttrs
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -68,9 +68,19 @@ def test_eigen_outputs_do_not_depend_on_blas_threads(tmp_path):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
-def test_cli_import_leaves_scipy_interpolate_unloaded():
-    probe = "import sys, magnetodisk.cli; print('scipy.interpolate' in sys.modules)"
-    assert fresh_python("-c", probe).stdout.strip() == "False"
+def test_cli_import_leaves_scipy_interpolate_unloaded(tmp_path):
+    # grid binds pttrf/pttrs from scipy's LAPACK extension without importing
+    # scipy.linalg, and only fields imports scipy.interpolate
+    probe = f"""
+import sys
+from magnetodisk import cli
+for args in (["eigen", "--n", "64"], ["minimize", "--mu", "2", "--n", "64"],
+             ["sweep", "--mu-range", "1.5:2.2:3", "--n", "64"]):
+    assert cli.main(args + ["--out", {str(tmp_path)!r} + "/" + args[0]]) == 0, args
+print(sorted(m for m in ("scipy.linalg", "scipy.interpolate") if m in sys.modules))
+"""
+    assert fresh_python("-c", probe).stdout.splitlines()[-1] == "[]"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["eigen", "minimize", "sweep"]
 
 
 # the test-side certificates and helpers that left the package

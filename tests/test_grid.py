@@ -7,6 +7,7 @@ from magnetodisk import ModelParams, build_grid, integrate, minimize
 from magnetodisk.grid import assemble_pencil, banded_factor, banded_solve, rim_slope
 from magnetodisk.operators import gradient_values
 
+from conftest import fresh_python
 from oracles import adaptive_simpson, derivative, l2_norm
 from reference_kernels import stiffness_apply
 
@@ -95,6 +96,55 @@ def test_banded_factor_rejects_indefinite_matrices():
     bad[10] = -1.0
     with pytest.raises(np.linalg.LinAlgError):
         banded_factor(g, bad)
+
+
+# grid loads scipy's LAPACK extension from its file; scipy.linalg may be
+# imported before it or after it
+IMPORT_ORDERS = {
+    "package first": "import magnetodisk.grid as g\n"
+                     "assert 'scipy.linalg' not in sys.modules\n"
+                     "from scipy.linalg import lapack\n",
+    "scipy.linalg first": "from scipy.linalg import lapack\n"
+                          "import magnetodisk.grid as g\n",
+}
+
+
+@pytest.mark.parametrize("order", IMPORT_ORDERS)
+def test_banded_factor_and_solve_match_scipy_lapack_bitwise(order):
+    probe = "import sys\nimport numpy as np\n" + IMPORT_ORDERS[order] + """
+grid = g.build_grid(4096)
+(main, off), m = g.assemble_pencil(grid)
+b = np.sin(np.arange(1.0, main.size + 1.0))
+for diagonal in (main, main - 3.0 * m):  # the pencil and a shift below gamma0
+    d, e = g.banded_factor(grid, diagonal)
+    d_ref, e_ref, info = lapack.dpttrf(diagonal, off)
+    assert info == 0
+    assert d.tobytes() == d_ref.tobytes() and e.tobytes() == e_ref.tobytes()
+    x_ref, info = lapack.dpttrs(d_ref, e_ref, b)
+    assert info == 0
+    assert g.banded_solve((d, e), b).tobytes() == x_ref.tobytes()
+try:
+    g.banded_factor(grid, main - 10.0 * m)
+except np.linalg.LinAlgError:
+    print("indefinite refused")
+"""
+    assert fresh_python("-c", probe).stdout.splitlines()[-1] == "indefinite refused"
+
+
+def test_missing_lapack_extension_is_an_import_error(tmp_path):
+    # a scipy without linalg/_flapack: the error names the directory searched
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    probe = f"""
+import sys
+sys.path.insert(0, {str(tmp_path)!r})
+try:
+    import magnetodisk.grid
+except ImportError as exc:
+    print(exc)
+"""
+    message = fresh_python("-c", probe).stdout
+    assert "_flapack" in message and str(tmp_path / "scipy" / "linalg") in message
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

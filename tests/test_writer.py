@@ -116,6 +116,15 @@ def test_nonfinite_values_and_negative_zero(tmp_path, fmt):
 
 
 @FORMATS
+@pytest.mark.parametrize("n_rows", [1, _BLOCK_ROWS + 1])
+def test_tables_with_no_cell_in_the_kernel_range(tmp_path, fmt, n_rows):
+    # every block holds only cells left to %, so the kernel does not run
+    values = np.resize([np.nan, np.inf, -np.inf, 1e-300, -2.5e300, 5e-324], n_rows)
+    assert_same_bytes(tmp_path, fmt, ["a", "branch", "b"],
+                      [values, ["plus"] * n_rows, values[::-1].copy()])
+
+
+@FORMATS
 @pytest.mark.parametrize("n_rows", [0, 1])
 def test_empty_and_one_row(tmp_path, fmt, n_rows):
     assert_same_bytes(tmp_path, fmt, ["x", "branch"], [np.full(n_rows, 0.1), ["plus"] * n_rows])
@@ -177,7 +186,8 @@ def assert_g17(values, null=False):
             for v in values.tolist()]
     got = []
     for start in range(0, len(values), 1 << 16):  # bounds the kernel's temporaries
-        cells = _g17(values[start:start + (1 << 16)], null)
+        cells, slow, text = _g17(values[start:start + (1 << 16)], null)
+        cells[:, slow] = text.T
         newline = np.full((1, cells.shape[1]), ord("\n"), np.uint8)
         got += np.vstack([cells, newline]).T.tobytes().translate(None, b"\0").decode().split()
     wrong = [(v, w, g) for v, w, g in zip(values.tolist(), want, got) if w != g]
