@@ -1,9 +1,17 @@
 """Branch structure of minimizers across the instability threshold.
 
-Below mu = gamma0/2 only the trivial profile minimizes.  Just above, two
-nontrivial branches open with leading amplitude beta = +-sqrt(delta/cbar),
-delta = 2 mu - gamma0, where cbar is the projected cubic coefficient of the
-Euler operator at the threshold eigenprofile.
+Below mu = gamma0/2 only the trivial profile minimizes, and on the grid this
+is exact, not a search result.  With u = sin h, sin is 1-Lipschitz on every
+P1 cell, so the exchange term of u is at most that of h, and
+(mu/2) sin^2 2h <= 2 mu sin^2 h pointwise; the Rayleigh quotient of the
+threshold pencil then gives
+
+    E_h(h) >= pi (gamma0 - 2 mu) sum_i w_i sin^2 h_i,
+
+with gamma0 the discrete eigenvalue of the pencil the energy uses.  Just
+above, two nontrivial branches open with leading amplitude
+beta = +-sqrt(delta/cbar), delta = 2 mu - gamma0, where cbar is the projected
+cubic coefficient of the Euler operator at the threshold eigenprofile.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import numpy as np
 from .eigen import EigenPair, smallest_eigenpair
 from .grid import RadialGrid, integrate
 from .operators import ModelParams, Profile
-from .solver import SolveReport, minimize
+from .solver import minimize
 
 __all__ = [
     "BranchPoint",
@@ -27,7 +35,6 @@ __all__ = [
 ]
 
 _BRANCH_ORDER = {"trivial": 0, "plus": 1, "minus": 2}
-DELTA0 = 0.5  # no nontrivial point may appear at mu <= gamma0/2 - DELTA0
 
 
 @dataclass(frozen=True)
@@ -38,7 +45,6 @@ class BranchPoint:
     branch: str
     beta: float
     energy: float
-    profile_id: str
 
     def __post_init__(self):
         if self.branch not in _BRANCH_ORDER:
@@ -47,7 +53,7 @@ class BranchPoint:
 
 @dataclass(frozen=True)
 class BifurcationDiagram:
-    """Traced branch points, sorted by mu then branch, with stored profiles.
+    """Traced branch points, sorted by mu then branch.
 
     truncated_at records the first mu where continuation failed, if any.
     """
@@ -55,7 +61,6 @@ class BifurcationDiagram:
     gamma0: float
     cbar: float
     points: tuple[BranchPoint, ...]
-    profiles: dict[str, Profile]
     mu_step: float
     truncated_at: float | None = None
 
@@ -85,13 +90,16 @@ def trace_branches(
 ) -> BifurcationDiagram:
     """Natural-parameter continuation over [mu_lo, mu_hi] with `steps` points.
 
-    Every step records the trivial branch.  Each step is solved by minimize
-    seeded with the previous nontrivial profile (or the scaled eigenprofile
-    when entering the supercritical range); the minus branch is the negation
-    of the plus branch, with the same energy, since E is even bit for bit.
-    If a step fails to converge the diagram is truncated there and the
-    failure mu recorded.  A nontrivial minimizer at mu <= gamma0/2 - DELTA0
-    raises RuntimeError.
+    Every step records the trivial branch.  At mu <= gamma0/2 that is all:
+    the module's bound makes E_h > 0 there for every h != 0, so no minimize
+    runs.  (gamma0, a Rayleigh quotient, may exceed the exact eigenvalue by
+    roundoff; there a nontrivial energy is O(delta^2), inside the energy
+    filter below.)  Above it, each step is solved by minimize seeded with the
+    previous nontrivial profile (or the scaled eigenprofile when entering the
+    supercritical range); the minus branch is the negation of the plus
+    branch, with the same energy, since E is even bit for bit.  If a step
+    fails to converge the diagram is truncated there and the failure mu
+    recorded.
     """
     if not (np.isfinite(mu_lo) and np.isfinite(mu_hi) and mu_lo < mu_hi):
         raise ValueError(f"need mu_lo < mu_hi, got [{mu_lo}, {mu_hi}]")
@@ -104,15 +112,15 @@ def trace_branches(
     cb = cbar(eigenpair.phi0, replace(params, mu=threshold))
 
     mus = np.linspace(mu_lo, mu_hi, steps)
-    zero = Profile(grid, np.zeros_like(grid.nodes))
     points: list[BranchPoint] = []
-    profiles: dict[str, Profile] = {"trivial": zero}
     prev: Profile | None = None
     truncated_at: float | None = None
 
-    for i, mu in enumerate(map(float, mus)):
-        points.append(BranchPoint(mu, "trivial", 0.0, 0.0, "trivial"))
-        report: SolveReport = minimize(
+    for mu in map(float, mus):
+        points.append(BranchPoint(mu, "trivial", 0.0, 0.0))
+        if mu <= threshold:
+            continue  # certified trivial
+        report = minimize(
             grid, replace(params, mu=mu), init=prev, eigenpair=eigenpair, init_eps=init_eps
         )
         if not report.converged:
@@ -122,21 +130,12 @@ def trace_branches(
             prev = None
             continue
         h = report.minimizer
-        if mu <= threshold - DELTA0:
-            raise RuntimeError(
-                f"nontrivial minimizer at mu={mu}, below threshold {threshold} "
-                f"by more than the margin {DELTA0}"
-            )
         beta = integrate(grid, h.values * eigenpair.phi0.values)
         if beta < 0.0:
             h = Profile(grid, -h.values)
             beta = -beta
-        neg = Profile(grid, -h.values)
-        pid = f"{i:04d}"
-        profiles[f"{pid}:plus"] = h
-        profiles[f"{pid}:minus"] = neg
-        points.append(BranchPoint(mu, "plus", beta, report.energy, f"{pid}:plus"))
-        points.append(BranchPoint(mu, "minus", -beta, report.energy, f"{pid}:minus"))
+        points.append(BranchPoint(mu, "plus", beta, report.energy))
+        points.append(BranchPoint(mu, "minus", -beta, report.energy))
         prev = h
 
     points.sort(key=lambda q: (q.mu, _BRANCH_ORDER[q.branch]))
@@ -144,7 +143,6 @@ def trace_branches(
         gamma0=eigenpair.gamma0,
         cbar=cb,
         points=tuple(points),
-        profiles=profiles,
         mu_step=float(mus[1] - mus[0]),
         truncated_at=truncated_at,
     )

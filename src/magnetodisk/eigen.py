@@ -78,13 +78,8 @@ class EigenPair:
             raise ValueError("eigenprofile must be nonnegative")
 
 
-def _inverse_iteration(
-    grid: RadialGrid,
-    v: np.ndarray,
-    deflate: np.ndarray | None,
-    max_iter: int,
-    rq_tol: float,
-) -> tuple[float, np.ndarray, float, int]:
+def _inverse_iteration(grid: RadialGrid, v: np.ndarray,
+                       deflate: np.ndarray | None) -> tuple[float, np.ndarray, float, int]:
     factor = grid.pencil_factor
     ab, m = assemble_pencil(grid)
 
@@ -103,7 +98,7 @@ def _inverse_iteration(
     delta_prev = np.inf
     stall = 0
     gamma = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         mv = m * v
         u = project(banded_solve(factor, mv))
         mv *= u  # (M v) . u in mv's buffer: one n-vector less at the peak
@@ -114,7 +109,7 @@ def _inverse_iteration(
         # Settled outright, or stuck oscillating at the roundoff floor: a tiny
         # update that no longer contracts cannot be genuine convergence motion.
         plateau = delta <= 1e-10 * scale and delta >= 0.5 * delta_prev
-        if delta <= rq_tol * scale or plateau:
+        if delta <= RQ_TOL * scale or plateau:
             stall += 1
             if stall >= 2:
                 v = u
@@ -126,7 +121,7 @@ def _inverse_iteration(
         v = u
     else:
         raise RuntimeError(
-            f"inverse iteration did not settle in {max_iter} iterations; "
+            f"inverse iteration did not settle in {MAX_ITER} iterations; "
             f"last Rayleigh quotient {gamma}"
         )
     res = banded_matvec(ab, v) - gamma * m * v
@@ -155,7 +150,7 @@ def smallest_eigenpair(grid: RadialGrid) -> EigenPair:
     the iteration does not settle.
     """
     gamma, v, residual, it = _inverse_iteration(
-        grid, _bessel_j1(_J1PRIME_ROOT * grid.nodes[1:]), None, MAX_ITER, RQ_TOL)
+        grid, _bessel_j1(_J1PRIME_ROOT * grid.nodes[1:]), None)
     return EigenPair(gamma0=gamma, phi0=_signed_mode(grid, v), residual=residual, iterations=it)
 
 
@@ -166,5 +161,5 @@ def second_eigenpair(grid: RadialGrid, first: EigenPair) -> tuple[float, Profile
     plain (value, profile) pair.
     """
     gamma, v, _, _ = _inverse_iteration(
-        grid, np.sin(0.5 * np.pi * grid.nodes[1:]), first.phi0.values[1:], MAX_ITER, RQ_TOL)
+        grid, np.sin(0.5 * np.pi * grid.nodes[1:]), first.phi0.values[1:])
     return gamma, _signed_mode(grid, v)

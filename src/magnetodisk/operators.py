@@ -22,8 +22,8 @@ the minimizer computes diff(h), sin 2h and cos 2h once per iterate.
 energy_of_values and gradient_values are the same kernels called from raw
 values.  Both do the same floating-point operations in the same order as the
 one-expression formulas that tests/reference_kernels.py keeps as their
-bitwise reference.  fold_values maps iterates into [0, pi/2], where the
-energy of the limit does not change.
+bitwise reference.  fold_values maps iterates into [0, pi/2] and never
+raises the energy.
 """
 
 from __future__ import annotations
@@ -167,9 +167,10 @@ def fold_values(values: np.ndarray) -> tuple[np.ndarray, bool]:
     sweeps, and above 2**55, where a - pi rounds to a, no number of sweeps
     ends.  Values above FOLD_REDUCE_ABOVE are therefore first reduced modulo
     pi (np.fmod, exact for the double pi); values up to it take the sweeps.
-    The map leaves the energy invariant: exactly whenever it acts as a single
-    global reflection, and up to mesh-resolution error across the kinks it
-    introduces otherwise."""
+    The map never raises the energy: it is 1-Lipschitz (the distance to the
+    nearest multiple of pi), so no cell difference grows, and it leaves
+    sin^2 h and sin^2 2h unchanged.  A single global reflection keeps the
+    energy; a kink it introduces lowers the exchange term."""
     values = np.asarray(values, dtype=float)
     a = np.abs(values)
     changed = bool(np.minimum.reduce(values) < 0.0)

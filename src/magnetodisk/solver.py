@@ -14,10 +14,10 @@ one.
 
 Every line search starts at alpha = 1 and backtracks by safeguarded
 quadratic interpolation (Nocedal & Wright 3.5).  Every accepted iterate is
-folded back into [0, pi/2], which never changes the energy of the limit.  A
-run stops converged once the gradient passes tol and the decrease the next
-step predicts (minus half its slope, half the squared Newton decrement; Boyd
-& Vandenberghe, Convex Optimization, 9.5.1) is at the roundoff floor of the
+folded back into [0, pi/2], which never raises the energy.  A run stops
+converged once the gradient passes tol and the decrease the next step
+predicts (minus half its slope, half the squared Newton decrement; Boyd &
+Vandenberghe, Convex Optimization, 9.5.1) is at the roundoff floor of the
 energy; a step predicting less than that floor is taken whole unless the
 energy rises past it.  The last accepted iterate is returned, and the norm of
 its gradient is the residual.
@@ -129,7 +129,6 @@ def minimize(
     params: ModelParams,
     init: Profile | None = None,
     *,
-    fold_iterates: bool = True,
     eigenpair: EigenPair | None = None,
     init_eps: float = 0.1,
 ) -> SolveReport:
@@ -185,10 +184,7 @@ def minimize(
         flat = -0.5 * slope <= floor
         accepted = False
         for _ in range(MAX_BACKTRACKS):
-            cand = v + alpha * direction
-            folded = False
-            if fold_iterates:
-                cand, folded = fold_values(cand)
+            cand, folded = fold_values(v + alpha * direction)
             e_new, dv, sin2h = energy_parts(grid, cand, mu)
             energy_evals += 1
             if math.isnan(e_new):

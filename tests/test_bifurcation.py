@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import magnetodisk.bifurcation as bifurcation
 from magnetodisk import (
     BranchPoint,
     ModelParams,
@@ -9,11 +10,13 @@ from magnetodisk import (
     cbar,
     detected_threshold,
     amplitude_fit_slope,
+    minimize,
     smallest_eigenpair,
     trace_branches,
 )
+from magnetodisk.operators import energy_of_values
 
-from oracles import CBAR_CONTINUUM
+from oracles import CBAR_CONTINUUM, random_profile
 
 
 def predicted_amplitude(mu: float, gamma0: float, cbar_value: float) -> list[tuple[float, bool]]:
@@ -119,9 +122,6 @@ def test_traced_branches_come_in_symmetric_pairs(straddling_diagram):
         assert q.beta > 0.0
         assert minus[mu].beta == -q.beta
         assert minus[mu].energy == q.energy
-        h = straddling_diagram.profiles[q.profile_id]
-        neg = straddling_diagram.profiles[minus[mu].profile_id]
-        assert np.array_equal(neg.values, -h.values)
 
 
 def test_traced_energies_split_cleanly(straddling_diagram, pair256):
@@ -187,4 +187,63 @@ def test_truncated_continuation_is_reported(grid256, pair256):
 
 def test_branch_point_rejects_unknown_branch():
     with pytest.raises(ValueError):
-        BranchPoint(mu=1.0, branch="sideways", beta=0.0, energy=0.0, profile_id="x")
+        BranchPoint(mu=1.0, branch="sideways", beta=0.0, energy=0.0)
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+@pytest.mark.parametrize("grading", [1.0, 2.0, 3.0])
+def test_energy_obeys_the_threshold_inequality(n, grading):
+    # E_h(h) >= pi (gamma0_h - 2 mu) sum w sin^2 h: sin is 1-Lipschitz on each
+    # cell, so the exchange term of sin h is at most that of h, and
+    # (mu/2) sin^2 2h <= 2 mu sin^2 h.  Every third profile is a multiple of
+    # phi0, the direction where the bound is tightest.  gamma0 is a Rayleigh
+    # quotient good to roundoff, hence the 1e-12 relative allowance
+    grid = build_grid(n, grading)
+    pair = smallest_eigenpair(grid)
+    rng = np.random.default_rng(n + int(grading))
+    for k in range(60):
+        mu = rng.uniform(0.0, 50.0)
+        amplitude = 10.0 ** rng.uniform(-3.0, 2.0)
+        if k % 3 == 2:
+            values = amplitude * pair.phi0.values
+        else:
+            values = random_profile(grid, rng, amplitude).values
+        energy = energy_of_values(grid, values, mu)
+        s = np.sin(values)
+        mass = float(np.sum(grid.weights * s * s))
+        bound = np.pi * (pair.gamma0 - 2.0 * mu) * mass
+        # smallest relative slack measured: 1.2e-3 random, 2.4e-6 along phi0
+        assert energy - bound >= -1e-12 * (abs(energy) + np.pi * pair.gamma0 * mass)
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-6, 1e-9])
+def test_eigenprofile_lowers_the_energy_just_above_the_threshold(grid256, pair256, delta):
+    # E_h(eps phi0) = pi eps^2 (gamma0 - 2 mu) + O(eps^4), so with eps^2 far
+    # below delta it is negative at mu = gamma0/2 + delta; at gamma0/2 - delta
+    # the inequality above keeps it positive.  Together the two pin the
+    # discrete threshold at exactly gamma0_h/2
+    thr = pair256.gamma0 / 2.0
+    values = 1e-2 * np.sqrt(delta) * pair256.phi0.values
+    assert energy_of_values(grid256, values, thr + delta) < 0.0
+    assert energy_of_values(grid256, values, thr - delta) > 0.0
+
+
+def test_trace_solves_nothing_at_or_below_the_threshold(grid256, pair256, monkeypatch):
+    solved = []
+
+    def counting_minimize(grid, params, *args, **kwargs):
+        solved.append(params.mu)
+        return minimize(grid, params, *args, **kwargs)
+
+    monkeypatch.setattr(bifurcation, "minimize", counting_minimize)
+    thr = pair256.gamma0 / 2.0
+    below = trace_branches(grid256, ModelParams(mu=thr), thr - 0.3, thr, 4, eigenpair=pair256)
+    assert solved == []
+    assert [q.branch for q in below.points] == ["trivial"] * 4
+    assert below.points[-1].mu == thr
+
+    across = trace_branches(grid256, ModelParams(mu=thr), thr - 0.4, thr + 0.2, 6,
+                            eigenpair=pair256)
+    mus = sorted({q.mu for q in across.points})
+    assert solved == [mu for mu in mus if mu > thr]
+    assert len(solved) == 2

@@ -152,6 +152,26 @@ def test_sweep_below_threshold(tmp_path):
     assert summary["truncated_at"] is None
 
 
+@pytest.mark.filterwarnings("error")  # no RuntimeWarning lines on stderr either
+def test_sweep_below_threshold_needs_no_start(tmp_path, capsys):
+    # below gamma0/2 the trivial point is certified, not solved, so a start
+    # whose energy overflows is never built; a range that crosses the
+    # threshold still starts from it there, and fails on it
+    below = tmp_path / "below"
+    assert run("sweep", "--mu-range", "0.1:0.5:3", "--n", 64, "--init-eps", 1e200,
+               "--out", below) == 0
+    _, rows = read_csv(below / "diagram.csv")
+    assert [row[1] for row in rows] == ["trivial"] * 3
+    assert json.loads((below / "summary.json").read_text())["truncated_at"] is None
+    assert capsys.readouterr().err == ""
+
+    across = tmp_path / "across"
+    assert run("sweep", "--mu-range", "1.5:2.0:6", "--n", 64, "--init-eps", 1e200,
+               "--out", across) == 1
+    assert capsys.readouterr().err == "numerical failure: initial profile has non-finite energy\n"
+    assert not across.exists()
+
+
 def test_sweep_across_threshold(tmp_path):
     assert run("sweep", "--mu-range", "1.5:2.0:6", "--n", 64, "--out", tmp_path) == 0
     _, rows = read_csv(tmp_path / "diagram.csv")

@@ -232,6 +232,26 @@ def test_fold_drift_on_crossing_profiles_shrinks_with_resolution():
         assert abs(after - before) <= 150.0 * (2.0 / n)  # measured constant 74, 5.6, 11
 
 
+@pytest.mark.parametrize("n", [64, 256, 1024])
+@pytest.mark.parametrize("grading", [1.0, 2.0, 3.0])
+def test_fold_never_raises_the_energy(n, grading):
+    # the fold is the distance to the nearest multiple of pi: 1-Lipschitz, so
+    # no cell difference grows, and sin^2 h and sin^2 2h stay as they were.
+    # Half the profiles are smooth, half nodal noise with a kink in most cells
+    g = build_grid(n, grading)
+    rng = np.random.default_rng(7 * n + int(grading))
+    for k in range(40):
+        mu = rng.uniform(0.0, 50.0)
+        amplitude = 10.0 ** rng.uniform(-3.0, 2.0)
+        if k % 2:
+            vals = random_profile(g, rng, amplitude).values
+        else:
+            vals = rng.uniform(-amplitude, amplitude, n + 1)
+            vals[0] = 0.0
+        folded = fold_values(vals)[0]
+        assert energy_of_values(g, folded, mu) <= energy_of_values(g, vals, mu)
+
+
 def _recombined(h, p):
     lap, cubic, defect = nonlinear_split(h, p)
     return lap.values + cubic.values + defect.values - 2.0 * p.mu * h.values

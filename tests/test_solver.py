@@ -54,14 +54,13 @@ def test_energy_history_is_monotone(grid256, pair256):
         assert hist[-1] == rep.energy or rep.trivial
 
 
-def test_descent_is_sign_equivariant_without_folding(grid256, pair256):
-    # with folding disabled every operation in the loop is odd, so negating
-    # the start negates the whole trajectory bitwise
+def test_descent_is_sign_equivariant_without_folding(grid256, pair256, monkeypatch):
+    # with the fold replaced by the identity every operation in the loop is
+    # odd, so negating the start negates the whole trajectory bitwise
+    monkeypatch.setattr(solver, "fold_values", lambda values: (values, False))
     p = ModelParams(mu=2.0)
-    plus = minimize(grid256, p, init=Profile(grid256, 0.1 * pair256.phi0.values),
-                    fold_iterates=False)
-    minus = minimize(grid256, p, init=Profile(grid256, -0.1 * pair256.phi0.values),
-                     fold_iterates=False)
+    plus = minimize(grid256, p, init=Profile(grid256, 0.1 * pair256.phi0.values))
+    minus = minimize(grid256, p, init=Profile(grid256, -0.1 * pair256.phi0.values))
     assert plus.converged and minus.converged
     assert abs(plus.energy - minus.energy) <= 1e-12  # measured 0.0
     assert l2_norm(grid256, plus.minimizer.values + minus.minimizer.values) <= 1e-8
