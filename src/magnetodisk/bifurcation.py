@@ -16,6 +16,7 @@ cubic coefficient of the Euler operator at the threshold eigenprofile.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -94,12 +95,16 @@ def trace_branches(
     the module's bound makes E_h > 0 there for every h != 0, so no minimize
     runs.  (gamma0, a Rayleigh quotient, may exceed the exact eigenvalue by
     roundoff; there a nontrivial energy is O(delta^2), inside the energy
-    filter below.)  Above it, each step is solved by minimize seeded with the
-    previous nontrivial profile (or the scaled eigenprofile when entering the
-    supercritical range); the minus branch is the negation of the plus
-    branch, with the same energy, since E is even bit for bit.  If a step
-    fails to converge the diagram is truncated there and the failure mu
-    recorded.
+    filter below.)  Above it, each step is one minimize call.  The step
+    entering the supercritical range starts from init_eps * phi0, the
+    minimize default.  Every later step starts from a predictor in
+    s = sqrt(2 mu - gamma0), the variable in which the pitchfork branch is a
+    smooth curve through (s, h) = (0, 0): the Lagrange extrapolant through
+    the last three known points of the plus branch, with the bifurcation
+    point as the first of them (see _predict).  The minus branch is the
+    negation of the plus branch, with the same energy, since E is even bit
+    for bit.  If a step fails to converge the diagram is truncated there and
+    the failure mu recorded.
     """
     if not (np.isfinite(mu_lo) and np.isfinite(mu_hi) and mu_lo < mu_hi):
         raise ValueError(f"need mu_lo < mu_hi, got [{mu_lo}, {mu_hi}]")
@@ -113,30 +118,38 @@ def trace_branches(
 
     mus = np.linspace(mu_lo, mu_hi, steps)
     points: list[BranchPoint] = []
-    prev: Profile | None = None
+    # the last three known (s, plus-branch values) of the current branch,
+    # from the bifurcation point (0, 0) on
+    known: list[tuple[float, np.ndarray]] = []
     truncated_at: float | None = None
 
     for mu in map(float, mus):
         points.append(BranchPoint(mu, "trivial", 0.0, 0.0))
         if mu <= threshold:
             continue  # certified trivial
+        # 2 mu > gamma0 exactly, since doubling is exact: s > 0
+        s = math.sqrt(2.0 * mu - eigenpair.gamma0)
+        init = _predict(grid, known, s) if known else None
         report = minimize(
-            grid, replace(params, mu=mu), init=prev, eigenpair=eigenpair, init_eps=init_eps
+            grid, replace(params, mu=mu), init=init, eigenpair=eigenpair, init_eps=init_eps
         )
         if not report.converged:
             truncated_at = mu
             break
         if report.trivial or report.energy >= -1e-11:
-            prev = None
+            known = []
             continue
-        h = report.minimizer
-        beta = integrate(grid, h.values * eigenpair.phi0.values)
+        h = report.minimizer.values
+        beta = integrate(grid, h * eigenpair.phi0.values)
         if beta < 0.0:
-            h = Profile(grid, -h.values)
+            h = -h
             beta = -beta
         points.append(BranchPoint(mu, "plus", beta, report.energy))
         points.append(BranchPoint(mu, "minus", -beta, report.energy))
-        prev = h
+        if not known:
+            known.append((0.0, np.zeros_like(h)))
+        known.append((s, h))
+        del known[:-3]
 
     points.sort(key=lambda q: (q.mu, _BRANCH_ORDER[q.branch]))
     return BifurcationDiagram(
@@ -146,6 +159,24 @@ def trace_branches(
         mu_step=float(mus[1] - mus[0]),
         truncated_at=truncated_at,
     )
+
+
+def _predict(grid: RadialGrid, known: list[tuple[float, np.ndarray]], s: float) -> Profile:
+    """Lagrange extrapolant at s through the known points, at most three.
+
+    With one solution h_1 besides the bifurcation point this is
+    (s / s_1) h_1, the amplitude law beta ~ s; from two on it is quadratic
+    in s.  The s_k increase strictly, so no denominator vanishes.
+    """
+    values = np.zeros_like(known[0][1])
+    for j, (sj, hj) in enumerate(known):
+        weight = 1.0
+        for m, (sm, _) in enumerate(known):
+            if m != j:
+                weight *= (s - sm) / (sj - sm)
+        values += weight * hj
+    values[0] = 0.0  # h(0) = 0, and never -0.0
+    return Profile(grid, values)
 
 
 def detected_threshold(diagram: BifurcationDiagram) -> float | None:

@@ -545,7 +545,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-iter", dest="max_iter", type=int,
                         help="solver iteration cap")
         sp.add_argument("--init-eps", dest="init_eps", type=float,
-                        help="seed amplitude for the default start")
+                        help="scale of the default start init_eps * phi0; "
+                             "sweep uses it for its first step above "
+                             "gamma0/2 only (default 0.1)")
         sp.add_argument("--samples", type=int,
                         help="lattice points per axis for fields output")
     return parser

@@ -6,18 +6,31 @@ bisection, and adaptive Simpson quadrature, so oracle agreement is an
 independent check rather than the code testing itself.  The second part
 reads the package's grids, profiles and kernels: the second-order nodal
 derivative, the strong-form residuals, the cubic split of the Euler operator,
-the reduction identity of the magnetization, random starts and the multistart
-uniqueness check.  The command line runs none of them.
+the reduction identity of the magnetization, random starts, the multistart
+uniqueness check and a zeroth-order continuation.  The command line runs none
+of them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
 
-from magnetodisk import ModelParams, Profile, RadialGrid, integrate, minimize
+from magnetodisk import (
+    BifurcationDiagram,
+    BranchPoint,
+    EigenPair,
+    ModelParams,
+    Profile,
+    RadialGrid,
+    cbar,
+    integrate,
+    minimize,
+    smallest_eigenpair,
+)
 from magnetodisk.fields import _interpolant, magnetization_grid
 from magnetodisk.operators import gradient_values
 from reference_kernels import stiffness_apply
@@ -363,3 +376,58 @@ def verify_trivial_uniqueness(
         "worst_energy": min(rep.energy for rep in reports),
         "reports": reports,
     }
+
+
+def zeroth_order_trace(
+    grid: RadialGrid,
+    params: ModelParams,
+    mu_lo: float,
+    mu_hi: float,
+    steps: int,
+    *,
+    init_eps: float = 0.1,
+    eigenpair: EigenPair | None = None,
+) -> BifurcationDiagram:
+    """trace_branches with the zeroth-order predictor: every supercritical
+    step starts from the previous nontrivial profile, the entry step from
+    init_eps * phi0.  The corrector and every check are those of
+    trace_branches, so the two sweeps must find the same points."""
+    if eigenpair is None:
+        eigenpair = smallest_eigenpair(grid)
+    threshold = eigenpair.gamma0 / 2.0
+    mus = np.linspace(mu_lo, mu_hi, steps)
+    points: list[BranchPoint] = []
+    prev: Profile | None = None
+    truncated_at: float | None = None
+
+    for mu in map(float, mus):
+        points.append(BranchPoint(mu, "trivial", 0.0, 0.0))
+        if mu <= threshold:
+            continue
+        report = minimize(
+            grid, replace(params, mu=mu), init=prev, eigenpair=eigenpair, init_eps=init_eps
+        )
+        if not report.converged:
+            truncated_at = mu
+            break
+        if report.trivial or report.energy >= -1e-11:
+            prev = None
+            continue
+        h = report.minimizer
+        beta = integrate(grid, h.values * eigenpair.phi0.values)
+        if beta < 0.0:
+            h = Profile(grid, -h.values)
+            beta = -beta
+        points.append(BranchPoint(mu, "plus", beta, report.energy))
+        points.append(BranchPoint(mu, "minus", -beta, report.energy))
+        prev = h
+
+    order = {"trivial": 0, "plus": 1, "minus": 2}
+    points.sort(key=lambda q: (q.mu, order[q.branch]))
+    return BifurcationDiagram(
+        gamma0=eigenpair.gamma0,
+        cbar=cbar(eigenpair.phi0, replace(params, mu=threshold)),
+        points=tuple(points),
+        mu_step=float(mus[1] - mus[0]),
+        truncated_at=truncated_at,
+    )

@@ -15,8 +15,9 @@ from magnetodisk import (
     trace_branches,
 )
 from magnetodisk.operators import energy_of_values
+from magnetodisk.solver import FLAT_TOL
 
-from oracles import CBAR_CONTINUUM, random_profile
+from oracles import CBAR_CONTINUUM, random_profile, zeroth_order_trace
 
 
 def predicted_amplitude(mu: float, gamma0: float, cbar_value: float) -> list[tuple[float, bool]]:
@@ -247,3 +248,59 @@ def test_trace_solves_nothing_at_or_below_the_threshold(grid256, pair256, monkey
     mus = sorted({q.mu for q in across.points})
     assert solved == [mu for mu in mus if mu > thr]
     assert len(solved) == 2
+
+
+@pytest.mark.parametrize(
+    "n, span",
+    [(256, (1.5, 2.2, 15)), (512, (1.5, 50.0, 60)), (256, (-0.005, 0.005, 11))],
+    ids=["pitchfork", "wide", "near-onset"],
+)
+def test_predictor_finds_the_zeroth_order_points(request, n, span):
+    # trace_branches and the zeroth-order continuation run the same corrector
+    # from different starts, so they must find the same points.  Each solve
+    # stops once the step it predicts would gain less than the floor
+    # FLAT_TOL * (1 + |E|), so each energy is that close to the minimum: two
+    # differ by at most twice the floor, whose absolute part covers the
+    # near-onset points (|E| < 1e-6).  Each also stops with |g| <= tol, within
+    # |g| / lam of the minimizer, lam the Hessian's smallest eigenvalue in the
+    # r dr metric; the normal form pi (-delta beta^2 + c beta^4) puts it at
+    # 2 delta near the onset, taken here as min(delta, 1).  Measured: at most
+    # 6e-4 of the energy bound and 0.68 of the beta bound
+    grid = request.getfixturevalue(f"grid{n}")
+    pair = request.getfixturevalue(f"pair{n}")
+    lo, hi, steps = span
+    if lo < 0.0:  # offsets from gamma0/2
+        lo, hi = pair.gamma0 / 2.0 + lo, pair.gamma0 / 2.0 + hi
+    params = ModelParams(mu=lo)
+    predicted = trace_branches(grid, params, lo, hi, steps, eigenpair=pair)
+    zeroth = zeroth_order_trace(grid, params, lo, hi, steps, eigenpair=pair)
+
+    assert predicted.truncated_at is None and zeroth.truncated_at is None
+    assert [(q.mu, q.branch) for q in predicted.points] == [
+        (q.mu, q.branch) for q in zeroth.points
+    ]
+    assert any(q.branch == "plus" for q in predicted.points)
+    for a, b in zip(predicted.points, zeroth.points):
+        assert abs(a.energy - b.energy) <= 2.0 * FLAT_TOL * (1.0 + abs(b.energy))
+        if a.branch != "trivial":
+            delta = 2.0 * a.mu - pair.gamma0
+            assert abs(a.beta - b.beta) <= params.tol / min(delta, 1.0)
+
+
+def test_predictor_halves_the_corrector_iterations(grid256, pair256, monkeypatch):
+    # every step after the entry starts within a few tol of the branch, so
+    # the corrector needs at most 2 Newton steps; measured [7, 2, 2, 2, 2, 2,
+    # 1, 1, 1, 1, 1], 22 in all, against 44 from the previous profile
+    iterations = []
+
+    def counting_minimize(grid, params, *args, **kwargs):
+        report = minimize(grid, params, *args, **kwargs)
+        iterations.append(report.iterations)
+        return report
+
+    monkeypatch.setattr(bifurcation, "minimize", counting_minimize)
+    diagram = trace_branches(grid256, ModelParams(mu=1.5), 1.5, 2.2, 15, eigenpair=pair256)
+    assert diagram.truncated_at is None
+    assert len(iterations) == 11
+    assert max(iterations[1:]) <= 2
+    assert sum(iterations) <= 24
