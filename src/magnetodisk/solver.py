@@ -12,15 +12,18 @@ inner product of P.  When no shift qualifies, that direction itself, solved
 with the grid's cached pencil factor, is the step, so every iteration has
 one.
 
-Every line search starts at alpha = 1 and backtracks by safeguarded
-quadratic interpolation (Nocedal & Wright 3.5).  Every accepted iterate is
-folded back into [0, pi/2], which never raises the energy.  A run stops
-converged once the gradient passes tol and the decrease the next step
-predicts (minus half its slope, half the squared Newton decrement; Boyd &
-Vandenberghe, Convex Optimization, 9.5.1) is at the roundoff floor of the
-energy; a step predicting less than that floor is taken whole unless the
-energy rises past it.  The last accepted iterate is returned, and the norm of
-its gradient is the residual.
+Every accepted iterate is folded back into [0, pi/2], which never raises the
+energy, so the iterate and a minimizer both lie in [0, pi/2] at every node,
+and a trial that moves a node further than MAX_STEP = pi/2 only buys a
+rejected energy evaluation.  Every line search therefore starts at
+alpha = min(1, MAX_STEP / max|d|), the largest |d| taken over the nodes
+1..n, and backtracks by safeguarded quadratic interpolation (Nocedal &
+Wright 3.5).  A run stops converged once the gradient passes tol and the
+decrease the next step predicts (minus half its slope, half the squared
+Newton decrement; Boyd & Vandenberghe, Convex Optimization, 9.5.1) is at the
+roundoff floor of the energy; a step predicting less than that floor is
+accepted at its first trial unless the energy rises past it.  The last
+accepted iterate is returned, and the norm of its gradient is the residual.
 
 Each trial of the line search is one operators.energy_parts call.  The
 accepted trial's cell differences and sin 2h go to
@@ -54,6 +57,9 @@ ARMIJO_C1 = 1e-4
 SHRINK_MIN, SHRINK_MAX = 0.1, 0.5  # bounds on one backtrack's alpha_new / alpha
 MAX_BACKTRACKS = 40
 FLAT_TOL = 1e-12
+# the largest nodal move a line search starts from: the width of the fold's
+# domain [0, pi/2], which holds the iterate and a minimizer
+MAX_STEP = np.pi / 2.0
 # the shifts tau tried in turn; the pencil direction is the limit tau -> inf
 SHIFTS = (0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6)
 
@@ -73,7 +79,9 @@ class SolveReport:
     accepted steps.  energy_evals counts every energy evaluation of the run
     and backtracks every trial step that the line search rejected, so
     energy_evals == 1 + iterations + backtracks unless a trial
-    energy came out NaN (diverged).
+    energy came out NaN (diverged).  factorizations counts the LDL^T
+    factorizations (grid.banded_factor) of the shifted Newton matrices, the
+    failed ones included; the grid's cached pencil factor is not counted.
     """
 
     minimizer: Profile
@@ -89,6 +97,7 @@ class SolveReport:
     diverged: bool = False
     energy_evals: int = 0
     backtracks: int = 0
+    factorizations: int = 0
 
 
 def _wnorm(w: np.ndarray, values: np.ndarray) -> float:
@@ -98,14 +107,15 @@ def _wnorm(w: np.ndarray, values: np.ndarray) -> float:
 
 
 def _newton_direction(grid, values, mu, wg, cos2h):
-    """Shifted Newton step and its slope: solve ((H + tau P) / (1 + tau)) d
-    = -W g for the first tau of SHIFTS whose matrix is positive definite and
-    whose step descends, else the pencil step -P^-1 W g.  cos2h is
-    cos(2 values[1:]), as the gradient at values computed it."""
+    """Shifted Newton step, its slope and the number of factorizations tried:
+    solve ((H + tau P) / (1 + tau)) d = -W g for the first tau of SHIFTS
+    whose matrix is positive definite and whose step descends, else the
+    pencil step -P^-1 W g.  cos2h is cos(2 values[1:]), as the gradient at
+    values computed it."""
     w = grid.weights[1:]
     curvature = cos2h / grid.r_squared - 2.0 * mu * np.cos(4.0 * values[1:])
     k0 = grid.stiffness_bands[0][1:]
-    for tau in SHIFTS:
+    for tried, tau in enumerate(SHIFTS, 1):
         try:
             factor = banded_factor(grid, k0 + w * ((curvature + tau / grid.r_squared) / (1.0 + tau)))
         except np.linalg.LinAlgError:
@@ -113,9 +123,9 @@ def _newton_direction(grid, values, mu, wg, cos2h):
         step = banded_solve(factor, -wg)
         slope = 2.0 * np.pi * float(np.add.reduce(wg * step))
         if slope < 0.0:
-            return step, slope
+            return step, slope, tried
     step = banded_solve(grid.pencil_factor, -wg)
-    return step, 2.0 * np.pi * float(np.add.reduce(wg * step))
+    return step, 2.0 * np.pi * float(np.add.reduce(wg * step)), len(SHIFTS)
 
 
 # Overflow is checked, not warned about: a non-finite start energy raises, a
@@ -155,6 +165,7 @@ def minimize(
     e_cur, dv, sin2h = energy_parts(grid, v, mu)
     energy_evals = 1
     backtracks = 0
+    factorizations = 0
     if not np.isfinite(e_cur):
         raise ValueError("initial profile has non-finite energy")
     g, cos2h = gradient_from_parts(grid, v, mu, dv, sin2h)
@@ -167,7 +178,8 @@ def minimize(
 
     for _ in range(0 if diverged else params.max_iter):
         wg = w[1:] * g[1:]
-        step, slope = _newton_direction(grid, v, mu, wg, cos2h)
+        step, slope, tried = _newton_direction(grid, v, mu, wg, cos2h)
+        factorizations += tried
         if not math.isfinite(slope):
             diverged = True
             break
@@ -178,9 +190,10 @@ def minimize(
             break  # converged: the Newton decrement is at the roundoff floor
 
         direction[1:] = step
-        alpha = 1.0
-        # a full step that predicts less than the floor may raise E by up to
-        # the floor: an Armijo test there compares noise with noise
+        reach = float(np.maximum.reduce(np.abs(step)))
+        alpha = MAX_STEP / reach if reach > MAX_STEP else 1.0
+        # a step that predicts less than the floor may raise E by up to the
+        # floor at its first trial: an Armijo test there compares noise with noise
         flat = -0.5 * slope <= floor
         accepted = False
         for _ in range(MAX_BACKTRACKS):
@@ -235,6 +248,7 @@ def minimize(
             trivial=True,
             energy_evals=energy_evals,
             backtracks=backtracks,
+            factorizations=factorizations,
         )
 
     return SolveReport(
@@ -250,4 +264,5 @@ def minimize(
         diverged=diverged,
         energy_evals=energy_evals,
         backtracks=backtracks,
+        factorizations=factorizations,
     )

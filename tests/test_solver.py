@@ -105,31 +105,93 @@ def test_multistart_flags_nontrivial_minimizers_above_threshold(grid256, pair256
     assert out["worst_energy"] < -1e-9
 
 
-# at most twice the evaluations measured at n = 256 and 512 (11 and 12 at
-# mu = 20, 21 and 22 at mu = 100, 24 and 37 at mu = 1000), and below those
-# of the descent loop with a Newton endgame that came before (71 and 71, 463
-# and 473, 1008 and 1008 at its iteration cap)
-ENERGY_EVAL_CAPS = {20.0: 22, 100.0: 42, 1000.0: 48}
+# twice the evaluations measured at n = 256 and 512 with every line search
+# started inside the fold's domain: 7, 9 and 10 at mu = 20, 100 and 1000,
+# at both n
+ENERGY_EVAL_CAPS = {20.0: 14, 100.0: 18, 1000.0: 20}
 
 
 @pytest.mark.parametrize("mu", sorted(ENERGY_EVAL_CAPS))
 def test_line_search_energy_evaluations_are_capped(monkeypatch, mu):
     calls = []
+    factors = []
     energy = solver.energy_parts
+    factor = solver.banded_factor
 
     def counted(*args):
         calls.append(None)
         return energy(*args)
 
+    def factored(*args):
+        factors.append(None)
+        return factor(*args)
+
     monkeypatch.setattr(solver, "energy_parts", counted)
+    monkeypatch.setattr(solver, "banded_factor", factored)
     for n in (256, 512):
         calls.clear()
+        factors.clear()
         rep = minimize(build_grid(n, 2.0), ModelParams(mu=mu))
         assert rep.converged
         assert rep.energy_evals <= ENERGY_EVAL_CAPS[mu]
         assert rep.energy_evals == len(calls)
         # the initial evaluation, one accepted trial per iteration, one per rejection
         assert rep.energy_evals == 1 + rep.iterations + rep.backtracks
+        # every shift tried, failed ones included; measured 14, 25 and 36
+        assert rep.factorizations == len(factors) > rep.iterations
+
+
+# the energies at grading 2 with every line search started at alpha = 1,
+# which took 24 / 70 / 193 / 311 evaluations at n = 256 and
+# 22 / 83 / 163 / 810 at n = 1024
+LARGE_MU_ENERGIES = {
+    (256, 1e3): -778.7255148089565,
+    (256, 1e4): -7845.498115404243,
+    (256, 1e6): -785386.0291310146,
+    (256, 1e8): -78539800.26306045,
+    (1024, 1e3): -778.7265992590109,
+    (1024, 1e4): -7845.501637344184,
+    (1024, 1e6): -785386.0643866004,
+    (1024, 1e8): -78539800.60259016,
+}
+
+
+@pytest.mark.parametrize("n, mu", sorted(LARGE_MU_ENERGIES))
+def test_solve_cost_is_flat_in_mu(n, mu):
+    rep = minimize(build_grid(n, 2.0), ModelParams(mu=mu))
+    assert rep.converged
+    assert rep.energy_evals <= 30  # measured 10, 16, 17 and 21 at either n
+    assert abs(rep.energy - LARGE_MU_ENERGIES[n, mu]) <= 1e-13 * abs(rep.energy)
+
+
+@pytest.mark.parametrize("mu, init_eps", [(2.0, 0.1), (20.0, 0.1), (100.0, 0.1),
+                                          (1000.0, 0.1), (20.0, 10.0)])
+def test_line_search_trials_stay_within_the_fold_domain_of_their_iterate(
+        monkeypatch, grid256, pair256, mu, init_eps):
+    # the gradient is evaluated at the start and at every accepted iterate,
+    # and every trial goes through the fold, so between them the two hooks
+    # see each trial next to the iterate its line search started from
+    iterate = []
+    reaches = []
+    gradient = solver.gradient_from_parts
+    fold = solver.fold_values
+
+    def at_iterate(grid, v, *args):
+        iterate[:] = [v.copy()]
+        return gradient(grid, v, *args)
+
+    def folded(values):
+        v = iterate[0]
+        bound = np.pi / 2.0 + 4.0 * np.spacing(np.pi + np.abs(v).max())
+        reaches.append(np.abs(values - v).max() / bound)
+        return fold(values)
+
+    monkeypatch.setattr(solver, "gradient_from_parts", at_iterate)
+    monkeypatch.setattr(solver, "fold_values", folded)
+    rep = minimize(grid256, ModelParams(mu=mu), eigenpair=pair256, init_eps=init_eps)
+    assert rep.converged
+    assert len(reaches) == rep.energy_evals - 1
+    assert max(reaches) <= 1.0
 
 
 def test_newton_direction_falls_back_to_the_pencil_step(monkeypatch, grid256, pair256):
@@ -142,9 +204,10 @@ def test_newton_direction_falls_back_to_the_pencil_step(monkeypatch, grid256, pa
     v = 0.1 * pair256.phi0.values
     g = reference_gradient(grid256, v, 2.0)
     wg = grid256.weights[1:] * g[1:]
-    step, slope = solver._newton_direction(grid256, v, 2.0, wg, np.cos(2.0 * v[1:]))
+    step, slope, tried = solver._newton_direction(grid256, v, 2.0, wg, np.cos(2.0 * v[1:]))
     assert step.tobytes() == banded_solve(grid256.pencil_factor, -wg).tobytes()
     assert slope < 0.0
+    assert tried == len(solver.SHIFTS)
 
 
 def _reference_solver(monkeypatch):
@@ -186,10 +249,10 @@ def test_solve_stops_without_line_searches_at_the_roundoff_floor(n):
     # tests at the roundoff floor compare noise with noise.
     rep = minimize(build_grid(n, 2.0), ModelParams(mu=2.0))
     assert rep.converged
-    # measured 2, both in the first step; 4 when a backtrack halves the step
+    # measured 1, in the first step; 4 when a backtrack halves the step
     # instead of interpolating, and 12, 18 and 24 with a flat-step stop
     assert rep.backtracks <= 2
-    assert rep.energy_evals <= 14  # measured 8; 27, 33 and 39 with a flat-step stop
+    assert rep.energy_evals <= 14  # measured 7; 27, 33 and 39 with a flat-step stop
 
 
 @pytest.mark.parametrize("mu", [100.0, 1000.0])
