@@ -435,7 +435,7 @@ def _solve(cfg: RunConfig, grid: RadialGrid,
 
 
 def _solve_status(report: SolveReport, params: ModelParams) -> int:
-    if report.diverged or not report.converged:
+    if not report.converged:
         print(f"minimize did not converge at mu={params.mu}", file=sys.stderr)
         return 1
     return 0

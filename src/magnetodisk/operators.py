@@ -22,8 +22,8 @@ the minimizer computes diff(h), sin 2h and cos 2h once per iterate.
 energy_of_values and gradient_values are the same kernels called from raw
 values.  Both do the same floating-point operations in the same order as the
 one-expression formulas that tests/reference_kernels.py keeps as their
-bitwise reference.  fold_values maps iterates into [0, pi/2] and never
-raises the energy.
+bitwise reference.  fold_values maps iterates into [0, pi/2] in one pass
+and never raises the energy.
 """
 
 from __future__ import annotations
@@ -35,14 +35,6 @@ import numpy as np
 from .grid import RadialGrid
 
 __all__ = ["Profile", "ModelParams", "energy_of_values", "gradient_values", "fold_values"]
-
-# fold_values reduces values above this modulo pi before its reflection
-# sweeps, so at most 82 sweeps remain.  It is not lower because from 32 up a
-# sweep's a - pi rounds where fmod is exact: a lower cutoff would move the
-# folded trials, and so the trajectories, of large-mu solves (trial values
-# reach about 0.1 mu)
-FOLD_REDUCE_ABOVE = 256.0
-
 
 @dataclass(frozen=True)
 class Profile:
@@ -160,30 +152,24 @@ def gradient_values(grid: RadialGrid, values: np.ndarray, mu: float) -> np.ndarr
 
 
 def fold_values(values: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Map nodal values into [0, pi/2] by |.| and reflections at pi/2.
-    Returns the mapped values and whether any value changed.
+    """Map nodal values into [0, pi/2]: the distance to the nearest multiple
+    of pi.  Returns the mapped values and whether any value changed.
 
-    One reflection sweep maps a to |pi - a|, so a value needs about a / pi
-    sweeps, and above 2**55, where a - pi rounds to a, no number of sweeps
-    ends.  Values above FOLD_REDUCE_ABOVE are therefore first reduced modulo
-    pi (np.fmod, exact for the double pi); values up to it take the sweeps.
-    The map never raises the energy: it is 1-Lipschitz (the distance to the
-    nearest multiple of pi), so no cell difference grows, and it leaves
-    sin^2 h and sin^2 2h unchanged.  A single global reflection keeps the
-    energy; a kink it introduces lowers the exchange term."""
+    Values already in [-pi/2, pi/2] only lose their sign.  Otherwise |.| is
+    reduced modulo pi (np.fmod, exact for the double pi) when a value
+    exceeds pi, and values above pi/2 are reflected once, to pi - a.  The
+    map never raises the energy: it is 1-Lipschitz, so no cell difference
+    grows, and it leaves sin^2 h and sin^2 2h unchanged.  A single global
+    reflection keeps the energy; a kink it introduces lowers the exchange
+    term."""
     values = np.asarray(values, dtype=float)
     a = np.abs(values)
-    changed = bool(np.minimum.reduce(values) < 0.0)
-    if np.maximum.reduce(a) <= np.pi / 2.0:
-        return a, changed
-    huge = a > FOLD_REDUCE_ABOVE
-    if huge.any():
+    top = np.maximum.reduce(a)
+    if top <= np.pi / 2.0:
+        return a, bool(np.minimum.reduce(values) < 0.0)
+    if top > np.pi:
         with np.errstate(invalid="ignore"):  # inf folds to nan, as divergence
-            a[huge] = np.fmod(a[huge], np.pi)
-        changed = True
-    while True:
-        mask = a > np.pi / 2.0
-        if not mask.any():
-            return a, changed
-        changed = True
-        a = np.where(mask, np.abs(np.pi - a), a)
+            np.fmod(a, np.pi, out=a)
+    over = a > np.pi / 2.0
+    a[over] = np.pi - a[over]
+    return a, True

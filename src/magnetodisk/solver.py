@@ -18,9 +18,11 @@ and a trial that moves a node further than MAX_STEP = pi/2 only buys a
 rejected energy evaluation.  Every line search therefore starts at
 alpha = min(1, MAX_STEP / max|d|), the largest |d| taken over the nodes
 1..n, and backtracks by safeguarded quadratic interpolation (Nocedal &
-Wright 3.5).  A run stops converged once the gradient passes tol and the
-decrease the next step predicts (minus half its slope, half the squared
-Newton decrement; Boyd & Vandenberghe, Convex Optimization, 9.5.1) is at the
+Wright 3.5).  A run stops converged once the gradient passes tol, the
+unshifted Hessian factors (second-order sufficient conditions; Nocedal &
+Wright, Thm 2.4: not at the h = 0 saddle above gamma0/2) and the decrease
+the next step predicts (minus half its slope, half the squared Newton
+decrement; Boyd & Vandenberghe, Convex Optimization, 9.5.1) is at the
 roundoff floor of the energy; a step predicting less than that floor is
 accepted at its first trial unless the energy rises past it.  The last
 accepted iterate is returned, and the norm of its gradient is the residual.
@@ -69,17 +71,19 @@ class SolveReport:
     """Outcome of one minimization run.
 
     residual is the L^2(r dr) norm of the energy gradient at the returned
-    minimizer, the last accepted iterate, so a converged report satisfies
-    residual <= tol.  bc_residual is |h_r(1)| at the minimizer by the
-    one-sided stencil of grid.rim_slope, the residual of the natural
-    boundary condition, which the weak form holds only up to truncation.
-    The energy history lists the energy after every accepted step.  It is
-    non-increasing up to the roundoff floor FLAT_TOL * (1 + |E|), by which a
-    step predicting less than that floor may raise it; iterations counts the
-    accepted steps.  energy_evals counts every energy evaluation of the run
-    and backtracks every trial step that the line search rejected, so
-    energy_evals == 1 + iterations + backtracks unless a trial
-    energy came out NaN (diverged).  factorizations counts the LDL^T
+    minimizer, the last accepted iterate; converged is the stop test there,
+    so it implies residual <= tol and not diverged.  A run ending at E >= 0
+    returns the zero profile (trivial) with 0 energy and residuals.
+    bc_residual is |h_r(1)| at the minimizer by the one-sided stencil of
+    grid.rim_slope, the residual of the natural boundary condition, which
+    the weak form holds only up to truncation.  The energy history lists the
+    energy after every accepted step.  It is non-increasing up to the
+    roundoff floor FLAT_TOL * (1 + |E|), by which a step predicting less
+    than that floor may raise it; iterations counts the accepted steps.
+    energy_evals counts every energy evaluation of the run and backtracks
+    every trial step that the line search rejected, so energy_evals ==
+    1 + iterations + backtracks unless a trial energy came out NaN
+    (diverged).  factorizations counts the LDL^T
     factorizations (grid.banded_factor) of the shifted Newton matrices, the
     failed ones included; the grid's cached pencil factor is not counted.
     """
@@ -107,7 +111,8 @@ def _wnorm(w: np.ndarray, values: np.ndarray) -> float:
 
 
 def _newton_direction(grid, values, mu, wg, cos2h):
-    """Shifted Newton step, its slope and the number of factorizations tried:
+    """Shifted Newton step, its slope, the number of factorizations tried and
+    whether the unshifted Hessian H factored, i.e. is positive definite:
     solve ((H + tau P) / (1 + tau)) d = -W g for the first tau of SHIFTS
     whose matrix is positive definite and whose step descends, else the
     pencil step -P^-1 W g.  cos2h is cos(2 values[1:]), as the gradient at
@@ -115,17 +120,19 @@ def _newton_direction(grid, values, mu, wg, cos2h):
     w = grid.weights[1:]
     curvature = cos2h / grid.r_squared - 2.0 * mu * np.cos(4.0 * values[1:])
     k0 = grid.stiffness_bands[0][1:]
+    definite = False
     for tried, tau in enumerate(SHIFTS, 1):
         try:
             factor = banded_factor(grid, k0 + w * ((curvature + tau / grid.r_squared) / (1.0 + tau)))
         except np.linalg.LinAlgError:
             continue
+        definite = definite or tau == 0.0
         step = banded_solve(factor, -wg)
         slope = 2.0 * np.pi * float(np.add.reduce(wg * step))
         if slope < 0.0:
-            return step, slope, tried
+            return step, slope, tried, definite
     step = banded_solve(grid.pencil_factor, -wg)
-    return step, 2.0 * np.pi * float(np.add.reduce(wg * step)), len(SHIFTS)
+    return step, 2.0 * np.pi * float(np.add.reduce(wg * step)), len(SHIFTS), definite
 
 
 # Overflow is checked, not warned about: a non-finite start energy raises, a
@@ -147,7 +154,7 @@ def minimize(
     init defaults to init_eps * phi0, the scaled threshold eigenprofile.  The
     zero profile is an exact critical point with E = 0, so it always enters
     the final candidate set: whenever the run ends at nonnegative energy, the
-    trivial profile is returned as the minimizer.
+    trivial profile is returned, converged only if it passed the stop test.
     """
     mu = params.mu
     w = grid.weights
@@ -173,21 +180,22 @@ def minimize(
 
     history = [e_cur]
     fold_count = 0
+    converged = False
     diverged = not math.isfinite(gnorm)  # e.g. mu = 1e300
     direction = np.zeros_like(v)  # the search direction; r = 0 stays pinned
 
-    for _ in range(0 if diverged else params.max_iter):
+    while not diverged:
         wg = w[1:] * g[1:]
-        step, slope, tried = _newton_direction(grid, v, mu, wg, cos2h)
+        step, slope, tried, definite = _newton_direction(grid, v, mu, wg, cos2h)
         factorizations += tried
         if not math.isfinite(slope):
             diverged = True
             break
-        if slope >= 0.0:
-            break  # no descent direction left; g is numerically zero
         floor = FLAT_TOL * (1.0 + abs(e_cur))
-        if gnorm <= params.tol and -0.5 * slope <= floor:
-            break  # converged: the Newton decrement is at the roundoff floor
+        # first- and second-order conditions, the decrement at the roundoff floor
+        converged = gnorm <= params.tol and definite and -0.5 * slope <= floor
+        if converged or slope >= 0.0 or len(history) > params.max_iter:
+            break  # slope >= 0: no descent direction left
 
         direction[1:] = step
         reach = float(np.maximum.reduce(np.abs(step)))
@@ -228,28 +236,12 @@ def minimize(
             diverged = True
             break
 
-    converged = not diverged and gnorm <= params.tol
     iterations = len(history) - 1
-
-    if not diverged and e_cur >= 0.0:
-        zero = np.zeros_like(v)
+    trivial = not diverged and e_cur >= 0.0
+    if trivial:
         if e_cur > 0.0:
             history.append(0.0)
-        return SolveReport(
-            minimizer=Profile(grid, zero),
-            energy=0.0,
-            residual=0.0,
-            iterations=iterations,
-            mu=mu,
-            converged=True,
-            fold_applied=fold_count,
-            bc_residual=0.0,
-            energy_history=tuple(history),
-            trivial=True,
-            energy_evals=energy_evals,
-            backtracks=backtracks,
-            factorizations=factorizations,
-        )
+        v, e_cur, gnorm = np.zeros_like(v), 0.0, 0.0
 
     return SolveReport(
         minimizer=Profile(grid, v),
@@ -261,6 +253,7 @@ def minimize(
         fold_applied=fold_count,
         bc_residual=abs(rim_slope(grid, v)),
         energy_history=tuple(history),
+        trivial=trivial,
         diverged=diverged,
         energy_evals=energy_evals,
         backtracks=backtracks,

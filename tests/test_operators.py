@@ -3,9 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import magnetodisk.solver as solver
 from magnetodisk import ModelParams, Profile, build_grid, cbar, integrate, minimize
 from magnetodisk.operators import (
-    FOLD_REDUCE_ABOVE,
     energy_of_values,
     energy_parts,
     fold_values,
@@ -172,9 +172,11 @@ def test_fold_lands_in_range_and_is_idempotent(grid256):
     assert not folded
 
 
-def test_fold_is_the_reflection_loop_bitwise_up_to_its_cutoff():
+def test_fold_is_the_reflection_loop_bitwise_up_to_32():
+    # the double pi ends in three zero bits, so below 32 every sweep's a - pi
+    # is exact, as fmod is; from 32 up the loop rounds once per sweep
     rng = np.random.default_rng(17)
-    for hi in (np.pi / 2.0, 8.0, 100.0, FOLD_REDUCE_ABOVE):
+    for hi in (np.pi / 2.0, 8.0, 32.0):
         vals = rng.uniform(-hi, hi, 4097)
         vals[0] = 0.0
         vals[1:4] = (hi, -hi, -0.0)
@@ -182,6 +184,18 @@ def test_fold_is_the_reflection_loop_bitwise_up_to_its_cutoff():
         ref, ref_changed = reference_fold(vals)
         assert out.tobytes() == ref.tobytes()
         assert changed == ref_changed
+
+
+def test_fold_is_the_distance_to_the_nearest_multiple_of_pi_bitwise():
+    # one fmod and one reflection at every magnitude from pi/2 to 1e300
+    rng = np.random.default_rng(23)
+    vals = rng.choice([-1.0, 1.0], 4097) * np.exp(rng.uniform(np.log(np.pi / 2.0),
+                                                             np.log(1e300), 4097))
+    vals[:8] = (0.0, np.pi / 2.0, np.pi, -2.0 * np.pi, 1.5 * np.pi, 32.0, 2.0**55, -1e300)
+    out, changed = fold_values(vals)
+    r = np.fmod(np.abs(vals), np.pi)
+    assert out.tobytes() == np.minimum(r, np.pi - r).tobytes()
+    assert changed
 
 
 def test_fold_finishes_on_huge_values():
@@ -195,9 +209,29 @@ def test_fold_finishes_on_huge_values():
     assert changed == "True"
     assert np.all(out >= 0.0) and np.all(out <= np.pi / 2.0)
     assert out[0] == 0.0 and out[-1] == 1.0
-    # above the cutoff the fold is the distance to the nearest multiple of
-    # the double pi, which fmod computes exactly
+    # the fold is the distance to the nearest multiple of the double pi,
+    # which fmod computes exactly
     assert out[3] == min(np.fmod(5e3, np.pi), np.pi - np.fmod(5e3, np.pi))
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("mu", [2.0, 20.0, 100.0, 1e3, 1e4, 1e6, 1e8])
+def test_solver_trials_need_a_single_reflection(monkeypatch, n, mu):
+    # every line search starts within pi/2 of an iterate in [0, pi/2], so
+    # the fold of a default-start solve never reaches its fmod
+    fold = solver.fold_values
+    lows, highs = [], []
+
+    def seen(values):
+        lows.append(values.min())
+        highs.append(values.max())
+        return fold(values)
+
+    monkeypatch.setattr(solver, "fold_values", seen)
+    rep = minimize(build_grid(n, 2.0), ModelParams(mu=mu))
+    assert rep.converged
+    assert len(highs) == rep.energy_evals - 1
+    assert -np.pi / 2.0 <= min(lows) and max(highs) <= np.pi  # measured max 1.94
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

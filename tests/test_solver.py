@@ -204,10 +204,12 @@ def test_newton_direction_falls_back_to_the_pencil_step(monkeypatch, grid256, pa
     v = 0.1 * pair256.phi0.values
     g = reference_gradient(grid256, v, 2.0)
     wg = grid256.weights[1:] * g[1:]
-    step, slope, tried = solver._newton_direction(grid256, v, 2.0, wg, np.cos(2.0 * v[1:]))
+    step, slope, tried, definite = solver._newton_direction(grid256, v, 2.0, wg,
+                                                            np.cos(2.0 * v[1:]))
     assert step.tobytes() == banded_solve(grid256.pencil_factor, -wg).tobytes()
     assert slope < 0.0
     assert tried == len(solver.SHIFTS)
+    assert not definite
 
 
 def _reference_solver(monkeypatch):
@@ -262,6 +264,36 @@ def test_converged_report_satisfies_tol_at_large_mu(grid256, pair256, mu):
     assert rep.converged
     assert rep.residual <= p.tol  # measured 3.8e-10 and 2.6e-12
     assert rep.energy >= -np.pi * mu / 4.0
+
+
+@pytest.mark.parametrize("mu, init_eps", [(2.0, 1e-9), (1.8, 1e-12), (20.0, 1e-12)])
+def test_a_start_near_the_saddle_escapes_to_the_minimizer(mu, init_eps):
+    # above gamma0/2 the trivial profile is a saddle: the gradient of a tiny
+    # start passes tol, but its Hessian is indefinite, so the run must not stop
+    grid = build_grid(64, 2.0)
+    ref = minimize(grid, ModelParams(mu=mu))
+    rep = minimize(grid, ModelParams(mu=mu), init_eps=init_eps)
+    assert rep.converged and not rep.trivial
+    assert rep.iterations > 0  # measured 55, 29 and 15
+    assert abs(rep.energy - ref.energy) <= solver.FLAT_TOL * (1.0 + abs(ref.energy))
+
+
+def test_an_underflowed_start_at_the_saddle_is_not_converged():
+    # 1e-200 phi0 has E = 0 and a gradient of 1e-200: only the Hessian tells
+    # the saddle at mu = 2 from the minimum at mu = 1
+    grid = build_grid(64, 2.0)
+    saddle = minimize(grid, ModelParams(mu=2.0), init_eps=1e-200)
+    assert not saddle.converged
+    minimum = minimize(grid, ModelParams(mu=1.0), init_eps=1e-200)
+    assert minimum.converged and minimum.trivial
+
+
+def test_a_run_converged_at_the_iteration_cap_reports_it(grid256, pair256):
+    # the stop test also reads the max_iter-th iterate
+    free = minimize(grid256, ModelParams(mu=2.5), eigenpair=pair256)
+    capped = minimize(grid256, ModelParams(mu=2.5, max_iter=free.iterations), eigenpair=pair256)
+    assert free.converged and capped.converged
+    assert capped.energy_history == free.energy_history
 
 
 def test_iteration_cap_reports_honest_failure(grid256, pair256):
