@@ -12,7 +12,10 @@ Inverse iteration reads gamma off the solve it already does: for an
 M-normalized iterate v and u = A^-1 M v, 1/gamma = (M v) . u is the Rayleigh
 quotient of the inverse pencil, second-order accurate in the error of v and,
 for the ground mode, a sum of positive terms.  The ground mode starts from
-the sampled continuum mode J1(j'_{1,1} r), so a few solves settle it.  Every
+the sampled continuum mode J1(j'_{1,1} r), so a few solves settle it.  The
+pencil and its factor are the grid's, assembled once per grid.  The Bessel
+series and the normalisation of each iterate run in reused buffers, with the
+operations of their one-expression forms in the same order.  Every
 reduction is a numpy sum in a fixed order, never a BLAS dot, so the results
 do not depend on the BLAS thread count.
 """
@@ -46,10 +49,11 @@ def _bessel_j1(x: np.ndarray) -> np.ndarray:
     roundoff for |x| <= 1.85."""
     q = -0.25 * x * x
     term = 0.5 * x
-    total = term
+    total = term.copy()
     for k in range(1, 12):
-        term = term * q / (k * (k + 1))
-        total = total + term
+        term *= q
+        term /= k * (k + 1)
+        total += term
     return total
 
 
@@ -98,12 +102,15 @@ def _inverse_iteration(grid: RadialGrid, v: np.ndarray,
     delta_prev = np.inf
     stall = 0
     gamma = np.inf
+    scratch = np.empty_like(v)  # M v, then (M v) * u, then m * (u * u)
     for it in range(1, MAX_ITER + 1):
-        mv = m * v
+        mv = np.multiply(m, v, out=scratch)
         u = project(banded_solve(factor, mv))
-        mv *= u  # (M v) . u in mv's buffer: one n-vector less at the peak
+        mv *= u
         gamma = 1.0 / float(np.sum(mv))
-        u /= np.sqrt(_dot(m, u * u))
+        np.multiply(u, u, out=scratch)
+        scratch *= m
+        u /= np.sqrt(float(np.sum(scratch)))
         delta = abs(gamma - gamma_prev)
         scale = max(1.0, abs(gamma))
         # Settled outright, or stuck oscillating at the roundoff floor: a tiny

@@ -2,14 +2,16 @@
 
 The unit disk problems in this package reduce to one-dimensional integrals
 of the form int_0^1 f(r) r dr.  This module provides the mesh, the matching
-quadrature rule, and the discrete operator of the mesh: the tridiagonal P1
-stiffness K of int v_r^2 r dr, the squared nodes r^2 of the centrifugal
-terms, and the threshold pencil with its LDL^T factor (LAPACK pttrf).
-banded_solve (pttrs) is the one solve with such a factor, for the
-eigensolver and the minimizer alike.  rim_slope is the one-sided slope at
-r = 1 by which the minimizer reports the natural boundary condition.
-Reductions over the mesh are numpy sums of products, never a BLAS dot, so
-results do not depend on the BLAS thread count.
+quadrature rule, and the discrete operator of the mesh, built once per grid
+and read-only: the tridiagonal P1 stiffness K of int v_r^2 r dr, the squared
+nodes r^2 of the centrifugal terms, and the threshold pencil with its LDL^T
+factor (LAPACK pttrf).  Every tridiagonal matrix the package factors has the
+pencil's off-diagonal -kappa, so banded_factor takes only a main diagonal and
+reads that off-diagonal from the grid; banded_solve (pttrs) is the one solve
+with such a factor, for the eigensolver and the minimizer alike.  rim_slope
+is the one-sided slope at r = 1 by which the minimizer reports the natural
+boundary condition.  Reductions over the mesh are numpy sums of products,
+never a BLAS dot, so results do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -68,8 +70,9 @@ class RadialGrid:
     r = 0 is identically zero (the measure r dr vanishes there); the weights
     sum to 1/2, the total mass of r dr on [0, 1].
 
-    The operator arrays (r_squared, stiffness_bands, pencil_factor)
-    are built on first access, at most once per grid, and are read-only.
+    The operator arrays (r_squared, two_r_squared, stiffness_bands, pencil,
+    pencil_factor) are built on first access, at most once per grid, and
+    are read-only.
     """
 
     nodes: np.ndarray
@@ -85,6 +88,11 @@ class RadialGrid:
     def r_squared(self) -> np.ndarray:
         """nodes[1:] ** 2, the r^2 of the centrifugal terms at nodes 1..n."""
         return _read_only(self.nodes[1:] ** 2)[0]
+
+    @cached_property
+    def two_r_squared(self) -> np.ndarray:
+        """2 r^2 at nodes 1..n, the denominator of the gradient's sin 2h / (2 r^2)."""
+        return _read_only(2.0 * self.r_squared)[0]
 
     @cached_property
     def stiffness_bands(self) -> tuple[np.ndarray, np.ndarray]:
@@ -104,10 +112,20 @@ class RadialGrid:
         return _read_only(diagonal, kappa)
 
     @cached_property
+    def pencil(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The threshold pencil over the nodes 1..n, the r = 0 value
+        eliminated by the Dirichlet condition: the main diagonal
+        K0 + w / r^2 of A = K + W / r^2, its off-diagonal -kappa[1:] and the
+        lumped mass m = w[1:].  See assemble_pencil."""
+        diagonal, kappa = self.stiffness_bands
+        w = self.weights[1:]
+        return _read_only(diagonal[1:] + w / self.r_squared, -kappa[1:], w)
+
+    @cached_property
     def pencil_factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """LDL^T factor of the pencil matrix of assemble_pencil: the
-        inverse-iteration solve in eigen and the preconditioner of minimize."""
-        return _read_only(*banded_factor(self, assemble_pencil(self)[0][0]))
+        """LDL^T factor of the pencil matrix A: the inverse-iteration solve
+        in eigen and the preconditioner of minimize."""
+        return _read_only(*banded_factor(self, self.pencil[0]))
 
 
 def build_grid(n: int, grading: float = 2.0) -> RadialGrid:
@@ -187,9 +205,10 @@ def banded_matvec(ab: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarra
 def banded_factor(grid: RadialGrid, diagonal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """LDL^T factor (LAPACK pttrf) of the matrix over the nodes 1..n with the
     given main diagonal and the off-diagonal of K, i.e. with the r = 0 value
-    eliminated by the Dirichlet condition.  Raises LinAlgError unless that
+    eliminated by the Dirichlet condition; that off-diagonal is the grid's
+    cached pencil[1], which pttrf copies.  Raises LinAlgError unless the
     matrix is positive definite."""
-    d, e, info = _PTTRF(diagonal, -grid.stiffness_bands[1][1:])
+    d, e, info = _PTTRF(diagonal, grid.pencil[1])
     if info:
         raise np.linalg.LinAlgError(f"pttrf info {info}: the matrix is not positive definite")
     return d, e
@@ -201,11 +220,11 @@ def assemble_pencil(grid: RadialGrid) -> tuple[tuple[np.ndarray, np.ndarray], np
     A is returned as its bands (main, off-diagonal) over the nodes 1..n, the
     r = 0 value eliminated by the Dirichlet condition, and m holds the
     quadrature weights at the same nodes.  The generalized problem is
-    A phi = gamma * diag(m) * phi.
+    A phi = gamma * diag(m) * phi.  The arrays are the grid's cached,
+    read-only pencil, assembled once per grid.
     """
-    diagonal, kappa = grid.stiffness_bands
-    w = grid.weights
-    return (diagonal[1:] + w[1:] / grid.r_squared, -kappa[1:]), w[1:]
+    main, off, mass = grid.pencil
+    return (main, off), mass
 
 
 def banded_solve(factor: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:

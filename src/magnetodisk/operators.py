@@ -16,7 +16,8 @@ Two kernels hold the formulas, and build their fields in place.
 energy_parts computes E together with the cell differences dv = diff(h) and
 sin 2h at the nodes 1..n.  gradient_from_parts turns those two arrays into
 the gradient (flux kappa dv, then the nodal terms) and also returns cos 2h,
-which the minimizer's Newton step reuses.  A line-search trial that is
+from which solver.hessian_bands builds the Newton matrix, cos 4h included.
+A line-search trial that is
 accepted thus hands its dv and sin 2h to the gradient at the same point, so
 the minimizer computes diff(h), sin 2h and cos 2h once per iterate.
 energy_of_values and gradient_values are the same kernels called from raw
@@ -129,9 +130,7 @@ def gradient_from_parts(grid: RadialGrid, values: np.ndarray, mu: float, dv: np.
     np.cos(cos2h, out=cos2h)
     gi = g[1:]
     gi /= grid.weights[1:]
-    t = 2.0 * grid.r_squared
-    np.divide(sin2h, t, out=t)
-    gi += t
+    gi += sin2h / grid.two_r_squared
     sin2h *= mu
     sin2h *= cos2h
     gi -= sin2h

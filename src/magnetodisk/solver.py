@@ -3,12 +3,14 @@
 Every iteration takes the same path: a shifted Newton step with a
 backtracking line search (Levenberg-Marquardt; More & Sorensen 1983; Nocedal
 & Wright, Numerical Optimization, ch. 3-4).  The step solves
-((H + tau P) / (1 + tau)) d = -W g, where H is the Hessian of the banded
-linearization and P = K + W / r^2 the threshold pencil, for the first tau of
-SHIFTS whose matrix is positive definite and whose step descends.  Divided by
-1 + tau the matrix keeps K's off-diagonal, so grid.banded_factor factors it,
-and as tau grows the step turns into -P^-1 W g, steepest descent in the
-inner product of P.  When no shift qualifies, that direction itself, solved
+((H + tau P) / (1 + tau)) d = -W g, where H = K + W diag(cos 2h / r^2 -
+2 mu cos 4h) is the Hessian and P = K + W / r^2 the threshold pencil, for the
+first tau of SHIFTS whose matrix is positive definite and whose step
+descends.  hessian_bands builds these matrices, one diagonal buffer for the
+whole ladder, and H is its tau = 0 matrix.  Divided by 1 + tau the matrix
+keeps K's off-diagonal, the grid's cached -kappa that grid.banded_factor
+passes to pttrf, and as tau grows the step turns into -P^-1 W g, steepest
+descent in the inner product of P.  When no shift qualifies, that direction itself, solved
 with the grid's cached pencil factor, is the step, so every iteration has
 one.
 
@@ -29,16 +31,18 @@ accepted iterate is returned, and the norm of its gradient is the residual.
 
 Each trial of the line search is one operators.energy_parts call.  The
 accepted trial's cell differences and sin 2h go to
-operators.gradient_from_parts, whose cos 2h the Newton step reuses.  So every
-quantity is computed once per iterate, with the operations and operands of
-the standalone energy and gradient kernels, and the trajectory is bit for bit
-the one that evaluating each afresh gives.  The boundary certificate is
+operators.gradient_from_parts, whose cos 2h the Newton matrix reuses, cos 4h
+as 2 cos^2 2h - 1 included.  So every quantity is computed once per iterate,
+with the operations and operands of the standalone energy and gradient
+kernels, and the trajectory is bit for bit the one that evaluating each
+afresh gives.  The boundary certificate is
 grid.rim_slope of the returned profile.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +57,7 @@ from .operators import (
     gradient_from_parts,
 )
 
-__all__ = ["SolveReport", "minimize"]
+__all__ = ["SolveReport", "hessian_bands", "minimize"]
 
 ARMIJO_C1 = 1e-4
 SHRINK_MIN, SHRINK_MAX = 0.1, 0.5  # bounds on one backtrack's alpha_new / alpha
@@ -110,20 +114,53 @@ def _wnorm(w: np.ndarray, values: np.ndarray) -> float:
     return math.sqrt(max(float(np.add.reduce(t)), 0.0))
 
 
-def _newton_direction(grid, values, mu, wg, cos2h):
+def hessian_bands(grid: RadialGrid, mu: float,
+                  cos2h: np.ndarray) -> Iterator[tuple[float, tuple[np.ndarray, np.ndarray]]]:
+    """Yield (tau, (main, off)) for each tau of SHIFTS: the bands over the
+    nodes 1..n of (H + tau P) / (1 + tau), where
+
+        H = K + W diag(c),   c = cos 2h / r^2 - 2 mu cos 4h,
+
+    is the Hessian of E / (2 pi) (H v is the derivative of W g along v) and
+    P = K + W / r^2 the threshold pencil.  The first yield, tau = 0, is H.
+    cos2h is cos(2 h[1:]) as the gradient computed it; cos 4h is
+    2 cos^2 2h - 1 from it.  Each main diagonal is K0 + w c at tau = 0 and
+    K0 + w ((c + tau / r^2) / (1 + tau)) otherwise, so the stiffness diagonal
+    K0 enters exactly, and every yield writes it into the same buffer: use
+    or copy it before the next.  off is the grid's cached -kappa[1:], the
+    off-diagonal of every such matrix."""
+    w = grid.weights[1:]
+    r2 = grid.r_squared
+    k0 = grid.stiffness_bands[0][1:]
+    main = np.divide(cos2h, r2)
+    curvature = cos2h * cos2h
+    curvature *= 2.0
+    curvature -= 1.0
+    curvature *= 2.0 * mu
+    np.subtract(main, curvature, out=curvature)
+    for tau in SHIFTS:
+        if tau == 0.0:
+            np.multiply(curvature, w, out=main)
+        else:
+            np.divide(tau, r2, out=main)
+            main += curvature
+            main /= 1.0 + tau
+            main *= w
+        main += k0
+        yield tau, (main, grid.pencil[1])
+
+
+def _newton_direction(grid, mu, wg, cos2h):
     """Shifted Newton step, its slope, the number of factorizations tried and
     whether the unshifted Hessian H factored, i.e. is positive definite:
     solve ((H + tau P) / (1 + tau)) d = -W g for the first tau of SHIFTS
     whose matrix is positive definite and whose step descends, else the
-    pencil step -P^-1 W g.  cos2h is cos(2 values[1:]), as the gradient at
-    values computed it."""
-    w = grid.weights[1:]
-    curvature = cos2h / grid.r_squared - 2.0 * mu * np.cos(4.0 * values[1:])
-    k0 = grid.stiffness_bands[0][1:]
+    pencil step -P^-1 W g.  cos2h is cos(2 h[1:]) at the iterate h, as the
+    gradient there computed it."""
     definite = False
-    for tried, tau in enumerate(SHIFTS, 1):
+    for tried, (tau, (main, _)) in enumerate(hessian_bands(grid, mu, cos2h), 1):
         try:
-            factor = banded_factor(grid, k0 + w * ((curvature + tau / grid.r_squared) / (1.0 + tau)))
+            factor = banded_factor(grid, main)
         except np.linalg.LinAlgError:
             continue
         definite = definite or tau == 0.0
@@ -186,7 +223,7 @@ def minimize(
 
     while not diverged:
         wg = w[1:] * g[1:]
-        step, slope, tried, definite = _newton_direction(grid, v, mu, wg, cos2h)
+        step, slope, tried, definite = _newton_direction(grid, mu, wg, cos2h)
         factorizations += tried
         if not math.isfinite(slope):
             diverged = True

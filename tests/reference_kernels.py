@@ -1,13 +1,19 @@
 """The energy, gradient and fold as first written, one numpy expression each,
-with the flux-form stiffness apply K v that the gradient builds on.
+with the flux-form stiffness apply K v that the gradient builds on; and the
+Bessel start and inverse iteration of magnetodisk.eigen, with a fresh array
+for every intermediate.
 
 The kernels of magnetodisk.operators build the same fields in place, fused
 (energy_parts hands dv and sin 2h to gradient_from_parts), and do the same
 floating-point operations in the same order, so they must agree with these
-bit for bit.  The references read only the grid's nodes and weights.
+bit for bit; so must eigen's in-place series and normalisation.  The
+operator references read only the grid's nodes and weights; the inverse
+iteration solves with the grid's pencil factor, as eigen does.
 """
 
 import numpy as np
+
+from magnetodisk.grid import assemble_pencil, banded_matvec, banded_solve
 
 
 def kappa(grid):
@@ -54,3 +60,57 @@ def reference_fold(values):
         a = np.where(a > np.pi / 2.0, np.abs(np.pi - a), a)
         changed = True
     return a, changed
+
+
+def reference_bessel_j1(x):
+    """J1 by 12 terms of its power series."""
+    q = -0.25 * x * x
+    term = 0.5 * x
+    total = term
+    for k in range(1, 12):
+        term = term * q / (k * (k + 1))
+        total = total + term
+    return total
+
+
+def reference_inverse_iteration(grid, v, deflate, max_iter=400, rq_tol=1e-14):
+    """Shift-0 inverse iteration on the pencil, deflated against the
+    M-normalized mode deflate unless it is None: (gamma, v, residual,
+    solves), as eigen._inverse_iteration returns them."""
+    factor = grid.pencil_factor
+    ab, m = assemble_pencil(grid)
+
+    def project(x):
+        if deflate is None:
+            return x
+        return x - float(np.sum(m * (x * deflate))) * deflate
+
+    v = project(v)
+    if deflate is not None:
+        v[0] += 1e-3
+        v = project(v)
+    v = v / np.sqrt(float(np.sum(m * (v * v))))
+    gamma_prev = delta_prev = gamma = np.inf
+    stall = 0
+    for it in range(1, max_iter + 1):
+        mv = m * v
+        u = project(banded_solve(factor, mv))
+        gamma = 1.0 / float(np.sum(mv * u))
+        u = u / np.sqrt(float(np.sum(m * (u * u))))
+        delta = abs(gamma - gamma_prev)
+        scale = max(1.0, abs(gamma))
+        plateau = delta <= 1e-10 * scale and delta >= 0.5 * delta_prev
+        if delta <= rq_tol * scale or plateau:
+            stall += 1
+            if stall >= 2:
+                v = u
+                break
+        else:
+            stall = 0
+        delta_prev = delta
+        gamma_prev = gamma
+        v = u
+    else:
+        raise RuntimeError(f"inverse iteration did not settle in {max_iter} iterations")
+    res = banded_matvec(ab, v) - gamma * m * v
+    return gamma, v, float(np.sqrt(np.sum(res * res))), it

@@ -14,7 +14,7 @@ from magnetodisk.grid import assemble_pencil, banded_matvec, banded_solve
 
 import oracles
 from oracles import GAMMA0_CONTINUUM, J1PRIME_ROOT, boundary_slope
-from reference_kernels import stiffness_apply
+from reference_kernels import reference_bessel_j1, reference_inverse_iteration, stiffness_apply
 
 
 def test_pencil_matches_elimination_of_the_origin_node(grid256):
@@ -177,3 +177,23 @@ def test_threshold_couples_eigenvalue_to_model(pair256):
     # threshold parameters must be constructible without rounding surprises
     p = ModelParams(mu=pair256.gamma0 / 2.0)
     assert 2.0 * p.mu == pair256.gamma0
+
+
+@pytest.mark.parametrize("n", [256, 4096])
+def test_in_place_iteration_is_the_reference_iteration_bitwise(monkeypatch, n):
+    # the Bessel series and the normalisation run in reused buffers, with the
+    # operations of the one-expression forms in the same order
+    grid = build_grid(n, 2.0)
+    x = eigen._J1PRIME_ROOT * grid.nodes[1:]
+    assert eigen._bessel_j1(x).tobytes() == reference_bessel_j1(x).tobytes()
+    pair = smallest_eigenpair(grid)
+    gamma1, psi = second_eigenpair(grid, pair)
+    monkeypatch.setattr(eigen, "_bessel_j1", reference_bessel_j1)
+    monkeypatch.setattr(eigen, "_inverse_iteration", reference_inverse_iteration)
+    ref = smallest_eigenpair(grid)
+    ref_gamma1, ref_psi = second_eigenpair(grid, ref)
+    assert pair.gamma0.hex() == ref.gamma0.hex()
+    assert pair.phi0.values.tobytes() == ref.phi0.values.tobytes()
+    assert (pair.residual.hex(), pair.iterations) == (ref.residual.hex(), ref.iterations)
+    assert gamma1.hex() == ref_gamma1.hex()
+    assert psi.values.tobytes() == ref_psi.values.tobytes()

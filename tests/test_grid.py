@@ -1,9 +1,11 @@
 import gc
 import weakref
+from functools import cached_property
 
 import numpy as np
 import pytest
-from magnetodisk import ModelParams, build_grid, integrate, minimize
+import magnetodisk.grid as grid_module
+from magnetodisk import ModelParams, build_grid, integrate, minimize, smallest_eigenpair
 from magnetodisk.grid import assemble_pencil, banded_factor, banded_solve, rim_slope
 from magnetodisk.operators import gradient_values
 
@@ -56,12 +58,65 @@ def test_grid_is_immutable():
         g.weights[0] = 1.0
     # the operator arrays are built once per grid and shared read-only
     assert g.stiffness_bands is g.stiffness_bands
+    assert g.pencil is g.pencil
     assert g.pencil_factor is g.pencil_factor
     assert g.r_squared is g.r_squared
-    for array in (*g.stiffness_bands, *g.pencil_factor, g.r_squared):
+    assert g.two_r_squared is g.two_r_squared
+    for array in (*g.stiffness_bands, *g.pencil, *g.pencil_factor, g.r_squared,
+                  g.two_r_squared):
         with pytest.raises(ValueError):
             array[0] = 1.0
     assert np.array_equal(g.r_squared, g.nodes[1:] ** 2)
+    assert np.array_equal(g.two_r_squared, 2.0 * g.nodes[1:] ** 2)
+
+
+def test_assemble_pencil_returns_the_grid_pencil_assembled_once(monkeypatch):
+    # count the assemblies: every reader of the pencil (assemble_pencil, the
+    # pencil factor, the eigensolver, each Newton factorization) shares one
+    built = []
+    pencil = grid_module.RadialGrid.pencil
+
+    def counted(grid):
+        built.append(grid)
+        return pencil.func(grid)
+
+    counting = cached_property(counted)
+    counting.__set_name__(grid_module.RadialGrid, "pencil")
+    monkeypatch.setattr(grid_module.RadialGrid, "pencil", counting)
+    g = build_grid(256, 2.0)
+    (main, off), mass = assemble_pencil(g)
+    smallest_eigenpair(g)
+    minimize(g, ModelParams(mu=20.0))
+    (main2, off2), mass2 = assemble_pencil(g)
+    assert built == [g]
+    assert main is main2 is g.pencil[0]
+    assert off is off2 is g.pencil[1]
+    assert mass is mass2 is g.pencil[2]
+    for array in (main, off, mass):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    # the assembly of A = K + W / r^2 and m over the nodes 1..n
+    diagonal, kappa = g.stiffness_bands
+    assert main.tobytes() == (diagonal[1:] + g.weights[1:] / g.nodes[1:] ** 2).tobytes()
+    assert off.tobytes() == (-kappa[1:]).tobytes()
+    assert mass.tobytes() == g.weights[1:].tobytes()
+
+
+def test_banded_factor_passes_the_cached_off_diagonal(monkeypatch):
+    g = build_grid(64, 2.0)
+    seen = []
+    pttrf = grid_module._PTTRF
+
+    def recorded(d, e):
+        seen.append(e)
+        return pttrf(d, e)
+
+    monkeypatch.setattr(grid_module, "_PTTRF", recorded)
+    banded_factor(g, g.pencil[0])
+    banded_factor(g, 2.0 * g.pencil[0])
+    assert len(seen) == 2 and all(e is g.pencil[1] for e in seen)
+    # pttrf copies it: the cached band is unchanged by the factorizations
+    assert g.pencil[1].tobytes() == (-g.stiffness_bands[1][1:]).tobytes()
 
 
 def test_grid_is_collected_once_dropped():

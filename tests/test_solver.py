@@ -3,7 +3,8 @@ import pytest
 
 import magnetodisk.solver as solver
 from magnetodisk import ModelParams, Profile, build_grid, minimize
-from magnetodisk.grid import banded_solve
+from magnetodisk.grid import banded_factor, banded_matvec, banded_solve
+from magnetodisk.operators import gradient_values
 
 from conftest import smooth_profile
 from oracles import euler_residual, l2_norm, random_profile, verify_trivial_uniqueness
@@ -204,7 +205,7 @@ def test_newton_direction_falls_back_to_the_pencil_step(monkeypatch, grid256, pa
     v = 0.1 * pair256.phi0.values
     g = reference_gradient(grid256, v, 2.0)
     wg = grid256.weights[1:] * g[1:]
-    step, slope, tried, definite = solver._newton_direction(grid256, v, 2.0, wg,
+    step, slope, tried, definite = solver._newton_direction(grid256, 2.0, wg,
                                                             np.cos(2.0 * v[1:]))
     assert step.tobytes() == banded_solve(grid256.pencil_factor, -wg).tobytes()
     assert slope < 0.0
@@ -212,18 +213,85 @@ def test_newton_direction_falls_back_to_the_pencil_step(monkeypatch, grid256, pa
     assert not definite
 
 
+@pytest.mark.parametrize("mu", [2.0, 20.0, 1000.0])
+def test_hessian_bands_are_the_derivative_of_the_weighted_gradient(mu):
+    # H v against the central difference of W g along v, for a rough and a
+    # smooth v: the stiffness dominates the first, the curvature the second
+    grid = build_grid(256, 2.0)
+    r = grid.nodes
+    h = 1.3 * r * (2.0 - r)
+    tau, bands = next(solver.hessian_bands(grid, mu, np.cos(2.0 * h[1:])))
+    assert tau == 0.0 and bands[1] is grid.pencil[1]
+    rough = np.concatenate(([0.0], np.random.default_rng(7).standard_normal(grid.n)))
+    eps = 1e-5  # measured relative errors 5e-12 (rough) and 5e-9 (smooth)
+    for v in (rough, np.sin(3.0 * r)):
+        hv = banded_matvec(bands, v[1:])
+        fd = (gradient_values(grid, h + eps * v, mu)
+              - gradient_values(grid, h - eps * v, mu))[1:] * grid.weights[1:] / (2.0 * eps)
+        assert np.linalg.norm(hv - fd) <= 1e-6 * np.linalg.norm(hv)
+
+
+@pytest.mark.parametrize("mu", [2.0, 20.0, 1000.0, 1e8])
+def test_hessian_diagonals_match_the_cos_4h_form(mu):
+    # cos 4h = 2 cos^2 2h - 1 from the gradient's cos 2h, for every shift of
+    # the ladder, against K0 + w ((c + tau / r^2) / (1 + tau)) with np.cos(4h)
+    grid = build_grid(256, 2.0)
+    h = np.concatenate(([0.0], np.random.default_rng(3).uniform(0.0, np.pi / 2.0, grid.n)))
+    cos2h = np.cos(2.0 * h[1:])
+    w, r2, k0 = grid.weights[1:], grid.r_squared, grid.stiffness_bands[0][1:]
+    curvature = cos2h / r2 - 2.0 * mu * np.cos(4.0 * h[1:])
+    scale = k0 + w * (np.abs(cos2h) / r2 + 2.0 * mu)
+    taus = []
+    for tau, (main, off) in solver.hessian_bands(grid, mu, cos2h):
+        taus.append(tau)
+        old = k0 + w * ((curvature + tau / r2) / (1.0 + tau))
+        assert np.all(np.abs(main - old) <= 4.0 * np.spacing(scale))
+        assert off is grid.pencil[1]
+    assert tuple(taus) == solver.SHIFTS
+
+
+@pytest.mark.parametrize("n, mu, init_eps", [(64, 2.0, 1e-9), (64, 20.0, 1e-12),
+                                             (256, 2.0, 0.1), (256, 1000.0, 0.1)])
+def test_unshifted_hessian_factors_exactly_when_minimize_reports_it_definite(
+        monkeypatch, n, mu, init_eps):
+    # at every iterate, and independently of the factorization at n = 64: the
+    # smallest eigenvalue of the dense matrix is positive exactly then
+    grid = build_grid(n, 2.0)
+    seen = []
+    newton = solver._newton_direction
+
+    def recorded(grid, mu, wg, cos2h):
+        out = newton(grid, mu, wg, cos2h)
+        seen.append((cos2h.copy(), out[3]))
+        return out
+
+    monkeypatch.setattr(solver, "_newton_direction", recorded)
+    rep = minimize(grid, ModelParams(mu=mu), init_eps=init_eps)
+    assert rep.converged and seen[-1][1]
+    for cos2h, definite in seen:
+        _, (main, off) = next(solver.hessian_bands(grid, mu, cos2h))
+        try:
+            banded_factor(grid, main)
+            factors = True
+        except np.linalg.LinAlgError:
+            factors = False
+        assert factors == definite
+        if n == 64:
+            dense = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+            assert (np.linalg.eigvalsh(dense)[0] > 0.0) == definite
+    if init_eps < 1e-3:  # the start next to the h = 0 saddle is indefinite
+        assert not seen[0][1]
+
+
 def _reference_solver(monkeypatch):
     """Make minimize evaluate every energy, gradient, cos 2h and fold afresh
     from the point at hand, by the one-expression reference formulas, as it
     did before the fused kernels handed a trial's parts to the gradient and
     the gradient's cos 2h to the Newton step."""
-    newton = solver._newton_direction
     monkeypatch.setattr(solver, "energy_parts",
                         lambda grid, v, mu: (reference_energy(grid, v, mu), None, None))
-    monkeypatch.setattr(solver, "gradient_from_parts",
-                        lambda grid, v, mu, dv, sin2h: (reference_gradient(grid, v, mu), None))
-    monkeypatch.setattr(solver, "_newton_direction", lambda grid, v, mu, wg, cos2h: newton(
-        grid, v, mu, wg, np.cos(2.0 * v[1:])))
+    monkeypatch.setattr(solver, "gradient_from_parts", lambda grid, v, mu, dv, sin2h: (
+        reference_gradient(grid, v, mu), np.cos(2.0 * v[1:])))
     monkeypatch.setattr(solver, "fold_values", reference_fold)
 
 
