@@ -1,19 +1,24 @@
 """The energy, gradient and fold as first written, one numpy expression each,
-with the flux-form stiffness apply K v that the gradient builds on; and the
+with the flux-form stiffness apply K v that the gradient builds on; the
 Bessel start and inverse iteration of magnetodisk.eigen, with a fresh array
-for every intermediate.
+for every intermediate; and the shifted Newton step of magnetodisk.solver as
+a linear scan of its shift ladder.
 
 The kernels of magnetodisk.operators build the same fields in place, fused
 (energy_parts hands dv and sin 2h to gradient_from_parts), and do the same
 floating-point operations in the same order, so they must agree with these
 bit for bit; so must eigen's in-place series and normalisation.  The
 operator references read only the grid's nodes and weights; the inverse
-iteration solves with the grid's pencil factor, as eigen does.
+iteration solves with the grid's pencil factor, as eigen does.  The solver
+searches its ladder for the rung that the scan reaches first, with fewer
+factorizations, and builds each rung's matrix by the same operations, so its
+steps must agree with the scan's bit for bit.
 """
 
 import numpy as np
 
-from magnetodisk.grid import assemble_pencil, banded_matvec, banded_solve
+from magnetodisk.grid import assemble_pencil, banded_factor, banded_matvec, banded_solve
+from magnetodisk.solver import SHIFTS
 
 
 def kappa(grid):
@@ -114,3 +119,33 @@ def reference_inverse_iteration(grid, v, deflate, max_iter=400, rq_tol=1e-14):
         raise RuntimeError(f"inverse iteration did not settle in {max_iter} iterations")
     res = banded_matvec(ab, v) - gamma * m * v
     return gamma, v, float(np.sqrt(np.sum(res * res))), it
+
+
+def reference_newton_direction(grid, mu, wg, cos2h, last):
+    """Try every tau of SHIFTS in turn, from 0 up, and solve with the first
+    whose matrix (H + tau P) / (1 + tau) factors and whose step descends,
+    else take the pencil step; last, the rung of the previous step, is
+    ignored.  (step, slope, tried, definite, rung) as
+    solver._newton_direction returns them, tried counting every
+    factorization."""
+    w = grid.weights[1:]
+    r2 = grid.r_squared
+    k0 = grid.stiffness_bands[0][1:]
+    curvature = cos2h / r2 - 2.0 * mu * (2.0 * cos2h * cos2h - 1.0)
+    definite = False
+    for rung, tau in enumerate(SHIFTS):
+        if tau == 0.0:
+            main = k0 + w * curvature
+        else:
+            main = k0 + w * ((curvature + tau / r2) / (1.0 + tau))
+        try:
+            factor = banded_factor(grid, main)
+        except np.linalg.LinAlgError:
+            continue
+        definite = definite or tau == 0.0
+        step = banded_solve(factor, -wg)
+        slope = 2.0 * np.pi * float(np.sum(wg * step))
+        if slope < 0.0:
+            return step, slope, rung + 1, definite, rung
+    step = banded_solve(grid.pencil_factor, -wg)
+    return step, 2.0 * np.pi * float(np.sum(wg * step)), len(SHIFTS), definite, len(SHIFTS)

@@ -8,7 +8,12 @@ from magnetodisk.operators import gradient_values
 
 from conftest import smooth_profile
 from oracles import euler_residual, l2_norm, random_profile, verify_trivial_uniqueness
-from reference_kernels import reference_energy, reference_fold, reference_gradient
+from reference_kernels import (
+    reference_energy,
+    reference_fold,
+    reference_gradient,
+    reference_newton_direction,
+)
 
 
 def test_subcritical_runs_return_the_exact_trivial_profile(grid256, pair256):
@@ -138,7 +143,8 @@ def test_line_search_energy_evaluations_are_capped(monkeypatch, mu):
         assert rep.energy_evals == len(calls)
         # the initial evaluation, one accepted trial per iteration, one per rejection
         assert rep.energy_evals == 1 + rep.iterations + rep.backtracks
-        # every shift tried, failed ones included; measured 14, 25 and 36
+        # every shift tried, failed ones included; measured 9, 13 and 17 at
+        # both n (14, 25 and 36 when the ladder was scanned from tau = 0)
         assert rep.factorizations == len(factors) > rep.iterations
 
 
@@ -195,6 +201,12 @@ def test_line_search_trials_stay_within_the_fold_domain_of_their_iterate(
     assert max(reaches) <= 1.0
 
 
+# factorizations when none succeeds, by the rung the previous step took:
+# tau = 0, then a bisection of the 13 shifted rungs after tau = 0, or a walk
+# up from the rung below the previous one to the top of the ladder
+FALLBACK_TRIES = {0: 1 + 4, 1: 1 + 13, 7: 1 + 8, len(solver.SHIFTS): 1 + 1}
+
+
 def test_newton_direction_falls_back_to_the_pencil_step(monkeypatch, grid256, pair256):
     # when no shifted matrix factors, the step is the pencil solve, the
     # tau -> inf limit of the shifted Newton step
@@ -205,12 +217,14 @@ def test_newton_direction_falls_back_to_the_pencil_step(monkeypatch, grid256, pa
     v = 0.1 * pair256.phi0.values
     g = reference_gradient(grid256, v, 2.0)
     wg = grid256.weights[1:] * g[1:]
-    step, slope, tried, definite = solver._newton_direction(grid256, 2.0, wg,
-                                                            np.cos(2.0 * v[1:]))
-    assert step.tobytes() == banded_solve(grid256.pencil_factor, -wg).tobytes()
-    assert slope < 0.0
-    assert tried == len(solver.SHIFTS)
-    assert not definite
+    for last, tries in FALLBACK_TRIES.items():
+        step, slope, tried, definite, rung = solver._newton_direction(
+            grid256, 2.0, wg, np.cos(2.0 * v[1:]), last)
+        assert step.tobytes() == banded_solve(grid256.pencil_factor, -wg).tobytes()
+        assert slope < 0.0
+        assert tried == tries
+        assert rung == len(solver.SHIFTS)
+        assert not definite
 
 
 @pytest.mark.parametrize("mu", [2.0, 20.0, 1000.0])
@@ -220,7 +234,8 @@ def test_hessian_bands_are_the_derivative_of_the_weighted_gradient(mu):
     grid = build_grid(256, 2.0)
     r = grid.nodes
     h = 1.3 * r * (2.0 - r)
-    tau, bands = next(solver.hessian_bands(grid, mu, np.cos(2.0 * h[1:])))
+    tau = solver.SHIFTS[0]
+    bands = solver.hessian_bands(grid, mu, np.cos(2.0 * h[1:]))(tau)
     assert tau == 0.0 and bands[1] is grid.pencil[1]
     rough = np.concatenate(([0.0], np.random.default_rng(7).standard_normal(grid.n)))
     eps = 1e-5  # measured relative errors 5e-12 (rough) and 5e-9 (smooth)
@@ -234,20 +249,28 @@ def test_hessian_bands_are_the_derivative_of_the_weighted_gradient(mu):
 @pytest.mark.parametrize("mu", [2.0, 20.0, 1000.0, 1e8])
 def test_hessian_diagonals_match_the_cos_4h_form(mu):
     # cos 4h = 2 cos^2 2h - 1 from the gradient's cos 2h, for every shift of
-    # the ladder, against K0 + w ((c + tau / r^2) / (1 + tau)) with np.cos(4h)
+    # the ladder, against K0 + w ((c + tau / r^2) / (1 + tau)) with np.cos(4h);
+    # and each rung is built by the same operations whatever rungs were built
+    # before it, so that a search of the ladder sees the matrices of a scan
     grid = build_grid(256, 2.0)
     h = np.concatenate(([0.0], np.random.default_rng(3).uniform(0.0, np.pi / 2.0, grid.n)))
     cos2h = np.cos(2.0 * h[1:])
     w, r2, k0 = grid.weights[1:], grid.r_squared, grid.stiffness_bands[0][1:]
     curvature = cos2h / r2 - 2.0 * mu * np.cos(4.0 * h[1:])
     scale = k0 + w * (np.abs(cos2h) / r2 + 2.0 * mu)
+    bands = solver.hessian_bands(grid, mu, cos2h)
     taus = []
-    for tau, (main, off) in solver.hessian_bands(grid, mu, cos2h):
+    scanned = []
+    for tau in solver.SHIFTS:
+        main, off = bands(tau)
         taus.append(tau)
+        scanned.append(main.tobytes())
         old = k0 + w * ((curvature + tau / r2) / (1.0 + tau))
         assert np.all(np.abs(main - old) <= 4.0 * np.spacing(scale))
         assert off is grid.pencil[1]
     assert tuple(taus) == solver.SHIFTS
+    for k in (7, 13, 0, 3, 1, 12, 0, 6):
+        assert bands(solver.SHIFTS[k])[0].tobytes() == scanned[k]
 
 
 @pytest.mark.parametrize("n, mu, init_eps", [(64, 2.0, 1e-9), (64, 20.0, 1e-12),
@@ -260,8 +283,8 @@ def test_unshifted_hessian_factors_exactly_when_minimize_reports_it_definite(
     seen = []
     newton = solver._newton_direction
 
-    def recorded(grid, mu, wg, cos2h):
-        out = newton(grid, mu, wg, cos2h)
+    def recorded(grid, mu, wg, cos2h, last):
+        out = newton(grid, mu, wg, cos2h, last)
         seen.append((cos2h.copy(), out[3]))
         return out
 
@@ -269,7 +292,7 @@ def test_unshifted_hessian_factors_exactly_when_minimize_reports_it_definite(
     rep = minimize(grid, ModelParams(mu=mu), init_eps=init_eps)
     assert rep.converged and seen[-1][1]
     for cos2h, definite in seen:
-        _, (main, off) = next(solver.hessian_bands(grid, mu, cos2h))
+        main, off = solver.hessian_bands(grid, mu, cos2h)(0.0)
         try:
             banded_factor(grid, main)
             factors = True
@@ -281,6 +304,49 @@ def test_unshifted_hessian_factors_exactly_when_minimize_reports_it_definite(
             assert (np.linalg.eigvalsh(dense)[0] > 0.0) == definite
     if init_eps < 1e-3:  # the start next to the h = 0 saddle is indefinite
         assert not seen[0][1]
+
+
+# factorizations at n = 1024 from the default start, and at n = 64 from
+# 1e-9 phi0 next to the h = 0 saddle; a scan of the ladder from tau = 0 made
+# 6 / 14 / 25 / 36 / 65 / 76 / 103 and 412, in the same iterations
+SHIFT_SEARCH_FACTORIZATIONS = {
+    (1024, 2.0, 0.1): 6,
+    (1024, 20.0, 0.1): 9,
+    (1024, 100.0, 0.1): 13,
+    (1024, 1e3, 0.1): 17,
+    (1024, 1e4, 0.1): 31,
+    (1024, 1e6, 0.1): 27,
+    (1024, 1e8, 0.1): 31,
+    (64, 2.0, 1e-9): 160,
+}
+
+
+@pytest.mark.parametrize("n, mu, init_eps", sorted(SHIFT_SEARCH_FACTORIZATIONS))
+def test_shift_search_factorizations_are_pinned(n, mu, init_eps):
+    rep = minimize(build_grid(n, 2.0), ModelParams(mu=mu), init_eps=init_eps)
+    assert rep.converged
+    assert rep.factorizations == SHIFT_SEARCH_FACTORIZATIONS[n, mu, init_eps]
+    if init_eps < 1e-3:  # the search leaves the slow escape from h = 0 as it was
+        assert rep.iterations == 55
+
+
+@pytest.mark.parametrize("init_eps", [0.1, 1.0, 1e-9])
+@pytest.mark.parametrize("n", [64, 256, 1024])
+@pytest.mark.parametrize("mu", [2.0, 2.1, 3.0, 20.0, 100.0, 1e3, 1e4, 1e6, 1e8])
+def test_shift_search_takes_the_steps_of_the_ladder_scan(monkeypatch, mu, n, init_eps):
+    # the search returns the rung a scan from tau = 0 reaches first, so the
+    # whole run is the scan's bit for bit, with no more factorizations
+    grid = build_grid(n, 2.0)
+    shipped = minimize(grid, ModelParams(mu=mu), init_eps=init_eps)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_newton_direction", reference_newton_direction)
+        ref = minimize(grid, ModelParams(mu=mu), init_eps=init_eps)
+    assert shipped.minimizer.values.tobytes() == ref.minimizer.values.tobytes()
+    assert shipped.energy.hex() == ref.energy.hex()
+    assert shipped.residual.hex() == ref.residual.hex()
+    assert (shipped.iterations, shipped.energy_evals, shipped.backtracks, shipped.converged) \
+        == (ref.iterations, ref.energy_evals, ref.backtracks, ref.converged)
+    assert shipped.factorizations <= ref.factorizations
 
 
 def _reference_solver(monkeypatch):
