@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .bifurcation import amplitude_fit_slope, detected_threshold, trace_branches
 from .eigen import smallest_eigenpair
-from .fields import _interpolant, magnetization_grid, reconstruct_w
+from .fields import magnetization_grid, reconstruct_w
 from .grid import RadialGrid, build_grid
 from .operators import ModelParams, Profile
 from .solver import SolveReport, minimize
@@ -495,7 +495,7 @@ def cmd_fields(cfg: RunConfig, grid: RadialGrid, params: ModelParams) -> int:
     keep = xs**2 + ys**2 <= 1.0
     xs, ys = xs[keep], ys[keep]
     m = magnetization_grid(report.minimizer, xs, ys)
-    wvals = _interpolant(w)(np.hypot(xs, ys))
+    wvals = np.interp(np.hypot(xs, ys), grid.nodes, w.values)
 
     writer = _Writer(cfg)
     writer.table("fields", ["x", "y", "m1", "m2", "m3", "w"], [xs, ys, *m.T, wvals])

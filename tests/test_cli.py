@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from magnetodisk import (
+    ModelParams, build_grid, magnetization_grid, minimize, reconstruct_w, smallest_eigenpair)
 from magnetodisk.cli import main
 
 from conftest import fresh_python
@@ -70,17 +72,19 @@ def test_eigen_outputs_do_not_depend_on_blas_threads(tmp_path):
 
 def test_cli_import_leaves_scipy_interpolate_unloaded(tmp_path):
     # grid binds pttrf/pttrs from scipy's LAPACK extension without importing
-    # scipy.linalg, and only fields imports scipy.interpolate
+    # scipy.linalg, and fields reads h and w with np.interp
     probe = f"""
 import sys
 from magnetodisk import cli
 for args in (["eigen", "--n", "64"], ["minimize", "--mu", "2", "--n", "64"],
-             ["sweep", "--mu-range", "1.5:2.2:3", "--n", "64"]):
+             ["sweep", "--mu-range", "1.5:2.2:3", "--n", "64"],
+             ["fields", "--mu", "2", "--n", "64", "--samples", "5"]):
     assert cli.main(args + ["--out", {str(tmp_path)!r} + "/" + args[0]]) == 0, args
 print(sorted(m for m in ("scipy.linalg", "scipy.interpolate") if m in sys.modules))
 """
     assert fresh_python("-c", probe).stdout.splitlines()[-1] == "[]"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["eigen", "minimize", "sweep"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "eigen", "fields", "minimize", "sweep"]
 
 
 # the test-side certificates and helpers that left the package
@@ -203,6 +207,13 @@ def test_fields_command(tmp_path):
     norms = data[:, 2] ** 2 + data[:, 3] ** 2 + data[:, 4] ** 2
     assert np.abs(norms - 1.0).max() <= 1e-12
     assert np.all(np.isfinite(data))
+    # m and w at each lattice point are the P1 functions of the nodal h and w
+    xs, ys = data[:, 0], data[:, 1]
+    grid = build_grid(64)
+    h = minimize(grid, ModelParams(mu=2.5), eigenpair=smallest_eigenpair(grid)).minimizer
+    w = reconstruct_w(h, np.sqrt(5.0))
+    assert np.array_equal(data[:, 5], np.interp(np.hypot(xs, ys), grid.nodes, w.values))
+    assert np.array_equal(data[:, 2:5], magnetization_grid(h, xs, ys))
 
 
 def test_config_file_with_flag_override(tmp_path):

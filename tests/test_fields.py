@@ -65,6 +65,38 @@ def test_magnetization_rejects_points_outside_the_disk(minimizer256):
     with pytest.raises(ValueError):
         magnetization_grid(minimizer256.minimizer, np.array([0.0, 0.9]),
                            np.array([0.0, 0.9]))
+    # a non-finite point is not inside the disk either
+    for xs, ys in (([np.nan, 0.3], [0.0, 0.2]), ([0.1], [np.nan]),
+                   ([np.inf], [0.0]), ([-np.inf, 0.0], [np.nan, 0.0])):
+        with pytest.raises(ValueError):
+            magnetization_grid(minimizer256.minimizer, xs, ys)
+
+
+def test_magnetization_rejects_mismatched_shapes(minimizer256):
+    h = minimizer256.minimizer
+    for xs, ys in (([0.3, 0.1], [0.2]), ([0.3], [0.1, 0.2]), (0.3, 0.2),
+                   ([[0.3, 0.1]], [[0.2, 0.0]])):
+        with pytest.raises(ValueError):
+            magnetization_grid(h, xs, ys)
+
+
+def test_magnetization_reads_the_p1_angle(minimizer256):
+    # the angle between the nodes is the P1 function the solver minimized:
+    # the nodal value at a node, the mean of the two nodal values mid-cell
+    h = minimizer256.minimizer
+    r, v = h.grid.nodes[1:], h.values[1:]
+    xs = np.concatenate((r, np.zeros_like(r), -r))
+    ys = np.concatenate((np.zeros_like(r), r, np.zeros_like(r)))
+    rad, angle = np.tile(r, 3), np.tile(v, 3)
+    expected = np.stack((xs / rad * np.sin(angle), ys / rad * np.sin(angle),
+                         np.cos(angle)), axis=1)
+    assert np.array_equal(magnetization_grid(h, xs, ys), expected)
+
+    mid = 0.5 * (h.grid.nodes[:-1] + h.grid.nodes[1:])
+    mean = 0.5 * (h.values[:-1] + h.values[1:])
+    m = magnetization_grid(h, mid, np.zeros_like(mid))
+    assert np.abs(m[:, 0] - np.sin(mean)).max() <= 1e-15
+    assert np.abs(m[:, 2] - np.cos(mean)).max() <= 1e-15
 
 
 def test_magnetization_is_unit_length(minimizer256):
@@ -108,7 +140,7 @@ def test_reduction_identity_for_simple_profiles(grid256):
 def test_reduction_identity_for_minimizer(minimizer256):
     # the planar exchange density of the reconstructed magnetization must
     # collapse to the radial integrand the energy is built on
-    assert check_reduction_identity(minimizer256.minimizer) <= 1e-4  # measured 3e-7
+    assert check_reduction_identity(minimizer256.minimizer) <= 1e-4  # measured 3.0e-9
 
 
 def test_coupled_energy_matches_reduced_energy(minimizer256):
