@@ -12,9 +12,9 @@ from .bifurcation import (
     detected_threshold,
     trace_branches,
 )
-from .eigen import EigenPair, second_eigenpair, smallest_eigenpair
+from .eigen import EigenPair, smallest_eigenpair
 from .fields import magnetization_grid, reconstruct_w
-from .grid import RadialGrid, assemble_pencil, build_grid, integrate
+from .grid import RadialGrid, build_grid, integrate
 from .operators import ModelParams, Profile
 from .solver import SolveReport, minimize
 
@@ -27,7 +27,6 @@ __all__ = [
     "RadialGrid",
     "SolveReport",
     "amplitude_fit_slope",
-    "assemble_pencil",
     "build_grid",
     "cbar",
     "detected_threshold",
@@ -35,7 +34,6 @@ __all__ = [
     "magnetization_grid",
     "minimize",
     "reconstruct_w",
-    "second_eigenpair",
     "smallest_eigenpair",
     "trace_branches",
     "__version__",

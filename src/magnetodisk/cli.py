@@ -8,8 +8,10 @@ here (report.json, reconstruct_w) and defaults to sqrt(2 mu).
 Exit codes: 0 success, 1 numerical failure, 2 invalid input (found before
 anything is written).  Output files carry a metadata header with the
 package version and a hash of the resolved configuration; reruns with
-identical configuration are bit-identical.  The invariants behind the
-outputs are checked by tests/test_acceptance.py, not by a subcommand.
+identical configuration are bit-identical.  JSON text is json.dumps's; the
+float cells of a table come from the %.17g kernel _g17.  The invariants
+behind the outputs are checked by tests/test_acceptance.py, not by a
+subcommand.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ def _load_config_file(path: str) -> dict:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge the config file and the flags (flags win), convert each value,
     and check what no library constructor sees: format, samples, init_eps,
-    lambda against mu, and the shape of mu_range.  main leaves n, grading,
+    out, lambda against mu, and the shape of mu_range.  main leaves n, grading,
     mu, tol and max_iter to build_grid and ModelParams."""
     merged = _load_config_file(args.config) if args.config is not None else {}
     merged.update({k: v for k, v in vars(args).items() if k in _CONVERTERS and v is not None})
@@ -133,6 +135,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if cfg.samples < 3:
         # with 2 per axis the lattice is the four corners, all outside the disk
         raise ValueError(f"samples must be >= 3, got {cfg.samples}")
+    # the outputs go into out, made with its missing parents: the nearest
+    # of them that exists, a dangling symlink included, must be a directory
+    out = Path(cfg.out)
+    nearest = next((p for p in (out, *out.parents) if p.is_symlink() or p.exists()), None)
+    if nearest is not None and not nearest.is_dir():
+        raise ValueError(f"out {cfg.out!r}: {str(nearest)!r} is not a directory")
 
     if cfg.lam is not None:
         try:
@@ -157,41 +165,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _json_text(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  "{k}": {_json_text(v, indent + 1)}' for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ", ".join(_json_text(v, indent) for v in obj)
-        return "[" + items + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        return "%.17g" % x if math.isfinite(x) else "null"
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj)}")
-
-
 def _config_hash(cfg: RunConfig) -> str:
     # The destination directory does not influence any computed value, so it
     # stays out of the run identity.
-    payload = _json_text(
-        {k: v for k, v in sorted(asdict(cfg).items()) if k != "out"}
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
+    config = asdict(cfg)
+    del config["out"]
+    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:12]
 
 
 _BLOCK_ROWS = 4096  # rows formatted and written at a time: bounds the text in memory
@@ -329,9 +308,10 @@ class _Writer:
     def json(self, name: str, payload: dict) -> Path:
         self.out.mkdir(parents=True, exist_ok=True)
         path = self.out / name
-        body = dict(payload)
+        body = {key: None if isinstance(value, float) and not math.isfinite(value) else value
+                for key, value in payload.items()}
         body["meta"] = self.meta
-        path.write_text(_json_text(body) + "\n")
+        path.write_text(json.dumps(body, indent=2, allow_nan=False) + "\n")
         return path
 
     def table(self, stem: str, names: list[str], columns) -> Path:
@@ -358,8 +338,8 @@ class _Writer:
 
         if as_json:
             path = self.out / f"{stem}.json"
-            head, tail = _json_text(
-                {"meta": self.meta, "columns": names, "rows": []}
+            head, tail = json.dumps(
+                {"meta": self.meta, "columns": names, "rows": []}, indent=2
             ).rsplit("[]", 1)
             opening, closing = head + "[", "]" + tail + "\n"
             # each row is followed by ", ", cut after the last one

@@ -13,9 +13,10 @@ M-normalized iterate v and u = A^-1 M v, 1/gamma = (M v) . u is the Rayleigh
 quotient of the inverse pencil, second-order accurate in the error of v and,
 for the ground mode, a sum of positive terms.  The ground mode starts from
 the sampled continuum mode J1(j'_{1,1} r), so a few solves settle it.  The
-pencil and its factor are the grid's, assembled once per grid.  The Bessel
-series and the normalisation of each iterate run in reused buffers, with the
-operations of their one-expression forms in the same order.  Every
+pencil's main diagonal and its factor are the grid's, built once per grid,
+and the mass M is diag(grid.weights[1:]).  The Bessel series and the
+normalisation of each iterate run in reused buffers, with the operations of
+their one-expression forms in the same order.  Every
 reduction is a numpy sum in a fixed order, never a BLAS dot, so the results
 do not depend on the BLAS thread count.
 """
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RadialGrid, assemble_pencil, banded_matvec, banded_solve
+from .grid import RadialGrid, banded_matvec, banded_solve
 from .operators import Profile
 
 __all__ = ["EigenPair", "smallest_eigenpair", "second_eigenpair"]
@@ -85,7 +86,7 @@ class EigenPair:
 def _inverse_iteration(grid: RadialGrid, v: np.ndarray,
                        deflate: np.ndarray | None) -> tuple[float, np.ndarray, float, int]:
     factor = grid.pencil_factor
-    ab, m = assemble_pencil(grid)
+    m = grid.weights[1:]
 
     def project(x: np.ndarray) -> np.ndarray:
         if deflate is None:
@@ -131,7 +132,7 @@ def _inverse_iteration(grid: RadialGrid, v: np.ndarray,
             f"inverse iteration did not settle in {MAX_ITER} iterations; "
             f"last Rayleigh quotient {gamma}"
         )
-    res = banded_matvec(ab, v) - gamma * m * v
+    res = banded_matvec(grid, grid.pencil, v) - gamma * m * v
     return gamma, v, float(np.sqrt(_dot(res, res))), it
 
 

@@ -4,10 +4,11 @@ The unit disk problems in this package reduce to one-dimensional integrals
 of the form int_0^1 f(r) r dr.  This module provides the mesh, the matching
 quadrature rule, and the discrete operator of the mesh, built once per grid
 and read-only: the tridiagonal P1 stiffness K of int v_r^2 r dr, the squared
-nodes r^2 of the centrifugal terms, and the threshold pencil with its LDL^T
-factor (LAPACK pttrf).  Every tridiagonal matrix the package factors has the
-pencil's off-diagonal -kappa, so banded_factor takes only a main diagonal and
-reads that off-diagonal from the grid; banded_solve (pttrs) is the one solve
+nodes r^2 of the centrifugal terms, and the main diagonal of the threshold
+pencil with its LDL^T factor (LAPACK pttrf).  Every tridiagonal matrix the
+package uses, over the nodes 1..n, has K's off-diagonal -kappa, so it is
+given by its main diagonal alone: only this module reads the off-diagonal,
+in banded_factor and banded_matvec.  banded_solve (pttrs) is the one solve
 with such a factor, for the eigensolver and the minimizer alike.  rim_slope
 is the one-sided slope at r = 1 by which the minimizer reports the natural
 boundary condition.  Reductions over the mesh are numpy sums of products,
@@ -25,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["RadialGrid", "build_grid", "integrate", "rim_slope", "assemble_pencil", "banded_solve"]
+__all__ = ["RadialGrid", "build_grid", "integrate", "rim_slope", "banded_solve"]
 
 
 def _flapack():
@@ -71,8 +72,8 @@ class RadialGrid:
     sum to 1/2, the total mass of r dr on [0, 1].
 
     The operator arrays (r_squared, two_r_squared, stiffness_bands, pencil,
-    pencil_factor) are built on first access, at most once per grid, and
-    are read-only.
+    pencil_factor, _off_diagonal) are built on first access, at most once
+    per grid, and are read-only.
     """
 
     nodes: np.ndarray
@@ -112,20 +113,25 @@ class RadialGrid:
         return _read_only(diagonal, kappa)
 
     @cached_property
-    def pencil(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The threshold pencil over the nodes 1..n, the r = 0 value
-        eliminated by the Dirichlet condition: the main diagonal
-        K0 + w / r^2 of A = K + W / r^2, its off-diagonal -kappa[1:] and the
-        lumped mass m = w[1:].  See assemble_pencil."""
-        diagonal, kappa = self.stiffness_bands
-        w = self.weights[1:]
-        return _read_only(diagonal[1:] + w / self.r_squared, -kappa[1:], w)
+    def pencil(self) -> np.ndarray:
+        """The main diagonal K0 + w / r^2 of the threshold pencil matrix
+        A = K + W / r^2 over the nodes 1..n, the r = 0 value eliminated by
+        the Dirichlet condition.  The generalized problem is
+        A phi = gamma diag(w[1:]) phi."""
+        return _read_only(self.stiffness_bands[0][1:] + self.weights[1:] / self.r_squared)[0]
+
+    @cached_property
+    def _off_diagonal(self) -> np.ndarray:
+        """-kappa[1:], the off-diagonal of K over the nodes 1..n, and so of
+        every tridiagonal matrix the package uses: banded_factor and
+        banded_matvec read it, no other code."""
+        return _read_only(-self.stiffness_bands[1][1:])[0]
 
     @cached_property
     def pencil_factor(self) -> tuple[np.ndarray, np.ndarray]:
         """LDL^T factor of the pencil matrix A: the inverse-iteration solve
         in eigen and the preconditioner of minimize."""
-        return _read_only(*banded_factor(self, self.pencil[0]))
+        return _read_only(*banded_factor(self, self.pencil))
 
 
 def build_grid(n: int, grading: float = 2.0) -> RadialGrid:
@@ -192,11 +198,11 @@ def rim_slope(grid: RadialGrid, values: np.ndarray) -> float:
     return float(right @ values[-3:])
 
 
-def banded_matvec(ab: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Product of the symmetric tridiagonal matrix with bands ab = (main,
-    off-diagonal) with x."""
-    main, off = ab
-    y = main * x
+def banded_matvec(grid: RadialGrid, diagonal: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x, for A the matrix over the nodes 1..n with the given main diagonal
+    and the off-diagonal of K."""
+    off = grid._off_diagonal
+    y = diagonal * x
     y[:-1] += off * x[1:]
     y[1:] += off * x[:-1]
     return y
@@ -204,27 +210,12 @@ def banded_matvec(ab: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarra
 
 def banded_factor(grid: RadialGrid, diagonal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """LDL^T factor (LAPACK pttrf) of the matrix over the nodes 1..n with the
-    given main diagonal and the off-diagonal of K, i.e. with the r = 0 value
-    eliminated by the Dirichlet condition; that off-diagonal is the grid's
-    cached pencil[1], which pttrf copies.  Raises LinAlgError unless the
-    matrix is positive definite."""
-    d, e, info = _PTTRF(diagonal, grid.pencil[1])
+    given main diagonal and the off-diagonal of K, which pttrf copies.
+    Raises LinAlgError unless the matrix is positive definite."""
+    d, e, info = _PTTRF(diagonal, grid._off_diagonal)
     if info:
         raise np.linalg.LinAlgError(f"pttrf info {info}: the matrix is not positive definite")
     return d, e
-
-
-def assemble_pencil(grid: RadialGrid) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Stiffness-plus-centrifugal matrix A and lumped mass diagonal m.
-
-    A is returned as its bands (main, off-diagonal) over the nodes 1..n, the
-    r = 0 value eliminated by the Dirichlet condition, and m holds the
-    quadrature weights at the same nodes.  The generalized problem is
-    A phi = gamma * diag(m) * phi.  The arrays are the grid's cached,
-    read-only pencil, assembled once per grid.
-    """
-    main, off, mass = grid.pencil
-    return (main, off), mass
 
 
 def banded_solve(factor: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:

@@ -11,12 +11,11 @@ diagonal buffer, and H is its tau = 0 matrix.  tau = 0 is tried first; when
 H is indefinite, the first qualifying rung is searched for from the rung
 the previous step took, not scanned for from tau = 0, since every rung above
 a positive definite one is positive definite: the same step, with fewer
-factorizations (31 in place of 103 at mu = 1e8, n = 1024).  Divided by 1 + tau the matrix
-keeps K's off-diagonal, the grid's cached -kappa that grid.banded_factor
-passes to pttrf, and as tau grows the step turns into -P^-1 W g, steepest
-descent in the inner product of P.  When no shift qualifies, that direction itself, solved
-with the grid's cached pencil factor, is the step, so every iteration has
-one.
+factorizations.  Divided by 1 + tau the matrix keeps K's off-diagonal, so
+its main diagonal is all grid.banded_factor needs, and as tau grows the step
+turns into -P^-1 W g, steepest descent in the inner product of P.  When no
+shift qualifies, that direction itself, solved with the grid's cached pencil
+factor, is the step, so every iteration has one.
 
 Every accepted iterate is folded back into [0, pi/2], which never raises the
 energy, so the iterate and a minimizer both lie in [0, pi/2] at every node,
@@ -121,21 +120,20 @@ def _wnorm(w: np.ndarray, values: np.ndarray) -> float:
 
 
 def hessian_bands(grid: RadialGrid, mu: float,
-                  cos2h: np.ndarray) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
-    """Return bands(tau) -> (main, off), the bands over the nodes 1..n of
-    (H + tau P) / (1 + tau), where
+                  cos2h: np.ndarray) -> Callable[[float], np.ndarray]:
+    """Return diagonal(tau), the main diagonal over the nodes 1..n of
+    (H + tau P) / (1 + tau), whose off-diagonal is K's, where
 
         H = K + W diag(c),   c = cos 2h / r^2 - 2 mu cos 4h,
 
     is the Hessian of E / (2 pi) (H v is the derivative of W g along v) and
-    P = K + W / r^2 the threshold pencil; bands(0.0) is H.  cos2h is
+    P = K + W / r^2 the threshold pencil; diagonal(0.0) is H's.  cos2h is
     cos(2 h[1:]) as the gradient computed it; cos 4h is 2 cos^2 2h - 1 from
     it, and c is computed once.  Each main diagonal is K0 + w c at tau = 0
     and K0 + w ((c + tau / r^2) / (1 + tau)) otherwise, built afresh from c
     by the same operations whatever rungs came before, so the stiffness
     diagonal K0 enters exactly, and every call writes it into the same
-    buffer: use or copy it before the next.  off is the grid's cached
-    -kappa[1:], the off-diagonal of every such matrix."""
+    buffer: use or copy it before the next."""
     w = grid.weights[1:]
     r2 = grid.r_squared
     k0 = grid.stiffness_bands[0][1:]
@@ -146,7 +144,7 @@ def hessian_bands(grid: RadialGrid, mu: float,
     curvature *= 2.0 * mu
     np.subtract(buffer, curvature, out=curvature)
 
-    def bands(tau: float) -> tuple[np.ndarray, np.ndarray]:
+    def diagonal(tau: float) -> np.ndarray:
         main = buffer
         if tau == 0.0:
             np.multiply(curvature, w, out=main)
@@ -156,9 +154,9 @@ def hessian_bands(grid: RadialGrid, mu: float,
             main /= 1.0 + tau
             main *= w
         main += k0
-        return main, grid.pencil[1]
+        return main
 
-    return bands
+    return diagonal
 
 
 def _descent(grid, main, wg):
@@ -189,8 +187,8 @@ def _newton_direction(grid, mu, wg, cos2h, last):
     the pencil step), and stops when they are adjacent.  After a shifted step
     it walks one rung at a time from the rung below last, down while rungs
     qualify and up while they fail; after a step at tau = 0 it bisects."""
-    bands = hessian_bands(grid, mu, cos2h)
-    out = _descent(grid, bands(0.0)[0], wg)
+    diagonal = hessian_bands(grid, mu, cos2h)
+    out = _descent(grid, diagonal(0.0), wg)
     definite = out is not None
     if definite and out[1] < 0.0:
         return *out, 1, True, 0
@@ -198,7 +196,7 @@ def _newton_direction(grid, mu, wg, cos2h, last):
     lo, hi = 0, len(SHIFTS)
     k = max(last - 1, 1) if last else hi // 2
     while hi - lo > 1:
-        out = _descent(grid, bands(SHIFTS[k])[0], wg)
+        out = _descent(grid, diagonal(SHIFTS[k]), wg)
         tried += 1
         if out is not None and out[1] < 0.0:
             hi, best = k, out

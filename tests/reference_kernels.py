@@ -17,7 +17,7 @@ steps must agree with the scan's bit for bit.
 
 import numpy as np
 
-from magnetodisk.grid import assemble_pencil, banded_factor, banded_matvec, banded_solve
+from magnetodisk.grid import banded_factor, banded_matvec, banded_solve
 from magnetodisk.solver import SHIFTS
 
 
@@ -33,6 +33,13 @@ def stiffness_apply(grid, values):
     the right node of their cell with + and the left one with -."""
     flux = kappa(grid) * np.diff(values)
     return np.concatenate(([0.0], flux)) - np.concatenate((flux, [0.0]))
+
+
+def dense_matrix(grid, diagonal):
+    """The matrix over the nodes 1..n with this main diagonal and the
+    off-diagonal -kappa[1:] of the stiffness, as a dense array."""
+    off = -kappa(grid)[1:]
+    return np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def reference_energy(grid, values, mu):
@@ -83,7 +90,7 @@ def reference_inverse_iteration(grid, v, deflate, max_iter=400, rq_tol=1e-14):
     M-normalized mode deflate unless it is None: (gamma, v, residual,
     solves), as eigen._inverse_iteration returns them."""
     factor = grid.pencil_factor
-    ab, m = assemble_pencil(grid)
+    m = grid.weights[1:]
 
     def project(x):
         if deflate is None:
@@ -117,7 +124,7 @@ def reference_inverse_iteration(grid, v, deflate, max_iter=400, rq_tol=1e-14):
         v = u
     else:
         raise RuntimeError(f"inverse iteration did not settle in {max_iter} iterations")
-    res = banded_matvec(ab, v) - gamma * m * v
+    res = banded_matvec(grid, grid.pencil, v) - gamma * m * v
     return gamma, v, float(np.sqrt(np.sum(res * res))), it
 
 

@@ -103,6 +103,9 @@ def test_package_exports_resolve_and_leave_the_test_helpers_out():
     assert len(set(magnetodisk.__all__)) == len(magnetodisk.__all__)
     assert [name for name in MOVED_TO_TESTS if hasattr(magnetodisk, name)] == []
     assert not set(MOVED_TO_TESTS) & set(magnetodisk.__all__)
+    # neither a subcommand nor the README example runs these
+    for name in ("assemble_pencil", "second_eigenpair"):
+        assert not hasattr(magnetodisk, name) and name not in magnetodisk.__all__
 
 
 def test_minimize_subcritical(tmp_path):
@@ -412,3 +415,98 @@ def test_json_table_holds_the_csv_numbers(tmp_path, args, stem):
     for text_row, json_row in zip(rows, table["rows"]):
         assert len(json_row) == len(text_row)
         assert all(_json_cell_matches(t, v) for t, v in zip(text_row, json_row))
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub", "link", "link/sub"])
+def test_out_through_a_file_exits_2_before_solving(tmp_path, capsys, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("kept\n")
+    (tmp_path / "link").symlink_to(tmp_path / "nowhere" / "x")  # dangling
+    assert run("eigen", "--n", 16, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and out.split("/")[0] in err
+    assert (tmp_path / "afile").read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "link"]
+
+
+def _same(document, values):
+    """Each value of document equals its in-process value: floats bit for bit,
+    a non-finite float as null."""
+    for key, want in values.items():
+        got = document[key]
+        if isinstance(want, float):
+            assert (got is None if not np.isfinite(want) else got.hex() == want.hex()), key
+        else:
+            assert got == want and type(got) is type(want), key
+
+
+def test_json_documents_hold_the_in_process_values_bitwise(tmp_path):
+    from magnetodisk import amplitude_fit_slope, detected_threshold, trace_branches
+
+    assert run("eigen", "--n", 256, "--out", tmp_path / "e") == 0
+    grid = build_grid(256, 2.0)
+    pair = smallest_eigenpair(grid)
+    _same(json.loads((tmp_path / "e" / "eigen.json").read_text()),
+          {"gamma0": pair.gamma0, "n": 256, "grading": 2.0, "residual": pair.residual,
+           "iterations": pair.iterations})
+
+    assert run("minimize", "--mu", 2.5, "--n", 256, "--out", tmp_path / "m") == 0
+    report = minimize(grid, ModelParams(mu=2.5), eigenpair=pair)
+    _same(json.loads((tmp_path / "m" / "report.json").read_text()),
+          {"mu": 2.5, "lambda": np.sqrt(5.0), "energy": report.energy,
+           "residual": report.residual, "iterations": report.iterations,
+           "converged": report.converged, "fold_applied": report.fold_applied,
+           "bc_residual": report.bc_residual, "trivial": report.trivial})
+
+    assert run("sweep", "--mu-range", "1.5:2.0:6", "--n", 64, "--out", tmp_path / "s") == 0
+    diagram = trace_branches(build_grid(64, 2.0), ModelParams(mu=1.5), 1.5, 2.0, 6)
+    _same(json.loads((tmp_path / "s" / "summary.json").read_text()),
+          {"gamma0": diagram.gamma0, "cbar": diagram.cbar,
+           "threshold": detected_threshold(diagram), "slope": amplitude_fit_slope(diagram),
+           "mu_step": diagram.mu_step, "truncated_at": diagram.truncated_at})
+
+
+def _refuse(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_an_infinite_residual_is_written_as_null(tmp_path, capsys):
+    assert run("minimize", "--mu", 1e300, "--n", 16, "--out", tmp_path) == 1
+    capsys.readouterr()
+    report = json.loads((tmp_path / "report.json").read_text(), parse_constant=_refuse)
+    assert report["residual"] is None and report["converged"] is False
+
+
+def _hash(*argv):
+    from magnetodisk.cli import _build_parser, _config_hash, resolve_config
+
+    return _config_hash(resolve_config(_build_parser().parse_args([str(a) for a in argv])))
+
+
+# a value for every RunConfig key but out, other than the one in BASE_CONFIG
+OTHER_VALUES = {
+    "command": "minimize", "n": 513, "grading": 2.5, "mu": 2.0, "mu_range": (1.0, 2.0, 3),
+    "lam": 2.0, "seed": 1, "tol": 1e-9, "max_iter": 501, "init_eps": 0.2,
+    "format": "json", "samples": 43,
+}
+
+
+def test_config_hash_ignores_out_and_reads_every_other_key():
+    from dataclasses import fields, replace
+
+    from magnetodisk.cli import RunConfig, _config_hash
+
+    assert set(OTHER_VALUES) == {f.name for f in fields(RunConfig)} - {"out"}
+    base = RunConfig(command="sweep")
+    assert _config_hash(replace(base, out="elsewhere")) == _config_hash(base)
+    hashes = {_config_hash(base)}
+    for key, value in OTHER_VALUES.items():
+        assert getattr(base, key) != value
+        hashes.add(_config_hash(replace(base, **{key: value})))
+    assert len(hashes) == 1 + len(OTHER_VALUES)
+
+
+def test_config_file_numbers_hash_like_the_flags(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"n": 64.0, "grading": 2}')
+    assert _hash("eigen", "--config", cfg) == _hash("eigen", "--n", 64, "--grading", 2)

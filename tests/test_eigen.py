@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
-from magnetodisk import (
-    ModelParams,
-    build_grid,
-    integrate,
-    second_eigenpair,
-    smallest_eigenpair,
-)
+from magnetodisk import ModelParams, build_grid, integrate, smallest_eigenpair
 from magnetodisk import eigen
-from magnetodisk.eigen import _inverse_iteration
-from magnetodisk.grid import assemble_pencil, banded_matvec, banded_solve
+from magnetodisk.eigen import _inverse_iteration, second_eigenpair
+from magnetodisk.grid import banded_matvec, banded_solve
 
 import oracles
 from oracles import GAMMA0_CONTINUUM, J1PRIME_ROOT, boundary_slope
@@ -20,13 +14,12 @@ from reference_kernels import reference_bessel_j1, reference_inverse_iteration, 
 def test_pencil_matches_elimination_of_the_origin_node(grid256):
     # applying the banded pencil to v must agree with the full stiffness
     # acting on [0, v] plus the centrifugal diagonal
-    ab, mass = assemble_pencil(grid256)
-    assert np.array_equal(mass, grid256.weights[1:])
+    mass = grid256.weights[1:]
     rng = np.random.default_rng(0)
     v = rng.standard_normal(mass.size)
     full = np.concatenate(([0.0], v))
     direct = stiffness_apply(grid256, full)[1:] + mass * v / grid256.nodes[1:] ** 2
-    got = banded_matvec(ab, v)
+    got = banded_matvec(grid256, grid256.pencil, v)
     assert np.abs(got - direct).max() <= 1e-12 * max(1.0, np.abs(direct).max())
 
 
@@ -34,7 +27,6 @@ def test_quadratic_form_matches_quadrature(grid256):
     # the stiffness part is int (I v)_r^2 r dr of the piecewise-linear
     # interpolant I v: on each cell the slope is constant and r is linear, so
     # the midpoint rule integrates it exactly
-    ab, _ = assemble_pencil(grid256)
     rng = np.random.default_rng(1)
     v = rng.standard_normal(grid256.n)
     full = np.concatenate(([0.0], v))
@@ -44,15 +36,15 @@ def test_quadratic_form_matches_quadrature(grid256):
     s = np.zeros_like(full)
     s[1:] = full[1:] / r[1:]
     direct = sum(cells) + integrate(grid256, s * s)
-    form = float(v @ banded_matvec(ab, v))
+    form = float(v @ banded_matvec(grid256, grid256.pencil, v))
     assert abs(form - direct) <= 1e-12 * max(1.0, abs(direct))
 
 
 def test_rayleigh_quotient_of_linear_ramp(grid512):
     # v(r) = r has form value int(1 + 1) r dr = 1 and mass int r^2 r dr = 1/4
-    ab, mass = assemble_pencil(grid512)
+    mass = grid512.weights[1:]
     v = grid512.nodes[1:]
-    rq = float(v @ banded_matvec(ab, v)) / float(mass @ (v * v))
+    rq = float(v @ banded_matvec(grid512, grid512.pencil, v)) / float(mass @ (v * v))
     assert abs(rq - 4.0) <= 1e-3  # measured 1.4e-5
 
 
@@ -100,11 +92,11 @@ def test_eigenprofile_natural_boundary_condition():
 
 
 def test_ground_eigenvalue_is_a_lower_bound(grid256, pair256):
-    ab, mass = assemble_pencil(grid256)
+    mass = grid256.weights[1:]
     rng = np.random.default_rng(2)
     for _ in range(10):
         v = rng.standard_normal(mass.size)
-        rq = float(v @ banded_matvec(ab, v)) / float(mass @ (v * v))
+        rq = float(v @ banded_matvec(grid256, grid256.pencil, v)) / float(mass @ (v * v))
         assert rq >= pair256.gamma0 * (1.0 - 1e-12)
 
 

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 import magnetodisk.grid as grid_module
 from magnetodisk import ModelParams, build_grid, integrate, minimize, smallest_eigenpair
-from magnetodisk.grid import assemble_pencil, banded_factor, banded_solve, rim_slope
+from magnetodisk.grid import banded_factor, banded_matvec, banded_solve, rim_slope
 from magnetodisk.operators import gradient_values
 
 from conftest import fresh_python
 from oracles import adaptive_simpson, derivative, l2_norm
-from reference_kernels import stiffness_apply
+from reference_kernels import dense_matrix, stiffness_apply
 
 
 def test_minimal_uniform_grid():
@@ -62,7 +62,7 @@ def test_grid_is_immutable():
     assert g.pencil_factor is g.pencil_factor
     assert g.r_squared is g.r_squared
     assert g.two_r_squared is g.two_r_squared
-    for array in (*g.stiffness_bands, *g.pencil, *g.pencil_factor, g.r_squared,
+    for array in (*g.stiffness_bands, g.pencil, *g.pencil_factor, g.r_squared,
                   g.two_r_squared):
         with pytest.raises(ValueError):
             array[0] = 1.0
@@ -70,9 +70,9 @@ def test_grid_is_immutable():
     assert np.array_equal(g.two_r_squared, 2.0 * g.nodes[1:] ** 2)
 
 
-def test_assemble_pencil_returns_the_grid_pencil_assembled_once(monkeypatch):
-    # count the assemblies: every reader of the pencil (assemble_pencil, the
-    # pencil factor, the eigensolver, each Newton factorization) shares one
+def test_pencil_is_assembled_once(monkeypatch):
+    # count the assemblies: every reader of the pencil (the pencil factor,
+    # the eigensolver, each Newton factorization) shares one
     built = []
     pencil = grid_module.RadialGrid.pencil
 
@@ -84,22 +84,16 @@ def test_assemble_pencil_returns_the_grid_pencil_assembled_once(monkeypatch):
     counting.__set_name__(grid_module.RadialGrid, "pencil")
     monkeypatch.setattr(grid_module.RadialGrid, "pencil", counting)
     g = build_grid(256, 2.0)
-    (main, off), mass = assemble_pencil(g)
+    main = g.pencil
     smallest_eigenpair(g)
     minimize(g, ModelParams(mu=20.0))
-    (main2, off2), mass2 = assemble_pencil(g)
     assert built == [g]
-    assert main is main2 is g.pencil[0]
-    assert off is off2 is g.pencil[1]
-    assert mass is mass2 is g.pencil[2]
-    for array in (main, off, mass):
-        with pytest.raises(ValueError):
-            array[0] = 1.0
-    # the assembly of A = K + W / r^2 and m over the nodes 1..n
-    diagonal, kappa = g.stiffness_bands
+    assert g.pencil is main
+    with pytest.raises(ValueError):
+        main[0] = 1.0
+    # the main diagonal of A = K + W / r^2 over the nodes 1..n
+    diagonal, _ = g.stiffness_bands
     assert main.tobytes() == (diagonal[1:] + g.weights[1:] / g.nodes[1:] ** 2).tobytes()
-    assert off.tobytes() == (-kappa[1:]).tobytes()
-    assert mass.tobytes() == g.weights[1:].tobytes()
 
 
 def test_banded_factor_passes_the_cached_off_diagonal(monkeypatch):
@@ -112,11 +106,16 @@ def test_banded_factor_passes_the_cached_off_diagonal(monkeypatch):
         return pttrf(d, e)
 
     monkeypatch.setattr(grid_module, "_PTTRF", recorded)
-    banded_factor(g, g.pencil[0])
-    banded_factor(g, 2.0 * g.pencil[0])
-    assert len(seen) == 2 and all(e is g.pencil[1] for e in seen)
-    # pttrf copies it: the cached band is unchanged by the factorizations
-    assert g.pencil[1].tobytes() == (-g.stiffness_bands[1][1:]).tobytes()
+    banded_factor(g, g.pencil)
+    banded_factor(g, 2.0 * g.pencil)
+    off = seen[0]
+    assert len(seen) == 2 and seen[1] is off and not off.flags.writeable
+    # pttrf copies it: the cached band is -kappa[1:], unchanged by the
+    # factorizations
+    assert off.tobytes() == (-g.stiffness_bands[1][1:]).tobytes()
+    x = np.random.default_rng(5).standard_normal(g.n)
+    want = dense_matrix(g, g.pencil) @ x
+    assert np.abs(banded_matvec(g, g.pencil, x) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_grid_is_collected_once_dropped():
@@ -133,8 +132,7 @@ def test_grid_is_collected_once_dropped():
 @pytest.mark.parametrize("n", [256, 4096])
 def test_banded_solve_matches_a_dense_solve(n):
     g = build_grid(n, 2.0)
-    (main, off), _ = assemble_pencil(g)
-    dense = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+    dense = dense_matrix(g, g.pencil)
     b = np.random.default_rng(n).normal(size=n)
     kept = b.copy()
     x = banded_solve(g.pencil_factor, b)
@@ -146,8 +144,7 @@ def test_banded_solve_matches_a_dense_solve(n):
 def test_banded_factor_rejects_indefinite_matrices():
     # the Newton step's tau shift relies on this to find a positive definite shift
     g = build_grid(64, 2.0)
-    (main, _), _ = assemble_pencil(g)
-    bad = main.copy()
+    bad = g.pencil.copy()
     bad[10] = -1.0
     with pytest.raises(np.linalg.LinAlgError):
         banded_factor(g, bad)
@@ -168,7 +165,8 @@ IMPORT_ORDERS = {
 def test_banded_factor_and_solve_match_scipy_lapack_bitwise(order):
     probe = "import sys\nimport numpy as np\n" + IMPORT_ORDERS[order] + """
 grid = g.build_grid(4096)
-(main, off), m = g.assemble_pencil(grid)
+main, m = grid.pencil, grid.weights[1:]
+off = -grid.stiffness_bands[1][1:]
 b = np.sin(np.arange(1.0, main.size + 1.0))
 for diagonal in (main, main - 3.0 * m):  # the pencil and a shift below gamma0
     d, e = g.banded_factor(grid, diagonal)

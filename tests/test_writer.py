@@ -1,11 +1,12 @@
-"""The column-wise table writer against the per-row writer it replaced.
+"""The column-wise table writer against a per-row writer.
 
-reference_table below is the per-row path (one format call per cell, the
-JSON text built recursively), kept here as the reference: every table the
-writer produces must match it byte for byte, in csv and in json.  The
-writer's float kernel _g17 is checked against format(x, ".17g") itself.
+reference_table below writes a table row by row, one format call per cell,
+with the JSON header from json.dumps: every table the writer produces must
+match it byte for byte, in csv and in json.  The writer's float kernel _g17
+is checked against format(x, ".17g") itself.
 """
 
+import json
 import math
 from decimal import Decimal
 
@@ -19,34 +20,10 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _json_text(obj, indent=0):
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  "{k}": {_json_text(v, indent + 1)}' for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ", ".join(_json_text(v, indent) for v in obj)
-        return "[" + items + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        return _fmt(x) if np.isfinite(x) else "null"
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        import json
-
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj)}")
+def _json_cell(x):
+    if isinstance(x, str):
+        return json.dumps(x)
+    return _fmt(x) if math.isfinite(x) else "null"
 
 
 def reference_table(out, meta, fmt, stem, names, rows):
@@ -62,8 +39,10 @@ def reference_table(out, meta, fmt, stem, names, rows):
         path.write_text("\n".join(lines) + "\n")
     else:
         path = out / f"{stem}.json"
-        payload = {"meta": meta, "columns": names, "rows": [list(row) for row in rows]}
-        path.write_text(_json_text(payload) + "\n")
+        # the document with "rows" null, then the rows on one line in its place
+        text = json.dumps({"meta": meta, "columns": names, "rows": None}, indent=2)
+        body = ", ".join("[" + ", ".join(map(_json_cell, row)) + "]" for row in rows)
+        path.write_text(text.replace('"rows": null', f'"rows": [{body}]') + "\n")
     return path
 
 
