@@ -101,10 +101,11 @@ def trace_branches(
     s = sqrt(2 mu - gamma0), the variable in which the pitchfork branch is a
     smooth curve through (s, h) = (0, 0): the Lagrange extrapolant through
     the last three known points of the plus branch, with the bifurcation
-    point as the first of them (see _predict).  The minus branch is the
-    negation of the plus branch, with the same energy, since E is even bit
-    for bit.  If a step fails to converge the diagram is truncated there and
-    the failure mu recorded.
+    point as the first of them (see _predict); a step whose s repeats the
+    last known one replaces it.  The minus branch is the negation of the
+    plus branch, with the same energy, since E is even bit for bit.  If a
+    step fails to converge the diagram is truncated there and the failure mu
+    recorded.
     """
     if not (np.isfinite(mu_lo) and np.isfinite(mu_hi) and mu_lo < mu_hi):
         raise ValueError(f"need mu_lo < mu_hi, got [{mu_lo}, {mu_hi}]")
@@ -119,7 +120,7 @@ def trace_branches(
     mus = np.linspace(mu_lo, mu_hi, steps)
     points: list[BranchPoint] = []
     # the last three known (s, plus-branch values) of the current branch,
-    # from the bifurcation point (0, 0) on
+    # from the bifurcation point (0, 0) on, strictly increasing in s
     known: list[tuple[float, np.ndarray]] = []
     truncated_at: float | None = None
 
@@ -148,6 +149,8 @@ def trace_branches(
         points.append(BranchPoint(mu, "minus", -beta, report.energy))
         if not known:
             known.append((0.0, np.zeros_like(h)))
+        elif known[-1][0] == s:  # mu values closer than float spacing repeat s
+            known.pop()
         known.append((s, h))
         del known[:-3]
 

@@ -6,12 +6,13 @@ and max_iter; the CLI checks only what they never see.  lambda is read only
 here (report.json, reconstruct_w) and defaults to sqrt(2 mu).
 
 Exit codes: 0 success, 1 numerical failure, 2 invalid input (found before
-anything is written).  Output files carry a metadata header with the
-package version and a hash of the resolved configuration; reruns with
-identical configuration are bit-identical.  JSON text is json.dumps's; the
-float cells of a table come from the %.17g kernel _g17.  The invariants
-behind the outputs are checked by tests/test_acceptance.py, not by a
-subcommand.
+anything is written).  Running out of memory is one stderr line too: exit 2
+while the configuration is resolved and the grid built, else exit 1.
+Output files carry a metadata header with the package version and a hash
+of the resolved configuration; reruns with identical configuration are
+bit-identical.  JSON text is json.dumps's; the float cells of a table come
+from the %.17g kernel _g17.  The invariants behind the outputs are checked
+by tests/test_acceptance.py, not by a subcommand.
 """
 
 from __future__ import annotations
@@ -533,6 +534,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reason(exc: Exception) -> str:
+    return f"out of memory: {exc}" if isinstance(exc, MemoryError) else str(exc)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -542,8 +547,8 @@ def main(argv: list[str] | None = None) -> int:
         mu = cfg.mu if cfg.mu is not None else lo
         params = ModelParams(mu=mu, tol=cfg.tol, max_iter=cfg.max_iter)
         grid = build_grid(cfg.n, cfg.grading)
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, TypeError, MemoryError) as exc:
+        print(f"error: {_reason(exc)}", file=sys.stderr)
         return 2
     try:
         return _COMMANDS[cfg.command](cfg, grid, params)
@@ -551,6 +556,9 @@ def main(argv: list[str] | None = None) -> int:
         # every input passed the checks above, so a ValueError here comes
         # from the numbers, e.g. a start whose energy is not finite
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(_reason(exc), file=sys.stderr)
         return 1
 
 

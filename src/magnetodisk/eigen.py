@@ -11,14 +11,17 @@ J1(j'_{1,2} r).
 Inverse iteration reads gamma off the solve it already does: for an
 M-normalized iterate v and u = A^-1 M v, 1/gamma = (M v) . u is the Rayleigh
 quotient of the inverse pencil, second-order accurate in the error of v and,
-for the ground mode, a sum of positive terms.  The ground mode starts from
-the sampled continuum mode J1(j'_{1,1} r), so a few solves settle it.  The
-pencil's main diagonal and its factor are the grid's, built once per grid,
-and the mass M is diag(grid.weights[1:]).  The Bessel series and the
-normalisation of each iterate run in reused buffers, with the operations of
-their one-expression forms in the same order.  Every
-reduction is a numpy sum in a fixed order, never a BLAS dot, so the results
-do not depend on the BLAS thread count.
+for the ground mode, a sum of positive terms.  As power iteration on A^-1 M,
+self-adjoint and positive in the M inner product, it lets gamma rise from
+one solve to the next only by roundoff (Parlett, The Symmetric Eigenvalue
+Problem, ch. 4), so it stops after two solves in a row that lower gamma by
+at most RQ_TOL gamma or raise it.  The ground mode starts from the sampled
+continuum mode J1(j'_{1,1} r), so a few solves settle it.  The pencil's
+main diagonal and its factor are the grid's, built once per grid, and the
+mass M is diag(grid.weights[1:]).  The Bessel series and the normalisation
+of each iterate run in reused buffers, with the operations of their
+one-expression forms in the same order.  Every other reduction is grid.dot,
+so the results do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RadialGrid, banded_matvec, banded_solve
+from .grid import RadialGrid, banded_matvec, banded_solve, dot
 from .operators import Profile
 
 __all__ = ["EigenPair", "smallest_eigenpair", "second_eigenpair"]
@@ -37,12 +40,7 @@ __all__ = ["EigenPair", "smallest_eigenpair", "second_eigenpair"]
 _J1PRIME_ROOT = 1.8411837813406593
 
 MAX_ITER = 400  # inverse-iteration solves before the iteration gives up
-RQ_TOL = 1e-14  # relative change of the Rayleigh quotient that counts as settled
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """sum(a * b) in numpy's pairwise order, whatever the BLAS thread count."""
-    return float(np.sum(a * b))
+RQ_TOL = 1e-14  # relative fall of the Rayleigh quotient in a solve that counts as settled
 
 
 def _bessel_j1(x: np.ndarray) -> np.ndarray:
@@ -76,7 +74,7 @@ class EigenPair:
             raise ValueError(f"expected eigenvalue > 1, got {self.gamma0}")
         grid = self.phi0.grid
         v = self.phi0.values
-        norm_sq = _dot(grid.weights, v * v)
+        norm_sq = dot(grid.weights, v * v)
         if abs(norm_sq - 1.0) > 1e-10:
             raise ValueError(f"eigenprofile not normalized: <phi,phi> = {norm_sq}")
         if v.min() < 0.0:
@@ -91,18 +89,16 @@ def _inverse_iteration(grid: RadialGrid, v: np.ndarray,
     def project(x: np.ndarray) -> np.ndarray:
         if deflate is None:
             return x
-        return x - _dot(m, x * deflate) * deflate
+        return x - dot(m, x * deflate) * deflate
 
     v = project(v)
     if deflate is not None:
         v[0] += 1e-3  # keep the start outside the deflated direction
         v = project(v)
-    v = v / np.sqrt(_dot(m, v * v))
+    v = v / np.sqrt(dot(m, v * v))
 
     gamma_prev = np.inf
-    delta_prev = np.inf
-    stall = 0
-    gamma = np.inf
+    settled = 0
     scratch = np.empty_like(v)  # M v, then (M v) * u, then m * (u * u)
     for it in range(1, MAX_ITER + 1):
         mv = np.multiply(m, v, out=scratch)
@@ -112,37 +108,28 @@ def _inverse_iteration(grid: RadialGrid, v: np.ndarray,
         np.multiply(u, u, out=scratch)
         scratch *= m
         u /= np.sqrt(float(np.sum(scratch)))
-        delta = abs(gamma - gamma_prev)
-        scale = max(1.0, abs(gamma))
-        # Settled outright, or stuck oscillating at the roundoff floor: a tiny
-        # update that no longer contracts cannot be genuine convergence motion.
-        plateau = delta <= 1e-10 * scale and delta >= 0.5 * delta_prev
-        if delta <= RQ_TOL * scale or plateau:
-            stall += 1
-            if stall >= 2:
-                v = u
-                break
-        else:
-            stall = 0
-        delta_prev = delta
+        # gamma never rises but by roundoff, so a rise counts as settled too
+        settled = settled + 1 if gamma_prev - gamma <= RQ_TOL * gamma else 0
         gamma_prev = gamma
         v = u
+        if settled == 2:
+            break
     else:
         raise RuntimeError(
             f"inverse iteration did not settle in {MAX_ITER} iterations; "
             f"last Rayleigh quotient {gamma}"
         )
     res = banded_matvec(grid, grid.pencil, v) - gamma * m * v
-    return gamma, v, float(np.sqrt(_dot(res, res))), it
+    return gamma, v, float(np.sqrt(dot(res, res))), it
 
 
 def _signed_mode(grid: RadialGrid, v: np.ndarray) -> Profile:
     """Mode v on nodes 1..n as a profile: signed so that int v r dr >= 0,
     normalized in r dr and padded with the origin value 0."""
     m = grid.weights[1:]
-    if _dot(m, v) < 0.0:
+    if dot(m, v) < 0.0:
         v = -v
-    v = v / np.sqrt(_dot(m, v * v))
+    v = v / np.sqrt(dot(m, v * v))
     return Profile(grid, np.concatenate(([0.0], v)))
 
 

@@ -11,8 +11,9 @@ given by its main diagonal alone: only this module reads the off-diagonal,
 in banded_factor and banded_matvec.  banded_solve (pttrs) is the one solve
 with such a factor, for the eigensolver and the minimizer alike.  rim_slope
 is the one-sided slope at r = 1 by which the minimizer reports the natural
-boundary condition.  Reductions over the mesh are numpy sums of products,
-never a BLAS dot, so results do not depend on the BLAS thread count.
+boundary condition.  dot is the package's one inner product: a numpy
+pairwise sum of the products, never a BLAS dot, so results do not depend on
+the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -177,6 +178,11 @@ def build_grid(n: int, grading: float = 2.0) -> RadialGrid:
     return RadialGrid(nodes=nodes, weights=weights, grading=float(grading))
 
 
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) in numpy's pairwise order, whatever the BLAS thread count."""
+    return float(np.add.reduce(a * b))
+
+
 def integrate(grid: RadialGrid, values: np.ndarray) -> float:
     """Quadrature for int_0^1 f(r) r dr from nodal samples of f."""
     values = np.asarray(values, dtype=float)
@@ -184,7 +190,7 @@ def integrate(grid: RadialGrid, values: np.ndarray) -> float:
         raise ValueError(
             f"expected {grid.nodes.shape[0]} nodal values, got {values.shape}"
         )
-    return float(np.sum(grid.weights * values))
+    return dot(grid.weights, values)
 
 
 def rim_slope(grid: RadialGrid, values: np.ndarray) -> float:

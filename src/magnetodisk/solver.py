@@ -9,9 +9,8 @@ first tau of SHIFTS whose matrix is positive definite and whose step
 descends.  hessian_bands builds any rung of this ladder on demand, into one
 diagonal buffer, and H is its tau = 0 matrix.  tau = 0 is tried first; when
 H is indefinite, the first qualifying rung is searched for from the rung
-the previous step took, not scanned for from tau = 0, since every rung above
-a positive definite one is positive definite: the same step, with fewer
-factorizations.  Divided by 1 + tau the matrix keeps K's off-diagonal, so
+the previous step took, since every rung above a positive definite one is
+positive definite.  Divided by 1 + tau the matrix keeps K's off-diagonal, so
 its main diagonal is all grid.banded_factor needs, and as tau grows the step
 turns into -P^-1 W g, steepest descent in the inner product of P.  When no
 shift qualifies, that direction itself, solved with the grid's cached pencil
@@ -51,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigen import EigenPair, smallest_eigenpair
-from .grid import RadialGrid, banded_factor, banded_solve, rim_slope
+from .grid import RadialGrid, banded_factor, banded_solve, dot, rim_slope
 from .operators import (
     ModelParams,
     Profile,
@@ -113,12 +112,6 @@ class SolveReport:
     factorizations: int = 0
 
 
-def _wnorm(w: np.ndarray, values: np.ndarray) -> float:
-    t = w * values
-    t *= values
-    return math.sqrt(max(float(np.add.reduce(t)), 0.0))
-
-
 def hessian_bands(grid: RadialGrid, mu: float,
                   cos2h: np.ndarray) -> Callable[[float], np.ndarray]:
     """Return diagonal(tau), the main diagonal over the nodes 1..n of
@@ -167,7 +160,7 @@ def _descent(grid, main, wg):
     except np.linalg.LinAlgError:
         return None
     step = banded_solve(factor, -wg)
-    return step, 2.0 * np.pi * float(np.add.reduce(wg * step))
+    return step, 2.0 * np.pi * dot(wg, step)
 
 
 def _newton_direction(grid, mu, wg, cos2h, last):
@@ -210,7 +203,7 @@ def _newton_direction(grid, mu, wg, cos2h, last):
             k = lo + 1
     if hi == len(SHIFTS):
         step = banded_solve(grid.pencil_factor, -wg)
-        best = step, 2.0 * np.pi * float(np.add.reduce(wg * step))
+        best = step, 2.0 * np.pi * dot(wg, step)
     return *best, tried, definite, hi
 
 
@@ -246,7 +239,7 @@ def minimize(
     else:
         if init.grid.nodes.shape != nodes.shape or not np.array_equal(init.grid.nodes, nodes):
             raise ValueError("init profile lives on a different grid")
-        v = init.values.copy()
+        v = init.values
 
     e_cur, dv, sin2h = energy_parts(grid, v, mu)
     energy_evals = 1
@@ -255,7 +248,7 @@ def minimize(
     if not np.isfinite(e_cur):
         raise ValueError("initial profile has non-finite energy")
     g, cos2h = gradient_from_parts(grid, v, mu, dv, sin2h)
-    gnorm = _wnorm(w, g)
+    gnorm = math.sqrt(dot(w * g, g))
 
     history = [e_cur]
     fold_count = 0
@@ -311,7 +304,7 @@ def minimize(
         history.append(e_cur)
 
         g, cos2h = gradient_from_parts(grid, v, mu, dv, sin2h)
-        gnorm = _wnorm(w, g)
+        gnorm = math.sqrt(dot(w * g, g))
         if not math.isfinite(gnorm):
             diverged = True
             break

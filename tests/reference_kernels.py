@@ -88,7 +88,13 @@ def reference_bessel_j1(x):
 def reference_inverse_iteration(grid, v, deflate, max_iter=400, rq_tol=1e-14):
     """Shift-0 inverse iteration on the pencil, deflated against the
     M-normalized mode deflate unless it is None: (gamma, v, residual,
-    solves), as eigen._inverse_iteration returns them."""
+    solves), as eigen._inverse_iteration returns them.
+
+    It stops by an older rule than eigen's, kept as an independent
+    reference: two solves in a row that change gamma by at most
+    rq_tol * max(1, |gamma|), or that sit on a plateau, a change below
+    1e-10 * max(1, |gamma|) and at least half the previous one.  Where the
+    two rules stop at the same solve, the results agree bit for bit."""
     factor = grid.pencil_factor
     m = grid.weights[1:]
 

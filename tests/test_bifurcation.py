@@ -304,3 +304,17 @@ def test_predictor_halves_the_corrector_iterations(grid256, pair256, monkeypatch
     assert len(iterations) == 11
     assert max(iterations[1:]) <= 2
     assert sum(iterations) <= 24
+
+
+def test_mu_values_closer_than_float_spacing_repeat_a_branch_point():
+    # linspace repeats 1.7 and 1.7000000000000002, so two steps share s; each
+    # repeat replaces the last known point, and the extrapolant stays defined
+    grid = build_grid(64, 2.0)
+    lo, hi = 1.7, np.nextafter(1.7, 2.0)
+    diagram = trace_branches(grid, ModelParams(mu=lo), lo, hi, 5)
+    assert diagram.truncated_at is None
+    assert 2.0 * lo > diagram.gamma0
+    plus = [(q.mu, q.beta, q.energy) for q in diagram.points if q.branch == "plus"]
+    minus = [(q.mu, -q.beta, q.energy) for q in diagram.points if q.branch == "minus"]
+    assert len(plus) == 5 and plus == minus
+    assert all(beta > 0.0 for _, beta, _ in plus)

@@ -5,6 +5,7 @@ import pytest
 
 from magnetodisk import (
     ModelParams, build_grid, magnetization_grid, minimize, reconstruct_w, smallest_eigenpair)
+from magnetodisk import cli
 from magnetodisk.cli import main
 
 from conftest import fresh_python
@@ -510,3 +511,23 @@ def test_config_file_numbers_hash_like_the_flags(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text('{"n": 64.0, "grading": 2}')
     assert _hash("eigen", "--config", cfg) == _hash("eigen", "--n", 64, "--grading", 2)
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 745. GiB for an array")
+
+
+def test_out_of_memory_building_the_grid_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_grid", _out_of_memory)
+    out = tmp_path / "out"
+    assert run("eigen", "--n", 16, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_out_of_memory_in_a_subcommand_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "magnetization_grid", _out_of_memory)
+    assert run("fields", "--mu", 2, "--n", 16, "--samples", 5, "--out", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: Unable to allocate") and err.count("\n") == 1
