@@ -112,12 +112,12 @@ def trace_branches(
     if steps < 2:
         raise ValueError("need at least 2 sweep steps")
 
+    mus = np.linspace(mu_lo, mu_hi, steps)  # before any solve, should it not fit
     if eigenpair is None:
         eigenpair = smallest_eigenpair(grid)
     threshold = eigenpair.gamma0 / 2.0
     cb = cbar(eigenpair.phi0, replace(params, mu=threshold))
 
-    mus = np.linspace(mu_lo, mu_hi, steps)
     points: list[BranchPoint] = []
     # the last three known (s, plus-branch values) of the current branch,
     # from the bifurcation point (0, 0) on, strictly increasing in s

@@ -192,10 +192,9 @@ _SLOT = np.arange(17, dtype=np.int8)[:, None]
 _RANK = (_SLOT + 1).view(np.uint8)
 _LEAD = np.frombuffer(b"0.000", np.uint8)[:, None]
 _LEAD_K = np.array([-1, -1, -2, -3, -4], np.int8)[:, None]  # each shown for k <= it
-_G17_PADDED = b"%%-%d.17g" % _G17_WIDTH  # a cell the kernel leaves out, space-padded
+_G17_PADDED = b"%%-%d.17g" % _G17_WIDTH  # a cell outside the kernel's range, space-padded
 _SPACE = np.uint8(ord(" "))
-_NONFINITE = np.array([b"inf", b"-inf", b"nan", b"null"], f"S{_G17_WIDTH}").view(
-    np.uint8).reshape(4, _G17_WIDTH)
+_NULL = np.frombuffer(b"null".ljust(_G17_WIDTH, b"\0"), np.uint8)
 
 
 def _digits17(mant, e, q):
@@ -215,30 +214,18 @@ def _digits17(mant, e, q):
     return d, (lo << t) + (d & _U64_1) > _HALF
 
 
-def _g17(x: np.ndarray, null: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _g17(x: np.ndarray, null: bool = False) -> np.ndarray:
     """The text of "%.17g" % v for each float v of x, padded with NULs, which
-    may sit anywhere in a cell: the writer drops them.  Cells with
-    1e-10 <= |v| < 1e15 are computed exactly in integers, and so are zeros
-    (laid out as 1 is, with the digit 0), into a uint8 matrix whose column i
-    holds cell i.  The rest, at the indices slow (non-finite values, the
-    extremes), are left out of that matrix: text holds them a row per cell,
-    non-finite ones looked up (as null if null is set) and finite ones
-    formatted by one % over all of them.  Returns (matrix, slow, text)."""
+    may sit anywhere in a cell: the writer drops them.  Returns a uint8
+    matrix whose column i holds cell i.  Cells with 1e-10 <= |v| < 1e15 are
+    computed exactly in integers, and so are zeros (laid out as 1 is, with
+    the digit 0).  The rest (non-finite values, the extremes) are formatted
+    by one % over all of them and written into their columns; with null
+    set, a non-finite one is null."""
     n = len(x)
     a = np.abs(x)
     fast = (a >= _G17_MIN) & (a < _G17_MAX)
     zero = a == 0.0
-    slow = np.flatnonzero(~(fast | zero))
-    text = _NONFINITE[:0]
-    if slow.size:
-        v = x[slow]
-        text = _NONFINITE[np.full(v.size, 3) if null else np.where(np.isnan(v), 2, np.signbit(v))]
-        finite = np.flatnonzero(np.isfinite(v))
-        padded = np.frombuffer(_G17_PADDED * finite.size % tuple(v[finite].tolist()), np.uint8)
-        text[finite] = (padded * (padded != _SPACE)).reshape(-1, _G17_WIDTH)  # spaces to NULs
-        if slow.size == n:  # no cell for the kernel
-            return np.zeros((_G17_WIDTH, n), np.uint8), slow, text
-
     a[~fast] = 1.0
     m, e = np.frexp(a)
     mant = (m * 2.0**53).astype(np.uint64)
@@ -297,7 +284,15 @@ def _g17(x: np.ndarray, null: bool = False) -> tuple[np.ndarray, np.ndarray, np.
     out[26] = shown * (tens + np.uint8(48))
     out[27] = shown * (exp_k - tens * np.uint8(10) + np.uint8(48))
 
-    return out, slow, text
+    slow = np.flatnonzero(~(fast | zero))
+    if slow.size:
+        v = x[slow]
+        padded = np.frombuffer(_G17_PADDED * slow.size % tuple(v.tolist()), np.uint8)
+        text = (padded * (padded != _SPACE)).reshape(-1, _G17_WIDTH)  # spaces to NULs
+        if null:
+            text[~np.isfinite(v)] = _NULL
+        out[:, slow] = text.T
+    return out
 
 
 class _Writer:
@@ -319,9 +314,10 @@ class _Writer:
         """Write a table given column by column: each column is an array of
         floats or a sequence of str.  Floats are written as %.17g (in JSON,
         non-finite ones as null) by _g17, strings as they are (JSON-quoted
-        in JSON; a csv string may not hold NUL).  Each block of rows is laid
-        out as one uint8 matrix, a row per table row with the cells' text
-        between separator bytes, and written with its NULs dropped."""
+        in JSON; a csv string may not hold NUL).  Rows are laid out in one
+        uint8 matrix of at most _BLOCK_ROWS rows, each cell at a fixed byte
+        offset between separator bytes written once; each block of rows
+        writes its cells into it and is written with its NULs dropped."""
         as_json = self.cfg.format == "json"
         columns = [np.asarray(c) for c in columns]
         texts = {}  # a str column's text, NUL-padded, a row per cell
@@ -336,6 +332,7 @@ class _Writer:
             text = np.array(cells, dtype=bytes)
             texts[j] = text.view(np.uint8).reshape(len(cells), text.itemsize)
         floats = [j for j in range(len(columns)) if j not in texts]
+        widths = [texts[j].shape[1] if j in texts else _G17_WIDTH for j in range(len(columns))]
 
         if as_json:
             path = self.out / f"{stem}.json"
@@ -352,37 +349,29 @@ class _Writer:
                        + ",".join(names) + "\n")
             closing = ""
             before, between, after = b"", b",", b"\n"
-        seps = [np.frombuffer(sep, np.uint8)
-                for sep in (before, *[between] * (len(columns) - 1), after)]
+        seps = [before, *[between] * (len(columns) - 1), after]
+        # the byte after each separator: where cell j starts, and last the row's end
+        ends = np.cumsum([len(sep) + width for sep, width in zip(seps, [0, *widths])])
+        n_rows = len(columns[0])
+        rows = np.empty((min(n_rows, _BLOCK_ROWS), ends[-1]), np.uint8)
+        for sep, end in zip(seps, ends):
+            rows[:, end - len(sep):end] = np.frombuffer(sep, np.uint8)
 
         self.out.mkdir(parents=True, exist_ok=True)
-        n_rows = len(columns[0])
         with open(path, "wb") as fh:
             fh.write(opening.encode())
             for start in range(0, n_rows, _BLOCK_ROWS):
                 stop = min(start + _BLOCK_ROWS, n_rows)
                 size = stop - start
-                cells = {j: text[start:stop] for j, text in texts.items()}
+                block = rows[:size]
+                for j, text in texts.items():
+                    block[:, ends[j]:ends[j] + widths[j]] = text[start:stop]
                 if floats:
-                    block, slow, slow_text = _g17(
-                        np.concatenate([columns[j][start:stop] for j in floats]), null=as_json)
+                    cells = _g17(np.concatenate([columns[j][start:stop] for j in floats]),
+                                 null=as_json)
                     for i, j in enumerate(floats):
-                        cells[j] = block[:, i * size:(i + 1) * size].T
-                pieces = [seps[0]]
-                for j in range(len(columns)):
-                    pieces += [cells[j], seps[j + 1]]
-                rows = np.empty((size, sum(p.shape[-1] for p in pieces)), np.uint8)
-                at = 0
-                for piece in pieces:  # a separator is the same in every row
-                    rows[:, at:at + piece.shape[-1]] = piece
-                    at += piece.shape[-1]
-                if floats and slow.size:  # sorted: column i's are slow[bounds[i]:bounds[i + 1]]
-                    bounds = np.searchsorted(slow, size * np.arange(len(floats) + 1))
-                    for i, j in enumerate(floats):
-                        at = sum(p.shape[-1] for p in pieces[:2 * j + 1])
-                        mine = slice(bounds[i], bounds[i + 1])
-                        rows[slow[mine] - i * size, at:at + _G17_WIDTH] = slow_text[mine]
-                text = rows.tobytes().translate(None, b"\0")
+                        block[:, ends[j]:ends[j] + _G17_WIDTH] = cells[:, i * size:(i + 1) * size].T
+                text = block.tobytes().translate(None, b"\0")
                 fh.write(text[:-2] if as_json and stop == n_rows else text)
             fh.write(closing.encode())
         return path
@@ -411,7 +400,10 @@ def _solve(cfg: RunConfig, grid: RadialGrid,
     sqrt(2 mu): only the CLI reads it) and the displacement w."""
     pair = smallest_eigenpair(grid)
     report = minimize(grid, params, eigenpair=pair, init_eps=cfg.init_eps)
-    lam = cfg.lam if cfg.lam is not None else math.sqrt(2.0 * params.mu)
+    # 2 sqrt(mu/2) is sqrt(2 mu) bit for bit where mu/2 is a normal float,
+    # and does not overflow where 2 mu would
+    lam = cfg.lam if cfg.lam is not None else (
+        2.0 * math.sqrt(params.mu / 2.0) if params.mu > 1.0 else math.sqrt(2.0 * params.mu))
     return report, lam, reconstruct_w(report.minimizer, lam)
 
 
@@ -469,12 +461,13 @@ def cmd_sweep(cfg: RunConfig, grid: RadialGrid, params: ModelParams) -> int:
 
 
 def cmd_fields(cfg: RunConfig, grid: RadialGrid, params: ModelParams) -> int:
-    report, _, w = _solve(cfg, grid, params)
+    # the lattice first, so that one too large fails before the solve
     axis = np.linspace(-1.0, 1.0, cfg.samples)
     xg, yg = np.meshgrid(axis, axis)
     xs, ys = xg.ravel(), yg.ravel()
     keep = xs**2 + ys**2 <= 1.0
     xs, ys = xs[keep], ys[keep]
+    report, _, w = _solve(cfg, grid, params)
     m = magnetization_grid(report.minimizer, xs, ys)
     wvals = np.interp(np.hypot(xs, ys), grid.nodes, w.values)
 

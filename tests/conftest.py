@@ -36,11 +36,6 @@ def grid1024():
 
 
 @pytest.fixture(scope="session")
-def pair1024(grid1024):
-    return smallest_eigenpair(grid1024)
-
-
-@pytest.fixture(scope="session")
 def minimizer256(grid256, pair256):
     """Converged supercritical minimizer shared by field/certificate tests."""
     report = minimize(grid256, ModelParams(mu=2.0), eigenpair=pair256)

@@ -17,7 +17,8 @@ from magnetodisk import (
 from magnetodisk.operators import energy_of_values
 from magnetodisk.solver import FLAT_TOL
 
-from oracles import CBAR_CONTINUUM, random_profile, zeroth_order_trace
+from oracles import (
+    CBAR_CONTINUUM, J1PRIME_ROOT, quartic_coefficient, random_profile, zeroth_order_trace)
 
 
 def predicted_amplitude(mu: float, gamma0: float, cbar_value: float) -> list[tuple[float, bool]]:
@@ -48,6 +49,7 @@ def test_cubic_coefficient_matches_quadrature_oracle():
     grid = build_grid(2048, 2.0)
     pair = smallest_eigenpair(grid)
     cb = cbar(pair.phi0, _threshold_params(pair))
+    assert abs(quartic_coefficient(J1PRIME_ROOT) - CBAR_CONTINUUM) <= 1e-13  # frozen constant guard
     assert abs(cb - CBAR_CONTINUUM) <= 1e-4  # measured 8.6e-6
 
 

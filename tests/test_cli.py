@@ -1,11 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from magnetodisk import (
     ModelParams, build_grid, magnetization_grid, minimize, reconstruct_w, smallest_eigenpair)
-from magnetodisk import cli
+from magnetodisk import bifurcation, cli
 from magnetodisk.cli import main
 
 from conftest import fresh_python
@@ -531,3 +532,43 @@ def test_out_of_memory_in_a_subcommand_exits_1(tmp_path, capsys, monkeypatch):
     assert run("fields", "--mu", 2, "--n", 16, "--samples", 5, "--out", tmp_path) == 1
     err = capsys.readouterr().err
     assert err.startswith("out of memory: Unable to allocate") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")  # no RuntimeWarning lines on stderr either
+@pytest.mark.parametrize("mu", [8.9e307, 1e308, 1.7976931348623157e308])
+def test_lambda_is_finite_where_2_mu_overflows(tmp_path, capsys, mu):
+    # the solve fails there, but its partial outputs are still written
+    assert run("minimize", "--mu", mu, "--n", 16, "--out", tmp_path) == 1
+    assert capsys.readouterr().err == f"minimize did not converge at mu={mu}\n"
+    lam = json.loads((tmp_path / "report.json").read_text(), parse_constant=_refuse)["lambda"]
+    assert math.isfinite(lam) and abs(lam / 2.0 * (lam / mu) - 1.0) <= 1e-15
+    if math.isfinite(2.0 * mu):
+        assert lam == math.sqrt(2.0 * mu)
+    columns, rows = read_csv(tmp_path / "profile.csv")
+    assert columns == ["r", "h", "w"] and len(rows) == 17
+
+
+def _solved(*args, **kwargs):
+    raise AssertionError("solved before the lattice or the mu grid was built")
+
+
+@pytest.mark.parametrize("args", [("fields", "--mu", 2, "--samples", 10**7),
+                                  ("sweep", "--mu-range", "1.5:2.2:1000000000000")],
+                         ids=["fields", "sweep"])
+def test_a_lattice_or_mu_grid_out_of_memory_fails_before_the_solve(
+        tmp_path, capsys, monkeypatch, args):
+    linspace = np.linspace
+
+    def refusing(start, stop, num=50, **kwargs):
+        if num > 10**6:
+            _out_of_memory()
+        return linspace(start, stop, num, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", refusing)
+    monkeypatch.setattr(cli, "smallest_eigenpair", _solved)
+    monkeypatch.setattr(bifurcation, "smallest_eigenpair", _solved)
+    out = tmp_path / "out"
+    assert run(*args, "--n", 16, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: Unable to allocate") and err.count("\n") == 1
+    assert not out.exists()

@@ -14,7 +14,9 @@ from magnetodisk.operators import (
 )
 
 from conftest import fresh_python, smooth_profile
-from oracles import TILTED_ENERGY_CONTINUUM, euler_residual, l2_norm, nonlinear_split, random_profile
+from oracles import (
+    TILTED_ENERGY_CONTINUUM, euler_residual, l2_norm, nonlinear_split, random_profile,
+    tilted_profile_energy)
 from reference_kernels import kappa, reference_energy, reference_fold, reference_gradient
 
 
@@ -69,6 +71,7 @@ def test_zero_profile_has_zero_energy_and_gradient():
 def test_energy_of_tilted_profile_matches_quadrature_oracle(grid1024):
     vals = 0.5 * np.pi * grid1024.nodes
     e = energy_of_values(grid1024, vals, 1.0)
+    assert abs(tilted_profile_energy() - TILTED_ENERGY_CONTINUUM) <= 1e-13  # frozen constant guard
     assert abs(e - TILTED_ENERGY_CONTINUUM) <= 1e-6  # measured 6.8e-7
 
 
