@@ -73,9 +73,10 @@ def cbar(phi0: Profile, p: ModelParams) -> float:
     supercritical pitchfork.
     """
     grid = phi0.grid
-    v = phi0.values
-    f = np.zeros_like(v)
-    f[1:] = -(2.0 / 3.0) * v[1:] ** 4 / grid.r_squared + (16.0 / 3.0) * p.mu * v[1:] ** 4
+    v2 = phi0.values[1:] * phi0.values[1:]
+    v4 = v2 * v2  # not v ** 4, numpy's SIMD power
+    f = np.zeros_like(phi0.values)
+    f[1:] = -(2.0 / 3.0) * v4 / grid.r_squared + (16.0 / 3.0) * p.mu * v4
     return integrate(grid, f)
 
 
@@ -189,16 +190,23 @@ def detected_threshold(diagram: BifurcationDiagram) -> float | None:
 
 
 def amplitude_fit_slope(diagram: BifurcationDiagram) -> float | None:
-    """Log-log slope of beta against delta = 2 mu - gamma0 on the plus branch."""
-    deltas = []
-    betas = []
+    """Least-squares slope of log beta against log delta, delta = 2 mu - gamma0,
+    on the plus branch; None unless two of the log deltas differ.
+
+    The logs are libm's (math.log), not numpy's SIMD kernel, so the slope
+    does not depend on the CPU.
+    """
+    xs = []
+    ys = []
     for q in diagram.points:
         if q.branch == "plus" and q.beta > 0.0:
             delta = 2.0 * q.mu - diagram.gamma0
             if delta > 0.0:
-                deltas.append(delta)
-                betas.append(q.beta)
-    if len(deltas) < 2:
+                xs.append(math.log(delta))
+                ys.append(math.log(q.beta))
+    if len(set(xs)) < 2:
         return None
-    slope = np.polyfit(np.log(np.asarray(deltas)), np.log(np.asarray(betas)), 1)[0]
-    return float(slope)
+    x_mean = sum(xs) / len(xs)
+    y_mean = sum(ys) / len(ys)
+    dxs = [x - x_mean for x in xs]
+    return sum(dx * (y - y_mean) for dx, y in zip(dxs, ys)) / sum(dx * dx for dx in dxs)

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -150,8 +152,13 @@ def build_grid(n: int, grading: float = 2.0) -> RadialGrid:
     if not np.isfinite(grading) or grading < 1.0:
         raise ValueError(f"grading must be >= 1, got {grading}")
 
-    k = np.arange(n + 1, dtype=float)
-    nodes = (k / n) ** float(grading)
+    # x * x and libm's pow, never numpy's SIMD power, which differs from
+    # libm by an ulp on CPUs with AVX-512
+    x = np.arange(n + 1, dtype=float) / n
+    if grading == 2.0:
+        nodes = x * x
+    else:
+        nodes = np.fromiter(map(math.pow, x.tolist(), repeat(float(grading))), float, n + 1)
     nodes[0] = 0.0
     nodes[-1] = 1.0
 
@@ -201,7 +208,7 @@ def rim_slope(grid: RadialGrid, values: np.ndarray) -> float:
     right = np.array(
         [b / (a * (a + b)), -(a + b) / (a * b), (a + 2.0 * b) / (b * (a + b))]
     )
-    return float(right @ values[-3:])
+    return dot(right, values[-3:])
 
 
 def banded_matvec(grid: RadialGrid, diagonal: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -60,9 +60,10 @@ def smooth_profile(grid, coeffs, scale=1.0):
     return Profile(grid, values)
 
 
-def fresh_python(*args, blas_threads="1", check=True, timeout=None):
-    """Run python with the package importable, in a new interpreter."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
-               PYTHONPATH=str(Path(magnetodisk.__file__).parents[1]))
+def fresh_python(*args, env=None, check=True, timeout=None):
+    """Run python with the package importable, in a new interpreter with one
+    BLAS thread, its environment updated by env."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(magnetodisk.__file__).parents[1]), **(env or {})}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, check=check, timeout=timeout)

@@ -220,8 +220,9 @@ def derivative(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
     lo, mid, hi, left, right = stencils(grid)
     out = np.empty_like(values)
     out[1:-1] = lo * values[:-2] + mid * values[1:-1] + hi * values[2:]
-    out[0] = left @ values[:3]
-    out[-1] = right @ values[-3:]
+    # the end rows sum their products as grid.rim_slope does, not by a BLAS dot
+    out[0] = np.add.reduce(left * values[:3])
+    out[-1] = np.add.reduce(right * values[-3:])
     return out
 
 

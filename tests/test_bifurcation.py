@@ -281,7 +281,10 @@ def test_predictor_finds_the_zeroth_order_points(request, n, span):
     assert [(q.mu, q.branch) for q in predicted.points] == [
         (q.mu, q.branch) for q in zeroth.points
     ]
-    assert any(q.branch == "plus" for q in predicted.points)
+    # a plus and a minus point at every mu above gamma0/2, and only there
+    above = {q.mu for q in predicted.points if q.mu > pair.gamma0 / 2.0}
+    nontrivial = {(q.mu, q.branch) for q in predicted.points if q.branch != "trivial"}
+    assert above and nontrivial == {(mu, b) for mu in above for b in ("plus", "minus")}
     for a, b in zip(predicted.points, zeroth.points):
         assert abs(a.energy - b.energy) <= 2.0 * FLAT_TOL * (1.0 + abs(b.energy))
         if a.branch != "trivial":

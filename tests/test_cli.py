@@ -1,5 +1,6 @@
 import json
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -53,23 +54,49 @@ def test_outputs_are_deterministic(tmp_path):
     assert (a / "phi0.csv").read_bytes() == (b / "phi0.csv").read_bytes()
 
 
-def test_eigen_outputs_do_not_depend_on_blas_threads(tmp_path):
-    # at this size a BLAS dot splits across threads and sums in another order;
-    # minimize and sweep cover the r dr reductions of grid and solver
-    commands = {
-        "eigen": (["eigen"], ("eigen.json", "phi0.csv")),
-        "minimize": (["minimize", "--mu", "2"], ("report.json", "profile.csv")),
-        "sweep": (["sweep", "--mu-range", "1.5:2.2:4"], ("summary.json", "diagram.csv")),
-    }
-    for command, (args, names) in commands.items():
-        outs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"{command}{threads}"
-            fresh_python("-m", "magnetodisk.cli", *args, "--n", "20000", "--out", str(out),
-                         blas_threads=threads)
-            outs.append(out)
-        for name in names:
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+# every subcommand, at gradings where numpy's SIMD power differs from libm's
+# pow, on a sweep long enough for cbar and the slope fit to see numpy's SIMD
+# log, and at n = 20000, where a BLAS dot would split across threads
+EVERY_COMMAND = {
+    "eigen": ["eigen", "--n", "20000"],
+    "eigen-1.5": ["eigen", "--n", "4096", "--grading", "1.5"],
+    "eigen-3.5": ["eigen", "--n", "4096", "--grading", "3.5"],
+    "eigen-4": ["eigen", "--n", "65536", "--grading", "4"],
+    "minimize": ["minimize", "--mu", "2", "--n", "20000"],
+    "minimize-1000": ["minimize", "--mu", "1000", "--n", "1024"],
+    "sweep": ["sweep", "--mu-range", "1.5:2.2:4", "--n", "20000"],
+    "sweep-200": ["sweep", "--mu-range", "1.5:2.2:200", "--n", "256"],
+    "fields": ["fields", "--mu", "2", "--n", "1024", "--samples", "41"],
+}
+
+# the BLAS thread count, numpy's SIMD level (as on a CPU without AVX-512, and
+# without AVX2) and OpenBLAS's kernels for another CPU
+SETTINGS = {
+    "default": {},
+    "blas-threads": {"OPENBLAS_NUM_THREADS": "2"},
+    "no-x86-v4": {"NPY_DISABLE_CPU_FEATURES": "X86_V4"},
+    "no-x86-v3": {"NPY_DISABLE_CPU_FEATURES": "X86_V3"},
+}
+if platform.machine().lower() in ("x86_64", "amd64"):
+    SETTINGS["prescott"] = {"OPENBLAS_CORETYPE": "Prescott"}
+
+
+def test_outputs_do_not_depend_on_the_cpu_or_blas_threads(tmp_path):
+    probe = f"""
+import sys
+from magnetodisk import cli
+for name, args in {EVERY_COMMAND!r}.items():
+    assert cli.main(args + ["--out", sys.argv[1] + "/" + name]) == 0, args
+"""
+    for setting, env in SETTINGS.items():
+        fresh_python("-c", probe, str(tmp_path / setting), env=env)
+    default = tmp_path / "default"
+    files = sorted(p.relative_to(default) for p in default.glob("*/*"))
+    assert {f.parent.name for f in files} == set(EVERY_COMMAND)
+    changed = {setting: [str(f) for f in files
+                         if (tmp_path / setting / f).read_bytes() != (default / f).read_bytes()]
+               for setting in SETTINGS}
+    assert changed == {setting: [] for setting in SETTINGS}
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded(tmp_path):
@@ -148,6 +175,9 @@ def test_minimize_failure_exit_code(tmp_path):
     assert code == 1
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["converged"] is False  # outputs are still written
+    # a start that underflows to E = 0 at the h = 0 saddle is not converged
+    assert run("minimize", "--mu", 2, "--n", 64, "--init-eps", 1e-200,
+               "--out", tmp_path / "flat") == 1
 
 
 def test_sweep_below_threshold(tmp_path):
@@ -179,6 +209,18 @@ def test_sweep_below_threshold_needs_no_start(tmp_path, capsys):
                "--out", across) == 1
     assert capsys.readouterr().err == "numerical failure: initial profile has non-finite energy\n"
     assert not across.exists()
+
+
+@pytest.mark.filterwarnings("error")  # no RankWarning on stderr either
+@pytest.mark.parametrize("mu_range, fitted", [("10:10.000000000000002:2", False),
+                                              ("20:20.000000000000004:3", True)])
+def test_sweep_over_mu_one_ulp_apart_fits_without_warnings(tmp_path, capsys, mu_range, fitted):
+    # the first range's two log deltas are equal, so no line fits them; the
+    # second's differ in their last bit
+    assert run("sweep", "--mu-range", mu_range, "--n", 64, "--out", tmp_path) == 0
+    assert capsys.readouterr().err == ""
+    slope = json.loads((tmp_path / "summary.json").read_text())["slope"]
+    assert (slope is not None) == fitted
 
 
 def test_sweep_across_threshold(tmp_path):
@@ -466,6 +508,25 @@ def test_json_documents_hold_the_in_process_values_bitwise(tmp_path):
           {"gamma0": diagram.gamma0, "cbar": diagram.cbar,
            "threshold": detected_threshold(diagram), "slope": amplitude_fit_slope(diagram),
            "mu_step": diagram.mu_step, "truncated_at": diagram.truncated_at})
+
+
+@pytest.mark.parametrize("args, stem, code, outside", [
+    (("minimize", "--mu", 1e300, "--n", 16), "profile", 1, 16),  # w reaches 1.5e149
+    (("eigen", "--n", 65536), "phi0", 0, 0),
+], ids=["overflow", "eigen-65536"])
+def test_csv_and_json_cells_are_the_text_of_format_17g(tmp_path, args, stem, code, outside):
+    # `outside` cells lie outside the %.17g kernel's range and are formatted by %
+    assert run(*args, "--out", tmp_path) == code
+    assert run(*args, "--format", "json", "--out", tmp_path) == code
+    _, rows = read_csv(tmp_path / f"{stem}.csv")
+    assert len(rows) == int(args[args.index("--n") + 1]) + 1
+    cells = [cell for row in rows for cell in row]
+    assert [cell for cell in cells if cell != format(float(cell), ".17g")] == []
+    assert sum(not 1e-10 <= abs(float(cell)) < 1e15 for cell in cells if float(cell)) == outside
+    text = (tmp_path / f"{stem}.json").read_text()
+    body = text[text.index('"rows": [[') + len('"rows": [['):text.rindex("]]")]
+    assert [row.split(", ") for row in body.split("], [")] == rows
+    assert len(json.loads(text)["rows"]) == len(rows)
 
 
 def _refuse(token):

@@ -112,10 +112,11 @@ def test_multistart_flags_nontrivial_minimizers_above_threshold(grid256, pair256
     assert out["worst_energy"] < -1e-9
 
 
-# twice the evaluations measured at n = 256 and 512 with every line search
-# started inside the fold's domain: 7, 9 and 10 at mu = 20, 100 and 1000,
-# at both n
+# twice the evaluations measured with every line search started inside the
+# fold's domain: 7, 9 and 10 at mu = 20, 100 and 1000, at every n below
 ENERGY_EVAL_CAPS = {20.0: 14, 100.0: 18, 1000.0: 20}
+# the iterations measured at every n below
+ITERATION_CAPS = {20.0: 5, 100.0: 6, 1000.0: 7}
 
 
 @pytest.mark.parametrize("mu", sorted(ENERGY_EVAL_CAPS))
@@ -135,17 +136,18 @@ def test_line_search_energy_evaluations_are_capped(monkeypatch, mu):
 
     monkeypatch.setattr(solver, "energy_parts", counted)
     monkeypatch.setattr(solver, "banded_factor", factored)
-    for n in (256, 512):
+    for n in (256, 512, 1024):
         calls.clear()
         factors.clear()
         rep = minimize(build_grid(n, 2.0), ModelParams(mu=mu))
         assert rep.converged
+        assert rep.iterations <= ITERATION_CAPS[mu]
         assert rep.energy_evals <= ENERGY_EVAL_CAPS[mu]
         assert rep.energy_evals == len(calls)
         # the initial evaluation, one accepted trial per iteration, one per rejection
         assert rep.energy_evals == 1 + rep.iterations + rep.backtracks
         # every shift tried, failed ones included; measured 9, 13 and 17 at
-        # both n (14, 25 and 36 when the ladder was scanned from tau = 0)
+        # every n (14, 25 and 36 when the ladder was scanned from tau = 0)
         assert rep.factorizations == len(factors) > rep.iterations
 
 
@@ -168,6 +170,7 @@ LARGE_MU_ENERGIES = {
 def test_solve_cost_is_flat_in_mu(n, mu):
     rep = minimize(build_grid(n, 2.0), ModelParams(mu=mu))
     assert rep.converged
+    assert rep.iterations <= 20  # measured 7, 11, 11 and 13 at either n
     assert rep.energy_evals <= 30  # measured 10, 16, 17 and 21 at either n
     assert abs(rep.energy - LARGE_MU_ENERGIES[n, mu]) <= 1e-13 * abs(rep.energy)
 
@@ -377,13 +380,14 @@ def test_fused_descent_is_the_reference_descent_bitwise(monkeypatch, mu):
         == (ref.converged, ref.energy_evals, ref.backtracks, ref.fold_applied)
 
 
-@pytest.mark.parametrize("n", [256, 1024, 4096])
+@pytest.mark.parametrize("n", [256, 1024, 4096, 16384])
 def test_solve_stops_without_line_searches_at_the_roundoff_floor(n):
     # Once the gradient passes tol, the stop reads the decrease the Newton
     # step predicts; it does not wait for flat accepted steps, whose Armijo
     # tests at the roundoff floor compare noise with noise.
     rep = minimize(build_grid(n, 2.0), ModelParams(mu=2.0))
     assert rep.converged
+    assert rep.iterations <= 6  # measured 5 at every n
     # measured 1, in the first step; 4 when a backtrack halves the step
     # instead of interpolating, and 12, 18 and 24 with a flat-step stop
     assert rep.backtracks <= 2
