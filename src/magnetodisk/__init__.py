@@ -8,11 +8,10 @@ from .bifurcation import (
     BifurcationDiagram,
     BranchPoint,
     amplitude_fit_slope,
-    cbar,
     detected_threshold,
     trace_branches,
 )
-from .eigen import EigenPair, smallest_eigenpair
+from .eigen import EigenPair, cbar, smallest_eigenpair
 from .fields import magnetization_grid, reconstruct_w
 from .grid import RadialGrid, build_grid, integrate
 from .operators import ModelParams, Profile

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .eigen import EigenPair, smallest_eigenpair
+from .eigen import EigenPair, cbar, smallest_eigenpair
 from .grid import RadialGrid, integrate
 from .operators import ModelParams, Profile
 from .solver import minimize
@@ -29,7 +29,6 @@ from .solver import minimize
 __all__ = [
     "BranchPoint",
     "BifurcationDiagram",
-    "cbar",
     "trace_branches",
     "detected_threshold",
     "amplitude_fit_slope",
@@ -66,20 +65,6 @@ class BifurcationDiagram:
     truncated_at: float | None = None
 
 
-def cbar(phi0: Profile, p: ModelParams) -> float:
-    """Projected cubic coefficient int [-(2/3) phi^4/r + (16/3) mu phi^4 r] dr.
-
-    Positive for mu >= gamma0/8, which makes the threshold crossing a
-    supercritical pitchfork.
-    """
-    grid = phi0.grid
-    v2 = phi0.values[1:] * phi0.values[1:]
-    v4 = v2 * v2  # not v ** 4, numpy's SIMD power
-    f = np.zeros_like(phi0.values)
-    f[1:] = -(2.0 / 3.0) * v4 / grid.r_squared + (16.0 / 3.0) * p.mu * v4
-    return integrate(grid, f)
-
-
 def trace_branches(
     grid: RadialGrid,
     params: ModelParams,
@@ -87,7 +72,7 @@ def trace_branches(
     mu_hi: float,
     steps: int,
     *,
-    init_eps: float = 0.1,
+    init_eps: float | None = None,
     eigenpair: EigenPair | None = None,
 ) -> BifurcationDiagram:
     """Natural-parameter continuation over [mu_lo, mu_hi] with `steps` points.
@@ -97,8 +82,10 @@ def trace_branches(
     runs.  (gamma0, a Rayleigh quotient, may exceed the exact eigenvalue by
     roundoff; there a nontrivial energy is O(delta^2), inside the energy
     filter below.)  Above it, each step is one minimize call.  The step
-    entering the supercritical range starts from init_eps * phi0, the
-    minimize default.  Every later step starts from a predictor in
+    entering the supercritical range starts where minimize does by default:
+    on the amplitude law sqrt(delta/cbar) phi0 wherever minimize can use
+    it, else at INIT_EPS * phi0, or at init_eps * phi0 if init_eps is
+    given.  Every later step starts from a predictor in
     s = sqrt(2 mu - gamma0), the variable in which the pitchfork branch is a
     smooth curve through (s, h) = (0, 0): the Lagrange extrapolant through
     the last three known points of the plus branch, with the bifurcation
@@ -191,20 +178,29 @@ def detected_threshold(diagram: BifurcationDiagram) -> float | None:
 
 def amplitude_fit_slope(diagram: BifurcationDiagram) -> float | None:
     """Least-squares slope of log beta against log delta, delta = 2 mu - gamma0,
-    on the plus branch; None unless two of the log deltas differ.
+    on the plus branch; None unless the log deltas span more than their own
+    rounding error.
 
-    The logs are libm's (math.log), not numpy's SIMD kernel, so the slope
-    does not depend on the CPU.
+    Each x = log delta carries an error of about eps * (2 mu / delta + |x|):
+    the subtraction loses up to eps * 2 mu of delta, the log rounds x.  Two
+    xs closer than twice the largest of these may differ by roundoff alone,
+    and a slope fitted to them is roundoff over roundoff.  The logs are
+    libm's (math.log), not numpy's SIMD kernel, so the slope does not depend
+    on the CPU.
     """
+    eps = math.ulp(1.0)
     xs = []
     ys = []
+    noise = 0.0
     for q in diagram.points:
         if q.branch == "plus" and q.beta > 0.0:
             delta = 2.0 * q.mu - diagram.gamma0
             if delta > 0.0:
-                xs.append(math.log(delta))
+                x = math.log(delta)
+                xs.append(x)
                 ys.append(math.log(q.beta))
-    if len(set(xs)) < 2:
+                noise = max(noise, eps * (2.0 * q.mu / delta + abs(x)))
+    if not xs or max(xs) - min(xs) <= 2.0 * noise:
         return None
     x_mean = sum(xs) / len(xs)
     y_mean = sum(ys) / len(ys)

@@ -50,7 +50,7 @@ class RunConfig:
     seed: int = 0
     tol: float = 1e-8
     max_iter: int = 500
-    init_eps: float = 0.1
+    init_eps: float | None = None
     out: str = "."
     format: str = "csv"
     samples: int = 41
@@ -131,7 +131,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
     if cfg.format not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {cfg.format!r}")
-    if not (math.isfinite(cfg.init_eps) and cfg.init_eps > 0.0):
+    if cfg.init_eps is not None and not (math.isfinite(cfg.init_eps) and cfg.init_eps > 0.0):
         raise ValueError(f"init_eps must be positive and finite, got {cfg.init_eps}")
     if cfg.samples < 3:
         # with 2 per axis the lattice is the four corners, all outside the disk
@@ -519,9 +519,11 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-iter", dest="max_iter", type=int,
                         help="solver iteration cap")
         sp.add_argument("--init-eps", dest="init_eps", type=float,
-                        help="scale of the default start init_eps * phi0; "
-                             "sweep uses it for its first step above "
-                             "gamma0/2 only (default 0.1)")
+                        help="start from init_eps * phi0; sweep uses it for "
+                             "its first step above gamma0/2 only (default: "
+                             "the amplitude law sqrt((2 mu - gamma0)/cbar) "
+                             "* phi0 where its Hessian is positive definite, "
+                             "else 0.1 * phi0)")
         sp.add_argument("--samples", type=int,
                         help="lattice points per axis for fields output")
     return parser

@@ -22,6 +22,11 @@ mass M is diag(grid.weights[1:]).  The Bessel series and the normalisation
 of each iterate run in reused buffers, with the operations of their
 one-expression forms in the same order.  Every other reduction is grid.dot,
 so the results do not depend on the BLAS thread count.
+
+cbar projects the cubic term of the Euler operator onto the ground mode: the
+pitchfork at mu = gamma0 / 2 opens with amplitude sqrt((2 mu - gamma0) / cbar)
+along phi0, which both the minimizer's default start and the branch tracer
+read.
 """
 
 from __future__ import annotations
@@ -30,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RadialGrid, banded_matvec, banded_solve, dot
-from .operators import Profile
+from .grid import RadialGrid, banded_matvec, banded_solve, dot, integrate
+from .operators import ModelParams, Profile
 
-__all__ = ["EigenPair", "smallest_eigenpair", "second_eigenpair"]
+__all__ = ["EigenPair", "cbar", "smallest_eigenpair", "second_eigenpair"]
 
 # j'_{1,1}, the first positive root of J1': the continuum ground mode on the
 # unit disk is J1(j'_{1,1} r), with eigenvalue j'_{1,1}^2
@@ -158,3 +163,17 @@ def second_eigenpair(grid: RadialGrid, first: EigenPair) -> tuple[float, Profile
     gamma, v, _, _ = _inverse_iteration(
         grid, np.sin(0.5 * np.pi * grid.nodes[1:]), first.phi0.values[1:])
     return gamma, _signed_mode(grid, v)
+
+
+def cbar(phi0: Profile, p: ModelParams) -> float:
+    """Projected cubic coefficient int [-(2/3) phi^4/r + (16/3) mu phi^4 r] dr.
+
+    Positive for mu >= gamma0/8, which makes the threshold crossing a
+    supercritical pitchfork.
+    """
+    grid = phi0.grid
+    v2 = phi0.values[1:] * phi0.values[1:]
+    v4 = v2 * v2  # not v ** 4, numpy's SIMD power
+    f = np.zeros_like(phi0.values)
+    f[1:] = -(2.0 / 3.0) * v4 / grid.r_squared + (16.0 / 3.0) * p.mu * v4
+    return integrate(grid, f)

@@ -16,6 +16,11 @@ turns into -P^-1 W g, steepest descent in the inner product of P.  When no
 shift qualifies, that direction itself, solved with the grid's cached pencil
 factor, is the step, so every iteration has one.
 
+Without an explicit start, a run starts on the pitchfork's amplitude law,
+sqrt((2 mu - gamma0) / cbar) phi0 (Crandall & Rabinowitz, J. Funct. Anal. 8,
+1971), wherever that lies in the fold's domain and the Hessian there is
+positive definite, and at INIT_EPS * phi0 elsewhere.
+
 Every accepted iterate is folded back into [0, pi/2], which never raises the
 energy, so the iterate and a minimizer both lie in [0, pi/2] at every node,
 and a trial that moves a node further than MAX_STEP = pi/2 only buys a
@@ -49,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import EigenPair, smallest_eigenpair
+from .eigen import EigenPair, cbar, smallest_eigenpair
 from .grid import RadialGrid, banded_factor, banded_solve, dot, rim_slope
 from .operators import (
     ModelParams,
@@ -70,6 +75,8 @@ FLAT_TOL = 1e-12
 MAX_STEP = np.pi / 2.0
 # the shifts tau tried in turn; the pencil direction is the limit tau -> inf
 SHIFTS = (0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6)
+# the default start's scale along phi0 where the amplitude law predicts nothing
+INIT_EPS = 0.1
 
 
 @dataclass(frozen=True)
@@ -93,7 +100,8 @@ class SolveReport:
     factorizations (grid.banded_factor) of the shifted Newton matrices, the
     failed ones included: the tau = 0 matrix at every iteration, and the
     rungs of SHIFTS that the search for the first positive definite one
-    probes when it is not; the grid's cached pencil factor is not counted.
+    probes when it is not, and the Hessian test of the amplitude-law start;
+    the grid's cached pencil factor is not counted.
     """
 
     minimizer: Profile
@@ -207,6 +215,31 @@ def _newton_direction(grid, mu, wg, cos2h, last):
     return *best, tried, definite, hi
 
 
+def _amplitude_law_start(grid, mu, eigenpair):
+    """The pitchfork's leading-order minimizer sqrt((2 mu - gamma0) / cbar)
+    phi0, cbar taken at mu = gamma0 / 2, or None where it predicts none, and
+    the number of factorizations the test took (0 or 1).
+
+    It is used only when 2 mu > gamma0, its peak lies in the fold's domain
+    (every minimizer does, so a start outside it predicts none; a non-finite
+    amplitude fails this test too) and the unshifted Hessian there factors,
+    in that order, so a start too far from the threshold costs no
+    factorization."""
+    delta = 2.0 * mu - eigenpair.gamma0
+    if not delta > 0.0:
+        return None, 0
+    phi = eigenpair.phi0.values
+    amplitude = math.sqrt(delta / cbar(eigenpair.phi0, ModelParams(mu=eigenpair.gamma0 / 2.0)))
+    if not amplitude * float(np.maximum.reduce(phi)) <= MAX_STEP:
+        return None, 0
+    v = amplitude * phi
+    try:
+        banded_factor(grid, hessian_bands(grid, mu, np.cos(2.0 * v[1:]))(0.0))
+    except np.linalg.LinAlgError:
+        return None, 1
+    return v, 1
+
+
 # Overflow is checked, not warned about: a non-finite start energy raises, a
 # nan trial energy or a non-finite gradient norm or slope ends the run as
 # diverged, and an infinite trial energy fails the Armijo test.  One errstate
@@ -219,23 +252,34 @@ def minimize(
     init: Profile | None = None,
     *,
     eigenpair: EigenPair | None = None,
-    init_eps: float = 0.1,
+    init_eps: float | None = None,
 ) -> SolveReport:
     """Minimize the reduced energy at fixed parameters.
 
-    init defaults to init_eps * phi0, the scaled threshold eigenprofile.  The
-    zero profile is an exact critical point with E = 0, so it always enters
-    the final candidate set: whenever the run ends at nonnegative energy, the
-    trivial profile is returned, converged only if it passed the stop test.
+    init defaults to init_eps * phi0, the scaled threshold eigenprofile, if
+    init_eps is given.  Otherwise it is the amplitude law of the pitchfork,
+    sqrt((2 mu - gamma0) / cbar) phi0, wherever that lies in the fold's
+    domain and the Hessian there is positive definite (see
+    _amplitude_law_start; its factorization is counted), else INIT_EPS *
+    phi0.  The zero profile is an exact critical point with E = 0, so it
+    always enters the final candidate set: whenever the run ends at
+    nonnegative energy, the trivial profile is returned, converged only if
+    it passed the stop test.
     """
     mu = params.mu
     w = grid.weights
     nodes = grid.nodes
 
+    factorizations = 0
     if init is None:
         if eigenpair is None:
             eigenpair = smallest_eigenpair(grid)
-        v = init_eps * eigenpair.phi0.values
+        if init_eps is not None:
+            v = init_eps * eigenpair.phi0.values
+        else:
+            v, factorizations = _amplitude_law_start(grid, mu, eigenpair)
+            if v is None:
+                v = INIT_EPS * eigenpair.phi0.values
     else:
         if init.grid.nodes.shape != nodes.shape or not np.array_equal(init.grid.nodes, nodes):
             raise ValueError("init profile lives on a different grid")
@@ -244,7 +288,6 @@ def minimize(
     e_cur, dv, sin2h = energy_parts(grid, v, mu)
     energy_evals = 1
     backtracks = 0
-    factorizations = 0
     if not np.isfinite(e_cur):
         raise ValueError("initial profile has non-finite energy")
     g, cos2h = gradient_from_parts(grid, v, mu, dv, sin2h)

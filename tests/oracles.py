@@ -396,12 +396,12 @@ def zeroth_order_trace(
     mu_hi: float,
     steps: int,
     *,
-    init_eps: float = 0.1,
+    init_eps: float | None = None,
     eigenpair: EigenPair | None = None,
 ) -> BifurcationDiagram:
     """trace_branches with the zeroth-order predictor: every supercritical
-    step starts from the previous nontrivial profile, the entry step from
-    init_eps * phi0.  The corrector and every check are those of
+    step starts from the previous nontrivial profile, the entry step where
+    trace_branches starts it.  The corrector and every check are those of
     trace_branches, so the two sweeps must find the same points."""
     if eigenpair is None:
         eigenpair = smallest_eigenpair(grid)

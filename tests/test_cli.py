@@ -213,10 +213,13 @@ def test_sweep_below_threshold_needs_no_start(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error")  # no RankWarning on stderr either
 @pytest.mark.parametrize("mu_range, fitted", [("10:10.000000000000002:2", False),
-                                              ("20:20.000000000000004:3", True)])
+                                              ("20:20.000000000000004:3", False),
+                                              ("20:20.00001:3", True)])
 def test_sweep_over_mu_one_ulp_apart_fits_without_warnings(tmp_path, capsys, mu_range, fitted):
     # the first range's two log deltas are equal, so no line fits them; the
-    # second's differ in their last bit
+    # second's differ in their last bit, less than the rounding error of
+    # 2 mu - gamma0 and its log, so a slope fitted to them would be noise;
+    # the third's differ by 5e-7, far above it
     assert run("sweep", "--mu-range", mu_range, "--n", 64, "--out", tmp_path) == 0
     assert capsys.readouterr().err == ""
     slope = json.loads((tmp_path / "summary.json").read_text())["slope"]
