@@ -3,17 +3,15 @@
 Every iteration takes the same path: a shifted Newton step with a
 backtracking line search (Levenberg-Marquardt; More & Sorensen 1983; Nocedal
 & Wright, Numerical Optimization, ch. 3-4).  The step solves
-((H + tau P) / (1 + tau)) d = -W g, where H = K + W diag(cos 2h / r^2 -
-2 mu cos 4h) is the Hessian and P = K + W / r^2 the threshold pencil, for the
-first tau of SHIFTS whose matrix is positive definite and whose step
-descends.  hessian_bands builds any rung of this ladder on demand, into one
-diagonal buffer, and H is its tau = 0 matrix.  tau = 0 is tried first; when
-H is indefinite, the first qualifying rung is searched for from the rung
-the previous step took, since every rung above a positive definite one is
-positive definite.  Divided by 1 + tau the matrix keeps K's off-diagonal, so
-its main diagonal is all grid.banded_factor needs, and as tau grows the step
-turns into -P^-1 W g, steepest descent in the inner product of P.  When no
-shift qualifies, that direction itself, solved with the grid's cached pencil
+((H + tau P) / (1 + tau)) d = -W g, where H = K + W diag(c), c = cos 2h /
+r^2 - 2 mu cos 4h, is the Hessian and P = K + W / r^2 the threshold pencil.
+tau = 0 is tried first; when H is indefinite, tau is computed from two
+bounds that make the matrix positive definite (see _newton_direction).
+hessian_bands builds the matrix for any tau, into one diagonal buffer.
+Divided by 1 + tau the matrix keeps K's off-diagonal, so its main diagonal
+is all grid.banded_factor needs, and as tau grows the step turns into
+-P^-1 W g, steepest descent in the inner product of P.  When no shift
+qualifies, that direction itself, solved with the grid's cached pencil
 factor, is the step, so every iteration has one.
 
 Without an explicit start, a run starts on the pitchfork's amplitude law,
@@ -48,6 +46,7 @@ grid.rim_slope of the returned profile.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -73,8 +72,10 @@ FLAT_TOL = 1e-12
 # the largest nodal move a line search starts from: the width of the fold's
 # domain [0, pi/2], which holds the iterate and a minimizer
 MAX_STEP = np.pi / 2.0
-# the shifts tau tried in turn; the pencil direction is the limit tau -> inf
-SHIFTS = (0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6)
+# the last shift tried is (1 + SHIFT_MARGIN) tau_b: at tau_b itself the
+# pencil's bound leaves the matrix only semidefinite, and gamma0 and c carry
+# roundoff, so the bound is taken a little above the computed value
+SHIFT_MARGIN = 1e-6
 # the default start's scale along phi0 where the amplitude law predicts nothing
 INIT_EPS = 0.1
 
@@ -98,10 +99,10 @@ class SolveReport:
     1 + iterations + backtracks unless a trial energy came out NaN
     (diverged).  factorizations counts the LDL^T
     factorizations (grid.banded_factor) of the shifted Newton matrices, the
-    failed ones included: the tau = 0 matrix at every iteration, and the
-    rungs of SHIFTS that the search for the first positive definite one
-    probes when it is not, and the Hessian test of the amplitude-law start;
-    the grid's cached pencil factor is not counted.
+    failed ones included: the tau = 0 matrix at every iteration (at the
+    first, the Hessian test of the amplitude-law start stands for it when
+    the test ran), and the one or two shifted matrices tried when it does
+    not factor; the grid's cached pencil factor is not counted.
     """
 
     minimizer: Profile
@@ -120,10 +121,11 @@ class SolveReport:
     factorizations: int = 0
 
 
-def hessian_bands(grid: RadialGrid, mu: float,
-                  cos2h: np.ndarray) -> Callable[[float], np.ndarray]:
+def hessian_bands(grid: RadialGrid, mu: float, cos2h: np.ndarray
+                  ) -> tuple[Callable[[float], np.ndarray], np.ndarray]:
     """Return diagonal(tau), the main diagonal over the nodes 1..n of
-    (H + tau P) / (1 + tau), whose off-diagonal is K's, where
+    (H + tau P) / (1 + tau), whose off-diagonal is K's, and the curvature c,
+    where
 
         H = K + W diag(c),   c = cos 2h / r^2 - 2 mu cos 4h,
 
@@ -132,7 +134,7 @@ def hessian_bands(grid: RadialGrid, mu: float,
     cos(2 h[1:]) as the gradient computed it; cos 4h is 2 cos^2 2h - 1 from
     it, and c is computed once.  Each main diagonal is K0 + w c at tau = 0
     and K0 + w ((c + tau / r^2) / (1 + tau)) otherwise, built afresh from c
-    by the same operations whatever rungs came before, so the stiffness
+    by the same operations whatever shifts came before, so the stiffness
     diagonal K0 enters exactly, and every call writes it into the same
     buffer: use or copy it before the next."""
     w = grid.weights[1:]
@@ -157,68 +159,64 @@ def hessian_bands(grid: RadialGrid, mu: float,
         main += k0
         return main
 
-    return diagonal
+    return diagonal, curvature
 
 
-def _descent(grid, main, wg):
-    """The step d = -A^-1 W g and its slope, for A the matrix with this main
-    diagonal and K's off-diagonal, or None if A does not factor."""
+def _factor(grid, main):
+    """The factor of the matrix with this main diagonal and K's off-diagonal,
+    or None if it is not positive definite."""
     try:
-        factor = banded_factor(grid, main)
+        return banded_factor(grid, main)
     except np.linalg.LinAlgError:
         return None
+
+
+def _descent(factor, wg):
+    """The step d = -A^-1 W g for A so factored, and its slope."""
     step = banded_solve(factor, -wg)
     return step, 2.0 * np.pi * dot(wg, step)
 
 
-def _newton_direction(grid, mu, wg, cos2h, last):
-    """Shifted Newton step, its slope, the number of factorizations tried,
-    whether the unshifted Hessian H factored, i.e. is positive definite, and
-    the index in SHIFTS of the rung taken (len(SHIFTS) for the pencil step):
-    solve ((H + tau P) / (1 + tau)) d = -W g for the first tau of SHIFTS
-    whose matrix is positive definite and whose step descends, else the
-    pencil step -P^-1 W g.  cos2h is cos(2 h[1:]) at the iterate h, as the
-    gradient there computed it; last is the rung the previous step took.
+def _newton_direction(grid, mu, wg, cos2h, gamma0, factor=None):
+    """Shifted Newton step, its slope, the factorizations made and whether
+    the unshifted Hessian H factored, i.e. is positive definite.  cos2h is
+    cos(2 h[1:]) at the iterate, as the gradient computed it; gamma0() is the
+    threshold eigenvalue; factor is H's, if the caller holds it (not counted).
 
-    tau = 0 is tried first, since the stop test asks whether H factors.
-    Every rung above one that qualifies qualifies too (in exact arithmetic):
-    (H + tau P) / (1 + tau) stays positive definite as tau grows, because P
-    is, and a positive definite matrix gives a descent step.  So the search
-    keeps lo, a rung known to fail, and hi, one known to qualify (at first
-    the pencil step), and stops when they are adjacent.  After a shifted step
-    it walks one rung at a time from the rung below last, down while rungs
-    qualify and up while they fail; after a step at tau = 0 it bisects."""
-    diagonal = hessian_bands(grid, mu, cos2h)
-    out = _descent(grid, diagonal(0.0), wg)
-    definite = out is not None
-    if definite and out[1] < 0.0:
-        return *out, 1, True, 0
-    tried = 1
-    lo, hi = 0, len(SHIFTS)
-    k = max(last - 1, 1) if last else hi // 2
-    while hi - lo > 1:
-        out = _descent(grid, diagonal(SHIFTS[k]), wg)
+    H is tried first, since the stop test asks whether it factors.  If not,
+    ((H + tau P) / (1 + tau)) d = -W g is solved for tau = 2/3 tau_b, then
+    (1 + SHIFT_MARGIN) tau_b, the first that factors and descends, else the
+    step is -P^-1 W g.  tau_b, from hessian_bands' curvature c, is the smaller
+    of two shifts beyond which the matrix is positive definite: max(-c r^2),
+    where every c + tau / r^2 >= 0 on top of K, positive definite on the
+    nodes 1..n; and max(1 / r^2 - c) / gamma0 - 1, as H + tau P = (1 + tau) P
+    - W diag(1 / r^2 - c) and v^T P v >= gamma0 v^T W v.  Both bounds are
+    sufficient, not necessary, and the smaller shift's step lies nearer H's."""
+    diagonal, curvature = hessian_bands(grid, mu, cos2h)
+    tried = 0
+    if factor is None:
+        factor = _factor(grid, diagonal(0.0))
+        tried = 1
+    if factor is not None:
+        return *_descent(factor, wg), tried, True
+    r2 = grid.r_squared
+    bound = min(-float(np.minimum.reduce(curvature * r2)),
+                float(np.maximum.reduce(1.0 / r2 - curvature)) / gamma0() - 1.0)
+    for tau in (2.0 / 3.0 * bound, (1.0 + SHIFT_MARGIN) * bound):
+        factor = _factor(grid, diagonal(tau))
         tried += 1
-        if out is not None and out[1] < 0.0:
-            hi, best = k, out
-        else:
-            lo = k
-        if not last:
-            k = (lo + hi) // 2
-        elif hi == k:
-            k = hi - 1
-        else:
-            k = lo + 1
-    if hi == len(SHIFTS):
-        step = banded_solve(grid.pencil_factor, -wg)
-        best = step, 2.0 * np.pi * dot(wg, step)
-    return *best, tried, definite, hi
+        if factor is not None:
+            step, slope = _descent(factor, wg)
+            if slope < 0.0:
+                return step, slope, tried, False
+    return *_descent(grid.pencil_factor, wg), tried, False
 
 
 def _amplitude_law_start(grid, mu, eigenpair):
     """The pitchfork's leading-order minimizer sqrt((2 mu - gamma0) / cbar)
     phi0, cbar taken at mu = gamma0 / 2, or None where it predicts none, and
-    the number of factorizations the test took (0 or 1).
+    the factor of the unshifted Hessian there, or None where it was not
+    built or does not factor: the start is taken only with its factor.
 
     It is used only when 2 mu > gamma0, its peak lies in the fold's domain
     (every minimizer does, so a start outside it predicts none; a non-finite
@@ -227,17 +225,13 @@ def _amplitude_law_start(grid, mu, eigenpair):
     factorization."""
     delta = 2.0 * mu - eigenpair.gamma0
     if not delta > 0.0:
-        return None, 0
+        return None, None
     phi = eigenpair.phi0.values
     amplitude = math.sqrt(delta / cbar(eigenpair.phi0, ModelParams(mu=eigenpair.gamma0 / 2.0)))
     if not amplitude * float(np.maximum.reduce(phi)) <= MAX_STEP:
-        return None, 0
+        return None, None
     v = amplitude * phi
-    try:
-        banded_factor(grid, hessian_bands(grid, mu, np.cos(2.0 * v[1:]))(0.0))
-    except np.linalg.LinAlgError:
-        return None, 1
-    return v, 1
+    return v, _factor(grid, hessian_bands(grid, mu, np.cos(2.0 * v[1:]))[0](0.0))
 
 
 # Overflow is checked, not warned about: a non-finite start energy raises, a
@@ -260,25 +254,27 @@ def minimize(
     init_eps is given.  Otherwise it is the amplitude law of the pitchfork,
     sqrt((2 mu - gamma0) / cbar) phi0, wherever that lies in the fold's
     domain and the Hessian there is positive definite (see
-    _amplitude_law_start; its factorization is counted), else INIT_EPS *
-    phi0.  The zero profile is an exact critical point with E = 0, so it
-    always enters the final candidate set: whenever the run ends at
-    nonnegative energy, the trivial profile is returned, converged only if
-    it passed the stop test.
+    _amplitude_law_start; its factorization is counted, and is the first
+    iteration's), else INIT_EPS * phi0.  The zero profile is an exact
+    critical point with E = 0, so it always enters the final candidate set:
+    whenever the run ends at nonnegative energy, the trivial profile is
+    returned, converged only if it passed the stop test.
     """
     mu = params.mu
     w = grid.weights
     nodes = grid.nodes
 
     factorizations = 0
+    factor = None  # H's factor at the start, from the amplitude law's test
     if init is None:
         if eigenpair is None:
             eigenpair = smallest_eigenpair(grid)
         if init_eps is not None:
             v = init_eps * eigenpair.phi0.values
         else:
-            v, factorizations = _amplitude_law_start(grid, mu, eigenpair)
-            if v is None:
+            v, factor = _amplitude_law_start(grid, mu, eigenpair)
+            factorizations = 0 if v is None else 1
+            if factor is None:
                 v = INIT_EPS * eigenpair.phi0.values
     else:
         if init.grid.nodes.shape != nodes.shape or not np.array_equal(init.grid.nodes, nodes):
@@ -298,11 +294,13 @@ def minimize(
     converged = False
     diverged = not math.isfinite(gnorm)  # e.g. mu = 1e300
     direction = np.zeros_like(v)  # the search direction; r = 0 stays pinned
-    rung = 0  # the index in SHIFTS of the last step's shift
+    # with init alone, the eigenpair is built when a Hessian first fails to factor
+    gamma0 = functools.cache(lambda: (eigenpair or smallest_eigenpair(grid)).gamma0)
 
     while not diverged:
         wg = w[1:] * g[1:]
-        step, slope, tried, definite, rung = _newton_direction(grid, mu, wg, cos2h, rung)
+        step, slope, tried, definite = _newton_direction(grid, mu, wg, cos2h, gamma0, factor)
+        factor = None
         factorizations += tried
         if not math.isfinite(slope):
             diverged = True
