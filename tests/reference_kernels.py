@@ -1,19 +1,24 @@
 """The energy, gradient and fold as first written, one numpy expression each,
 with the flux-form stiffness apply K v that the gradient builds on; the
 Bessel start and inverse iteration of magnetodisk.eigen, with a fresh array
-for every intermediate.
+for every intermediate; and the shifted Newton step of magnetodisk.solver as
+a linear scan of its ladder of tried shifts.
 
 The kernels of magnetodisk.operators build the same fields in place, fused
 (energy_parts hands dv and sin 2h to gradient_from_parts), and do the same
 floating-point operations in the same order, so they must agree with these
 bit for bit; so must eigen's in-place series and normalisation.  The
 operator references read only the grid's nodes and weights; the inverse
-iteration solves with the grid's pencil factor, as eigen does.
+iteration solves with the grid's pencil factor, as eigen does.  The solver
+skips the tau = 0 factorization when the caller holds H's factor, and builds
+each tried matrix by the same operations, so its steps must agree with the
+scan's bit for bit.
 """
 
 import numpy as np
 
-from magnetodisk.grid import banded_matvec, banded_solve
+from magnetodisk.grid import banded_factor, banded_matvec, banded_solve
+from magnetodisk.solver import SHIFT_MARGIN
 
 
 def kappa(grid):
@@ -128,3 +133,35 @@ def reference_inverse_iteration(grid, v, deflate, max_iter=400, rq_tol=1e-14):
     res = banded_matvec(grid, grid.pencil, v) - gamma * m * v
     return gamma, v, float(np.sqrt(np.sum(res * res))), it
 
+
+
+def reference_newton_direction(grid, mu, wg, cos2h, gamma0, factor=None):
+    """Try tau = 0, 2/3 tau_b and (1 + SHIFT_MARGIN) tau_b in turn, tau_b =
+    min(max(-c r^2), max(1 / r^2 - c) / gamma0 - 1), and solve with the first
+    whose matrix (H + tau P) / (1 + tau) factors and, for tau > 0, whose step
+    descends, else take the pencil step; factor, H's factor if the caller
+    holds it, is ignored.  (step, slope, tried, definite) as
+    solver._newton_direction returns them, tried counting every
+    factorization."""
+    w = grid.weights[1:]
+    r2 = grid.r_squared
+    k0 = grid.stiffness_bands[0][1:]
+    curvature = cos2h / r2 - 2.0 * mu * (2.0 * cos2h * cos2h - 1.0)
+    bound = min(float(np.max(-curvature * r2)),
+                float(np.max(1.0 / r2 - curvature)) / gamma0() - 1.0)
+    ladder = [0.0, 2.0 / 3.0 * bound, (1.0 + SHIFT_MARGIN) * bound]
+    for tried, tau in enumerate(ladder, start=1):
+        if tau == 0.0:
+            main = k0 + w * curvature
+        else:
+            main = k0 + w * ((curvature + tau / r2) / (1.0 + tau))
+        try:
+            shifted = banded_factor(grid, main)
+        except np.linalg.LinAlgError:
+            continue
+        step = banded_solve(shifted, -wg)
+        slope = 2.0 * np.pi * float(np.sum(wg * step))
+        if tau == 0.0 or slope < 0.0:
+            return step, slope, tried, tau == 0.0
+    step = banded_solve(grid.pencil_factor, -wg)
+    return step, 2.0 * np.pi * float(np.sum(wg * step)), len(ladder), False

@@ -16,6 +16,7 @@ from reference_kernels import (
     reference_energy,
     reference_fold,
     reference_gradient,
+    reference_newton_direction,
 )
 
 
@@ -382,9 +383,11 @@ def test_shift_search_factorizations_are_pinned(n, mu, init_eps):
 @pytest.mark.parametrize("init_eps", [0.1, 1.0, 1e-9])
 @pytest.mark.parametrize("n", [64, 256, 1024])
 @pytest.mark.parametrize("mu", [2.0, 2.1, 3.0, 20.0, 100.0, 1e3, 1e4, 1e6, 1e8])
-def test_computed_shifts_converge_without_the_pencil_step(monkeypatch, mu, n, init_eps):
-    # the pencil step is only a safety net: 2/3 tau_b or tau_b just above it
-    # qualifies at every iterate of these runs
+def test_shift_search_takes_the_steps_of_the_ladder_scan(monkeypatch, mu, n, init_eps):
+    # the search returns the shift that a scan of tau = 0, 2/3 tau_b and
+    # (1 + SHIFT_MARGIN) tau_b reaches first, so the whole run is the scan's
+    # bit for bit; the pencil step is only a safety net, and 2/3 tau_b or
+    # tau_b just above it qualifies at every iterate of these runs
     grid = build_grid(n, 2.0)
     pencil = []
     descent = solver._descent
@@ -393,11 +396,21 @@ def test_computed_shifts_converge_without_the_pencil_step(monkeypatch, mu, n, in
         pencil.append(factor is grid.pencil_factor)
         return descent(factor, wg)
 
-    monkeypatch.setattr(solver, "_descent", recorded)
-    rep = minimize(grid, ModelParams(mu=mu), init_eps=init_eps)
-    assert rep.converged
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_descent", recorded)
+        shipped = minimize(grid, ModelParams(mu=mu), init_eps=init_eps)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_newton_direction", reference_newton_direction)
+        ref = minimize(grid, ModelParams(mu=mu), init_eps=init_eps)
+    assert shipped.converged
     assert not any(pencil)
-    assert rep.factorizations <= 1 + 3 * rep.iterations
+    assert shipped.minimizer.values.tobytes() == ref.minimizer.values.tobytes()
+    assert shipped.energy.hex() == ref.energy.hex()
+    assert shipped.residual.hex() == ref.residual.hex()
+    assert (shipped.iterations, shipped.energy_evals, shipped.backtracks, shipped.converged) \
+        == (ref.iterations, ref.energy_evals, ref.backtracks, ref.converged)
+    assert shipped.factorizations <= ref.factorizations
+    assert shipped.factorizations <= 1 + 3 * shipped.iterations
 
 
 def _reference_solver(monkeypatch):
