@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .eigen import EigenPair, cbar, smallest_eigenpair
+from .eigen import EigenPair, smallest_eigenpair
 from .grid import RadialGrid, integrate
 from .operators import ModelParams, Profile
 from .solver import minimize
@@ -84,8 +84,9 @@ def trace_branches(
     filter below.)  Above it, each step is one minimize call.  The step
     entering the supercritical range starts where minimize does by default:
     on the amplitude law sqrt(delta/cbar) phi0 wherever minimize can use
-    it, else at INIT_EPS * phi0, or at init_eps * phi0 if init_eps is
-    given.  Every later step starts from a predictor in
+    it, on the large-mu core law where that law peaks above pi/4, else at
+    INIT_EPS * phi0; or at init_eps * phi0 if init_eps is given.  Every
+    later step starts from a predictor in
     s = sqrt(2 mu - gamma0), the variable in which the pitchfork branch is a
     smooth curve through (s, h) = (0, 0): the Lagrange extrapolant through
     the last three known points of the plus branch, with the bifurcation
@@ -104,7 +105,6 @@ def trace_branches(
     if eigenpair is None:
         eigenpair = smallest_eigenpair(grid)
     threshold = eigenpair.gamma0 / 2.0
-    cb = cbar(eigenpair.phi0, replace(params, mu=threshold))
 
     points: list[BranchPoint] = []
     # the last three known (s, plus-branch values) of the current branch,
@@ -145,7 +145,7 @@ def trace_branches(
     points.sort(key=lambda q: (q.mu, _BRANCH_ORDER[q.branch]))
     return BifurcationDiagram(
         gamma0=eigenpair.gamma0,
-        cbar=cb,
+        cbar=eigenpair.threshold_cbar,
         points=tuple(points),
         mu_step=float(mus[1] - mus[0]),
         truncated_at=truncated_at,

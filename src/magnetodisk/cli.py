@@ -522,8 +522,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="start from init_eps * phi0; sweep uses it for "
                              "its first step above gamma0/2 only (default: "
                              "the amplitude law sqrt((2 mu - gamma0)/cbar) "
-                             "* phi0 where its Hessian is positive definite, "
-                             "else 0.1 * phi0)")
+                             "* phi0 where it peaks within pi/4 and its "
+                             "Hessian is positive definite, the core law "
+                             "(pi/4) s/sqrt(1 + s^2), s = sqrt(mu) r, where "
+                             "it peaks above pi/4, else 0.1 * phi0)")
         sp.add_argument("--samples", type=int,
                         help="lattice points per axis for fields output")
     return parser

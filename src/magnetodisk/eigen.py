@@ -26,12 +26,13 @@ so the results do not depend on the BLAS thread count.
 cbar projects the cubic term of the Euler operator onto the ground mode: the
 pitchfork at mu = gamma0 / 2 opens with amplitude sqrt((2 mu - gamma0) / cbar)
 along phi0, which both the minimizer's default start and the branch tracer
-read.
+read from EigenPair.threshold_cbar, computed once per pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +68,8 @@ class EigenPair:
 
     residual is ||A phi - gamma0 M phi||_2 over the nodes 1..n, computed once
     for the returned pair; iterations counts the inverse-iteration solves.
+    threshold_cbar is cbar at mu = gamma0 / 2, computed on first use and
+    kept with the pair.
     """
 
     gamma0: float
@@ -84,6 +87,10 @@ class EigenPair:
             raise ValueError(f"eigenprofile not normalized: <phi,phi> = {norm_sq}")
         if v.min() < 0.0:
             raise ValueError("eigenprofile must be nonnegative")
+
+    @cached_property
+    def threshold_cbar(self) -> float:
+        return cbar(self.phi0, ModelParams(mu=self.gamma0 / 2.0))
 
 
 def _inverse_iteration(grid: RadialGrid, v: np.ndarray,

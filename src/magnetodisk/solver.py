@@ -16,8 +16,10 @@ factor, is the step, so every iteration has one.
 
 Without an explicit start, a run starts on the pitchfork's amplitude law,
 sqrt((2 mu - gamma0) / cbar) phi0 (Crandall & Rabinowitz, J. Funct. Anal. 8,
-1971), wherever that lies in the fold's domain and the Hessian there is
-positive definite, and at INIT_EPS * phi0 elsewhere.
+1971), wherever that peaks within pi/4, the bound of every minimizer, and
+the Hessian there is positive definite; on the large-mu core law
+(pi/4) s / sqrt(1 + s^2), s = sqrt(mu) r, wherever that peak passes pi/4;
+and at INIT_EPS * phi0 elsewhere (see _default_start).
 
 Every accepted iterate is folded back into [0, pi/2], which never raises the
 energy, so the iterate and a minimizer both lie in [0, pi/2] at every node,
@@ -53,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import EigenPair, cbar, smallest_eigenpair
+from .eigen import EigenPair, smallest_eigenpair
 from .grid import RadialGrid, banded_factor, banded_solve, dot, rim_slope
 from .operators import (
     ModelParams,
@@ -76,8 +78,11 @@ MAX_STEP = np.pi / 2.0
 # pencil's bound leaves the matrix only semidefinite, and gamma0 and c carry
 # roundoff, so the bound is taken a little above the computed value
 SHIFT_MARGIN = 1e-6
-# the default start's scale along phi0 where the amplitude law predicts nothing
+# the default start's scale along phi0 where neither law predicts the minimizer
 INIT_EPS = 0.1
+# the bound of every minimizer folded into [0, pi/2], and the plateau of the
+# large-mu core (see _default_start)
+PLATEAU = np.pi / 4.0
 
 
 @dataclass(frozen=True)
@@ -192,11 +197,11 @@ def _newton_direction(grid, mu, wg, cos2h, gamma0, factor=None):
     nodes 1..n; and max(1 / r^2 - c) / gamma0 - 1, as H + tau P = (1 + tau) P
     - W diag(1 / r^2 - c) and v^T P v >= gamma0 v^T W v.  Both bounds are
     sufficient, not necessary, and the smaller shift's step lies nearer H's."""
+    if factor is not None:
+        return *_descent(factor, wg), 0, True
     diagonal, curvature = hessian_bands(grid, mu, cos2h)
-    tried = 0
-    if factor is None:
-        factor = _factor(grid, diagonal(0.0))
-        tried = 1
+    factor = _factor(grid, diagonal(0.0))
+    tried = 1
     if factor is not None:
         return *_descent(factor, wg), tried, True
     r2 = grid.r_squared
@@ -212,26 +217,41 @@ def _newton_direction(grid, mu, wg, cos2h, gamma0, factor=None):
     return *_descent(grid.pencil_factor, wg), tried, False
 
 
-def _amplitude_law_start(grid, mu, eigenpair):
-    """The pitchfork's leading-order minimizer sqrt((2 mu - gamma0) / cbar)
-    phi0, cbar taken at mu = gamma0 / 2, or None where it predicts none, and
-    the factor of the unshifted Hessian there, or None where it was not
-    built or does not factor: the start is taken only with its factor.
+def _default_start(grid, mu, eigenpair):
+    """The start of a run given neither init nor init_eps, the factor of the
+    unshifted Hessian there, or None where it was not built or does not
+    factor, and the factorizations made.
 
-    It is used only when 2 mu > gamma0, its peak lies in the fold's domain
-    (every minimizer does, so a start outside it predicts none; a non-finite
-    amplitude fails this test too) and the unshifted Hessian there factors,
-    in that order, so a start too far from the threshold costs no
-    factorization."""
+    Every global minimizer, once folded into [0, pi/2], lies in [0, pi/4]:
+    taking every node value v above pi/4 to pi/2 - v is 1-Lipschitz, so no
+    cell difference grows, keeps sin^2 2h and lowers sin^2 h, so it lowers E
+    wherever it moves a node.  So the pitchfork's leading-order minimizer
+    sqrt((2 mu - gamma0) / cbar) phi0, cbar taken at mu = gamma0 / 2
+    (EigenPair.threshold_cbar), is taken only where 2 mu > gamma0, its peak
+    is at most pi/4 and the unshifted Hessian there factors, in that order;
+    where that test fails, next to the threshold, where H cannot resolve
+    2 mu - gamma0, the start is INIT_EPS * phi0, as it is at 2 mu <= gamma0.
+    A peak above pi/4, or one not finite, overshoots every minimizer, and
+    the start is the large-mu core law
+
+        h0(r) = (pi/4) s / sqrt(1 + s^2) = (pi/4) sqrt(mu r^2 / (1 + mu r^2)),
+
+    s = sqrt(mu) r, a core of width mu^-1/2 rising to the plateau pi/4; it
+    costs no factorization here.  It is built from *, / and sqrt, which
+    round correctly, so it does not depend on the CPU."""
+    phi = eigenpair.phi0.values
     delta = 2.0 * mu - eigenpair.gamma0
     if not delta > 0.0:
-        return None, None
-    phi = eigenpair.phi0.values
-    amplitude = math.sqrt(delta / cbar(eigenpair.phi0, ModelParams(mu=eigenpair.gamma0 / 2.0)))
-    if not amplitude * float(np.maximum.reduce(phi)) <= MAX_STEP:
-        return None, None
-    v = amplitude * phi
-    return v, _factor(grid, hessian_bands(grid, mu, np.cos(2.0 * v[1:]))[0](0.0))
+        return INIT_EPS * phi, None, 0
+    amplitude = math.sqrt(delta / eigenpair.threshold_cbar)
+    if amplitude * float(np.maximum.reduce(phi)) <= PLATEAU:
+        v = amplitude * phi
+        factor = _factor(grid, hessian_bands(grid, mu, np.cos(2.0 * v[1:]))[0](0.0))
+        return (INIT_EPS * phi if factor is None else v), factor, 1
+    x = mu * grid.r_squared
+    v = np.zeros_like(phi)
+    v[1:] = PLATEAU * np.sqrt(x / (1.0 + x))
+    return v, None, 0
 
 
 # Overflow is checked, not warned about: a non-finite start energy raises, a
@@ -252,10 +272,11 @@ def minimize(
 
     init defaults to init_eps * phi0, the scaled threshold eigenprofile, if
     init_eps is given.  Otherwise it is the amplitude law of the pitchfork,
-    sqrt((2 mu - gamma0) / cbar) phi0, wherever that lies in the fold's
-    domain and the Hessian there is positive definite (see
-    _amplitude_law_start; its factorization is counted, and is the first
-    iteration's), else INIT_EPS * phi0.  The zero profile is an exact
+    sqrt((2 mu - gamma0) / cbar) phi0, wherever that peaks within pi/4 and
+    the Hessian there is positive definite (its factorization is counted,
+    and is the first iteration's); the core law (pi/4) s / sqrt(1 + s^2),
+    s = sqrt(mu) r, wherever that peak passes pi/4; else INIT_EPS * phi0
+    (see _default_start).  The zero profile is an exact
     critical point with E = 0, so it always enters the final candidate set:
     whenever the run ends at nonnegative energy, the trivial profile is
     returned, converged only if it passed the stop test.
@@ -272,10 +293,7 @@ def minimize(
         if init_eps is not None:
             v = init_eps * eigenpair.phi0.values
         else:
-            v, factor = _amplitude_law_start(grid, mu, eigenpair)
-            factorizations = 0 if v is None else 1
-            if factor is None:
-                v = INIT_EPS * eigenpair.phi0.values
+            v, factor, factorizations = _default_start(grid, mu, eigenpair)
     else:
         if init.grid.nodes.shape != nodes.shape or not np.array_equal(init.grid.nodes, nodes):
             raise ValueError("init profile lives on a different grid")

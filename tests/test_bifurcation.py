@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import magnetodisk.bifurcation as bifurcation
+import magnetodisk.eigen as eigen
 from magnetodisk import (
     BranchPoint,
     ModelParams,
@@ -59,6 +60,22 @@ def test_cubic_coefficient_is_quartically_homogeneous(grid256, pair256):
     t = 1.7
     scaled = cbar(Profile(grid256, t * pair256.phi0.values), p)
     assert abs(scaled - t**4 * base) <= 1e-12 * abs(t**4 * base)
+
+
+def test_cubic_coefficient_is_computed_once_per_eigenpair(monkeypatch):
+    # the diagram and the default start of every minimize above the
+    # threshold read it from the pair, bit for bit cbar at gamma0 / 2
+    grid = build_grid(256, 2.0)
+    pair = smallest_eigenpair(grid)
+    expected = cbar(pair.phi0, _threshold_params(pair))
+    calls = []
+    computed = eigen.cbar
+    monkeypatch.setattr(eigen, "cbar", lambda *args: calls.append(None) or computed(*args))
+    diagram = trace_branches(grid, ModelParams(mu=2.0), 1.5, 2.2, 8, eigenpair=pair)
+    for mu in (2.0, 20.0):
+        minimize(grid, ModelParams(mu=mu), eigenpair=pair)
+    assert len(calls) == 1
+    assert diagram.cbar.hex() == pair.threshold_cbar.hex() == expected.hex()
 
 
 def test_predicted_amplitude_at_and_below_threshold():

@@ -115,11 +115,12 @@ def test_multistart_flags_nontrivial_minimizers_above_threshold(grid256, pair256
     assert out["worst_energy"] < -1e-9
 
 
-# twice the evaluations measured with every line search started inside the
-# fold's domain: 7, 9 and 10 at mu = 20, 100 and 1000, at every n below
-ENERGY_EVAL_CAPS = {20.0: 14, 100.0: 18, 1000.0: 20}
-# the iterations measured at every n below
-ITERATION_CAPS = {20.0: 5, 100.0: 6, 1000.0: 7}
+# the evaluations measured from the core law at every n below: one per
+# iteration and the start's (7, 9 and 10 from 0.1 phi0)
+ENERGY_EVAL_CAPS = {20.0: 4, 100.0: 4, 1000.0: 4}
+# the iterations measured from the core law at every n below (5, 6 and 7
+# from 0.1 phi0)
+ITERATION_CAPS = {20.0: 3, 100.0: 3, 1000.0: 3}
 
 
 @pytest.mark.parametrize("mu", sorted(ENERGY_EVAL_CAPS))
@@ -149,9 +150,9 @@ def test_line_search_energy_evaluations_are_capped(monkeypatch, mu):
         assert rep.energy_evals == len(calls)
         # the initial evaluation, one accepted trial per iteration, one per rejection
         assert rep.energy_evals == 1 + rep.iterations + rep.backtracks
-        # every shift tried, failed ones included; measured 8, 11 and 13 at
-        # every n (9, 13 and 17 with a warm search of a fixed shift ladder):
-        # tau = 0 at every iterate, at most two shifts after it
+        # every shift tried, failed ones included; measured 4 at every n, as
+        # H factors at every iterate from the core law (8, 11 and 13 from
+        # 0.1 phi0): tau = 0 at every iterate, at most two shifts after it
         assert rep.factorizations == len(factors) > rep.iterations
         assert rep.factorizations <= 1 + 3 * rep.iterations
 
@@ -175,12 +176,13 @@ LARGE_MU_ENERGIES = {
 def test_solve_cost_is_flat_in_mu(n, mu):
     rep = minimize(build_grid(n, 2.0), ModelParams(mu=mu))
     assert rep.converged
-    # measured 7, 8, 11 and 11 at n = 256 and 7, 8, 12 and 11 at n = 1024
-    # (7, 11, 11 and 13 at either n with the shift ladder)
-    assert rep.iterations <= 20
+    # measured 3, 3, 3 and 4 at either n from the core law (7, 8, 11 and 11
+    # at n = 256 and 7, 8, 12 and 11 at n = 1024 from 0.1 phi0)
+    assert rep.iterations <= 4
     assert rep.factorizations <= 1 + 3 * rep.iterations
-    # measured 10, 12, 17 and 18 at n = 256 and 10, 12, 18 and 18 at n = 1024
-    assert rep.energy_evals <= 30
+    # measured 4, 4, 4 and 5 at either n (10, 12, 17 and 18 at n = 256 and
+    # 10, 12, 18 and 18 at n = 1024 from 0.1 phi0)
+    assert rep.energy_evals <= 5
     assert abs(rep.energy - LARGE_MU_ENERGIES[n, mu]) <= 1e-13 * abs(rep.energy)
 
 
@@ -488,15 +490,24 @@ def test_an_underflowed_start_at_the_saddle_is_not_converged():
 
 
 @pytest.mark.parametrize("n", [256, 16384])
-def test_the_default_start_at_mu_2_is_three_newton_steps_from_the_minimizer(n):
+def test_the_default_start_at_mu_2_is_three_newton_steps_from_the_minimizer(monkeypatch, n):
     # the amplitude law sqrt((2 mu - gamma0) / cbar) phi0, against 5 steps
     # from 0.1 phi0; measured 3 at every n = 256 ... 16384.  The start's
     # Hessian test is the first iteration's tau = 0 factorization, not a
-    # fifth one
+    # fifth one, and the first iteration builds no Newton matrix of its own
+    built = []
+    bands = solver.hessian_bands
+
+    def counted(*args):
+        built.append(None)
+        return bands(*args)
+
+    monkeypatch.setattr(solver, "hessian_bands", counted)
     rep = minimize(build_grid(n, 2.0), ModelParams(mu=2.0))
     assert rep.converged and not rep.trivial
     assert rep.iterations <= 3
     assert rep.factorizations == 4
+    assert len(built) == rep.factorizations
 
 
 @functools.cache
@@ -513,33 +524,65 @@ def _report_fields(rep):
 @pytest.mark.parametrize("n, grading, delta, mu", [
     *[(n, grading, delta, None) for n in (64, 1024) for grading in (1.0, 2.0)
       for delta in (1e-13, 1e-11, 1e-9, 1e-7, 1e-5, 1e-3, 1e-1)],
-    (1024, 2.0, None, 20.0),
-    (1024, 2.0, None, 1000.0),
+    *[(1024, grading, None, mu) for grading in (1.0, 2.0, 4.0)
+      for mu in (5.0, 20.0, 1000.0, 1e4, 1e8)],
 ])
 def test_the_default_start_never_does_worse_than_a_tenth_of_phi0(n, grading, delta, mu):
-    # delta = 2 mu - gamma0 sets mu near the pitchfork.  Where the amplitude
-    # law is taken it must cost no more iterations and converge wherever
-    # 0.1 phi0 does (measured 0-2 against 4-14); where it is not, the run is
-    # the 0.1 phi0 run bit for bit, with the one failed Hessian test more
+    # delta = 2 mu - gamma0 sets mu near the pitchfork.  Whatever the start,
+    # the run costs no more iterations than the one from 0.1 phi0, converges
+    # wherever that does and ends at its energy up to the roundoff floor.
+    # The amplitude law, where taken, is 0-2 steps from the minimizer (4-14
+    # from 0.1 phi0); where its Hessian test fails the run is the 0.1 phi0
+    # run bit for bit, with the failed test more; past its pi/4 bound the
+    # core law costs no factorization before the first iteration, and 3 or 4
+    # steps (5-12 from 0.1 phi0)
     grid, pair = _grid_and_pair(n, grading)
     if mu is None:
         mu = (pair.gamma0 + delta) / 2.0
-    start, factor = solver._amplitude_law_start(grid, mu, pair)
-    tested = start is not None
+    _, factor, tested = solver._default_start(grid, mu, pair)
     default = minimize(grid, ModelParams(mu=mu), eigenpair=pair)
     ref = minimize(grid, ModelParams(mu=mu), eigenpair=pair, init_eps=0.1)
     assert default.iterations <= ref.iterations
     assert default.converged or not ref.converged
+    assert abs(default.energy - ref.energy) <= solver.FLAT_TOL * (1.0 + abs(ref.energy))
     if factor is not None:
         assert default.iterations <= 2
-    else:
+    elif tested:
         assert default.minimizer.values.tobytes() == ref.minimizer.values.tobytes()
         assert _report_fields(default) == _report_fields(ref)
-        assert default.factorizations == ref.factorizations + tested
-    if delta is None:  # a start past the fold's domain costs no factorization
-        assert not tested
+        assert default.factorizations == ref.factorizations + 1
+    else:
+        assert default.iterations <= 4
+        assert default.factorizations <= 5
+    if delta is None:  # a start past pi/4 costs no factorization
+        assert not tested and factor is None
     elif (n, grading, delta) == (1024, 2.0, 1e-13):  # the Hessian test fails here
         assert tested and factor is None
+
+
+@pytest.mark.parametrize("grading", [1.0, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+def test_every_converged_default_minimizer_lies_within_pi_over_4(n, grading):
+    # folded into [0, pi/2], a global minimizer lies in [0, pi/4]: taking a
+    # node value v above pi/4 to pi/2 - v keeps sin^2 2h, lowers sin^2 h and
+    # is 1-Lipschitz.  From just above the threshold, on the amplitude law,
+    # through the switch to the core law, to mu = 1e8
+    grid, pair = _grid_and_pair(n, grading)
+    mus = [(pair.gamma0 + delta) / 2.0 for delta in (1e-3, 1e-1, 1.0, 3.0, 5.0)]
+    mus += [5.0, 20.0, 100.0, 1e3, 1e4, 1e6, 1e8]
+    converged = 0
+    for mu in mus:
+        rep = minimize(grid, ModelParams(mu=mu), eigenpair=pair)
+        if rep.converged:
+            converged += 1
+            assert not rep.trivial
+            assert np.all(rep.minimizer.values >= 0.0)
+            assert np.all(rep.minimizer.values <= np.pi / 4.0)
+            if mu >= 5.0:  # on the core law; measured 3 or 4 (5-12 from 0.1 phi0)
+                assert rep.iterations <= 4 and rep.factorizations <= 5
+    # only grading 4 at n = 4096, mu = 1e8 hits the iteration cap, from 0.1
+    # phi0 too
+    assert converged == len(mus) - ((n, grading) == (4096, 4.0))
 
 
 def test_a_run_converged_at_the_iteration_cap_reports_it(grid256, pair256):
