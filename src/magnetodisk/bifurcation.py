@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .eigen import EigenPair, smallest_eigenpair
+from .eigen import EigenPair
 from .grid import RadialGrid, integrate
 from .operators import ModelParams, Profile
 from .solver import minimize
@@ -72,8 +72,8 @@ def trace_branches(
     mu_hi: float,
     steps: int,
     *,
-    init_eps: float | None = None,
-    eigenpair: EigenPair | None = None,
+    eigenpair: EigenPair,
+    init: Profile | None = None,
 ) -> BifurcationDiagram:
     """Natural-parameter continuation over [mu_lo, mu_hi] with `steps` points.
 
@@ -81,29 +81,27 @@ def trace_branches(
     the module's bound makes E_h > 0 there for every h != 0, so no minimize
     runs.  (gamma0, a Rayleigh quotient, may exceed the exact eigenvalue by
     roundoff; there a nontrivial energy is O(delta^2), inside the energy
-    filter below.)  Above it, each step is one minimize call.  The step
-    entering the supercritical range starts where minimize does by default:
-    on the amplitude law sqrt(delta/cbar) phi0 wherever minimize can use
-    it, on the large-mu core law where that law peaks above pi/4, else at
-    INIT_EPS * phi0; or at init_eps * phi0 if init_eps is given.  Every
-    later step starts from a predictor in
+    filter below.)  Above it, each step is one minimize call with the
+    grid's threshold eigenpair (another grid's is a ValueError).  A step
+    entering the supercritical range starts from init, else from minimize's
+    default start.  Every later step starts from a predictor in
     s = sqrt(2 mu - gamma0), the variable in which the pitchfork branch is a
     smooth curve through (s, h) = (0, 0): the Lagrange extrapolant through
     the last three known points of the plus branch, with the bifurcation
     point as the first of them (see _predict); a step whose s repeats the
     last known one replaces it.  The minus branch is the negation of the
     plus branch, with the same energy, since E is even bit for bit.  If a
-    step fails to converge the diagram is truncated there and the failure mu
+    step fails to converge, the diagram is truncated there and that mu
     recorded.
     """
     if not (np.isfinite(mu_lo) and np.isfinite(mu_hi) and mu_lo < mu_hi):
         raise ValueError(f"need mu_lo < mu_hi, got [{mu_lo}, {mu_hi}]")
     if steps < 2:
         raise ValueError("need at least 2 sweep steps")
+    if not np.array_equal(eigenpair.phi0.grid.nodes, grid.nodes):
+        raise ValueError("eigenpair lives on a different grid")
 
     mus = np.linspace(mu_lo, mu_hi, steps)  # before any solve, should it not fit
-    if eigenpair is None:
-        eigenpair = smallest_eigenpair(grid)
     threshold = eigenpair.gamma0 / 2.0
 
     points: list[BranchPoint] = []
@@ -118,10 +116,8 @@ def trace_branches(
             continue  # certified trivial
         # 2 mu > gamma0 exactly, since doubling is exact: s > 0
         s = math.sqrt(2.0 * mu - eigenpair.gamma0)
-        init = _predict(grid, known, s) if known else None
-        report = minimize(
-            grid, replace(params, mu=mu), init=init, eigenpair=eigenpair, init_eps=init_eps
-        )
+        start = _predict(grid, known, s) if known else init
+        report = minimize(grid, replace(params, mu=mu), start, eigenpair=eigenpair)
         if not report.converged:
             truncated_at = mu
             break

@@ -1,9 +1,9 @@
 """Command-line driver: magnetodisk <eigen|minimize|sweep|fields>.
 
-main resolves the configuration, builds the grid and ModelParams once and
-hands both to the subcommand.  Their constructors judge n, grading, mu, tol
-and max_iter; the CLI checks only what they never see.  lambda is read only
-here (report.json, reconstruct_w) and defaults to sqrt(2 mu).
+main resolves the configuration, builds the grid, ModelParams and the
+threshold eigenpair once and hands them to the subcommand.  Their
+constructors judge n, grading, mu, tol and max_iter; the CLI checks only what
+they never see.  lambda, read only here, defaults to sqrt(2 mu).
 
 Exit codes: 0 success, 1 numerical failure, 2 invalid input (found before
 anything is written).  Running out of memory is one stderr line too: exit 2
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .bifurcation import amplitude_fit_slope, detected_threshold, trace_branches
-from .eigen import smallest_eigenpair
+from .eigen import EigenPair, smallest_eigenpair
 from .fields import magnetization_grid, reconstruct_w
 from .grid import RadialGrid, build_grid
 from .operators import ModelParams, Profile
@@ -377,8 +377,7 @@ class _Writer:
         return path
 
 
-def cmd_eigen(cfg: RunConfig, grid: RadialGrid, params: ModelParams) -> int:
-    pair = smallest_eigenpair(grid)
+def cmd_eigen(cfg: RunConfig, grid: RadialGrid, params: ModelParams, pair: EigenPair) -> int:
     writer = _Writer(cfg)
     writer.json(
         "eigen.json",
@@ -394,12 +393,22 @@ def cmd_eigen(cfg: RunConfig, grid: RadialGrid, params: ModelParams) -> int:
     return 0
 
 
-def _solve(cfg: RunConfig, grid: RadialGrid,
-           params: ModelParams) -> tuple[SolveReport, float, Profile]:
-    """The minimizer from the default start, lambda (as given, else
-    sqrt(2 mu): only the CLI reads it) and the displacement w."""
-    pair = smallest_eigenpair(grid)
-    report = minimize(grid, params, eigenpair=pair, init_eps=cfg.init_eps)
+def _start(cfg: RunConfig, pair: EigenPair) -> Profile | None:
+    """The start --init-eps gives, init_eps * phi0, else None (the default start)."""
+    if cfg.init_eps is None:
+        return None
+    with np.errstate(over="ignore"):  # an overflow is one stderr line, no warning
+        values = cfg.init_eps * pair.phi0.values
+    if not np.all(np.isfinite(values)):  # as minimize would find its energy
+        raise ValueError("initial profile has non-finite energy")
+    return Profile(pair.phi0.grid, values)
+
+
+def _solve(cfg: RunConfig, grid: RadialGrid, params: ModelParams,
+           pair: EigenPair) -> tuple[SolveReport, float, Profile]:
+    """The minimizer, lambda (as given, else sqrt(2 mu): only the CLI reads
+    it) and the displacement w."""
+    report = minimize(grid, params, _start(cfg, pair), eigenpair=pair)
     # 2 sqrt(mu/2) is sqrt(2 mu) bit for bit where mu/2 is a normal float,
     # and does not overflow where 2 mu would
     lam = cfg.lam if cfg.lam is not None else (
@@ -414,8 +423,8 @@ def _solve_status(report: SolveReport, params: ModelParams) -> int:
     return 0
 
 
-def cmd_minimize(cfg: RunConfig, grid: RadialGrid, params: ModelParams) -> int:
-    report, lam, w = _solve(cfg, grid, params)
+def cmd_minimize(cfg: RunConfig, grid: RadialGrid, params: ModelParams, pair: EigenPair) -> int:
+    report, lam, w = _solve(cfg, grid, params, pair)
     writer = _Writer(cfg)
     writer.json(
         "report.json",
@@ -436,9 +445,10 @@ def cmd_minimize(cfg: RunConfig, grid: RadialGrid, params: ModelParams) -> int:
     return _solve_status(report, params)
 
 
-def cmd_sweep(cfg: RunConfig, grid: RadialGrid, params: ModelParams) -> int:
+def cmd_sweep(cfg: RunConfig, grid: RadialGrid, params: ModelParams, pair: EigenPair) -> int:
     lo, hi, steps = cfg.mu_range
-    diagram = trace_branches(grid, params, lo, hi, steps, init_eps=cfg.init_eps)
+    init = _start(cfg, pair) if hi > pair.gamma0 / 2.0 else None  # used above gamma0/2 only
+    diagram = trace_branches(grid, params, lo, hi, steps, eigenpair=pair, init=init)
     writer = _Writer(cfg)
     names = ["mu", "branch", "beta", "energy"]
     writer.table("diagram", names,
@@ -460,14 +470,18 @@ def cmd_sweep(cfg: RunConfig, grid: RadialGrid, params: ModelParams) -> int:
     return 0
 
 
-def cmd_fields(cfg: RunConfig, grid: RadialGrid, params: ModelParams) -> int:
-    # the lattice first, so that one too large fails before the solve
-    axis = np.linspace(-1.0, 1.0, cfg.samples)
+def _lattice(samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """The samples x samples lattice on [-1, 1]^2, its points in the disk."""
+    axis = np.linspace(-1.0, 1.0, samples)
     xg, yg = np.meshgrid(axis, axis)
     xs, ys = xg.ravel(), yg.ravel()
     keep = xs**2 + ys**2 <= 1.0
-    xs, ys = xs[keep], ys[keep]
-    report, _, w = _solve(cfg, grid, params)
+    return xs[keep], ys[keep]
+
+
+def cmd_fields(cfg: RunConfig, grid: RadialGrid, params: ModelParams, pair: EigenPair,
+               xs: np.ndarray, ys: np.ndarray) -> int:
+    report, _, w = _solve(cfg, grid, params, pair)
     m = magnetization_grid(report.minimizer, xs, ys)
     wvals = np.interp(np.hypot(xs, ys), grid.nodes, w.values)
 
@@ -521,11 +535,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--init-eps", dest="init_eps", type=float,
                         help="start from init_eps * phi0; sweep uses it for "
                              "its first step above gamma0/2 only (default: "
-                             "the amplitude law sqrt((2 mu - gamma0)/cbar) "
-                             "* phi0 where it peaks within pi/4 and its "
-                             "Hessian is positive definite, the core law "
-                             "(pi/4) s/sqrt(1 + s^2), s = sqrt(mu) r, where "
-                             "it peaks above pi/4, else 0.1 * phi0)")
+                             "the pitchfork's amplitude or core law, else "
+                             "0.1 * phi0; see the README)")
         sp.add_argument("--samples", type=int,
                         help="lattice points per axis for fields output")
     return parser
@@ -548,7 +559,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {_reason(exc)}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[cfg.command](cfg, grid, params)
+        # the arrays the user sizes come before the eigen solve, so that one too
+        # large fails at once: the fields lattice, the sweep mu grid (built again)
+        if cfg.command == "sweep":
+            np.linspace(*cfg.mu_range)
+        lattice = _lattice(cfg.samples) if cfg.command == "fields" else ()
+        return _COMMANDS[cfg.command](cfg, grid, params, smallest_eigenpair(grid), *lattice)
     except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
         # every input passed the checks above, so a ValueError here comes
         # from the numbers, e.g. a start whose energy is not finite

@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import RadialGrid, banded_matvec, banded_solve, dot, integrate
-from .operators import ModelParams, Profile
+from .operators import Profile
 
 __all__ = ["EigenPair", "cbar", "smallest_eigenpair", "second_eigenpair"]
 
@@ -90,7 +90,7 @@ class EigenPair:
 
     @cached_property
     def threshold_cbar(self) -> float:
-        return cbar(self.phi0, ModelParams(mu=self.gamma0 / 2.0))
+        return cbar(self.phi0, self.gamma0 / 2.0)
 
 
 def _inverse_iteration(grid: RadialGrid, v: np.ndarray,
@@ -172,7 +172,7 @@ def second_eigenpair(grid: RadialGrid, first: EigenPair) -> tuple[float, Profile
     return gamma, _signed_mode(grid, v)
 
 
-def cbar(phi0: Profile, p: ModelParams) -> float:
+def cbar(phi0: Profile, mu: float) -> float:
     """Projected cubic coefficient int [-(2/3) phi^4/r + (16/3) mu phi^4 r] dr.
 
     Positive for mu >= gamma0/8, which makes the threshold crossing a
@@ -182,5 +182,5 @@ def cbar(phi0: Profile, p: ModelParams) -> float:
     v2 = phi0.values[1:] * phi0.values[1:]
     v4 = v2 * v2  # not v ** 4, numpy's SIMD power
     f = np.zeros_like(phi0.values)
-    f[1:] = -(2.0 / 3.0) * v4 / grid.r_squared + (16.0 / 3.0) * p.mu * v4
+    f[1:] = -(2.0 / 3.0) * v4 / grid.r_squared + (16.0 / 3.0) * mu * v4
     return integrate(grid, f)

@@ -14,12 +14,9 @@ is all grid.banded_factor needs, and as tau grows the step turns into
 qualifies, that direction itself, solved with the grid's cached pencil
 factor, is the step, so every iteration has one.
 
-Without an explicit start, a run starts on the pitchfork's amplitude law,
-sqrt((2 mu - gamma0) / cbar) phi0 (Crandall & Rabinowitz, J. Funct. Anal. 8,
-1971), wherever that peaks within pi/4, the bound of every minimizer, and
-the Hessian there is positive definite; on the large-mu core law
-(pi/4) s / sqrt(1 + s^2), s = sqrt(mu) r, wherever that peak passes pi/4;
-and at INIT_EPS * phi0 elsewhere (see _default_start).
+Without an explicit start, a run starts where _default_start says, the one
+statement of the default-start policy.  The caller's threshold eigenpair
+(gamma0, phi0) is the one source of both that start and the shift bound.
 
 Every accepted iterate is folded back into [0, pi/2], which never raises the
 energy, so the iterate and a minimizer both lie in [0, pi/2] at every node,
@@ -48,14 +45,13 @@ grid.rim_slope of the returned profile.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import EigenPair, smallest_eigenpair
+from .eigen import EigenPair
 from .grid import RadialGrid, banded_factor, banded_solve, dot, rim_slope
 from .operators import (
     ModelParams,
@@ -105,16 +101,15 @@ class SolveReport:
     (diverged).  factorizations counts the LDL^T
     factorizations (grid.banded_factor) of the shifted Newton matrices, the
     failed ones included: the tau = 0 matrix at every iteration (at the
-    first, the Hessian test of the amplitude-law start stands for it when
-    the test ran), and the one or two shifted matrices tried when it does
-    not factor; the grid's cached pencil factor is not counted.
+    first, the default start's Hessian test stands for it when the test
+    ran; see _default_start), and the one or two shifted matrices tried when
+    it does not factor; the grid's cached pencil factor is not counted.
     """
 
     minimizer: Profile
     energy: float
     residual: float
     iterations: int
-    mu: float
     converged: bool
     fold_applied: int
     bc_residual: float
@@ -185,7 +180,7 @@ def _descent(factor, wg):
 def _newton_direction(grid, mu, wg, cos2h, gamma0, factor=None):
     """Shifted Newton step, its slope, the factorizations made and whether
     the unshifted Hessian H factored, i.e. is positive definite.  cos2h is
-    cos(2 h[1:]) at the iterate, as the gradient computed it; gamma0() is the
+    cos(2 h[1:]) at the iterate, as the gradient computed it; gamma0 is the
     threshold eigenvalue; factor is H's, if the caller holds it (not counted).
 
     H is tried first, since the stop test asks whether it factors.  If not,
@@ -206,7 +201,7 @@ def _newton_direction(grid, mu, wg, cos2h, gamma0, factor=None):
         return *_descent(factor, wg), tried, True
     r2 = grid.r_squared
     bound = min(-float(np.minimum.reduce(curvature * r2)),
-                float(np.maximum.reduce(1.0 / r2 - curvature)) / gamma0() - 1.0)
+                float(np.maximum.reduce(1.0 / r2 - curvature)) / gamma0 - 1.0)
     for tau in (2.0 / 3.0 * bound, (1.0 + SHIFT_MARGIN) * bound):
         factor = _factor(grid, diagonal(tau))
         tried += 1
@@ -218,19 +213,21 @@ def _newton_direction(grid, mu, wg, cos2h, gamma0, factor=None):
 
 
 def _default_start(grid, mu, eigenpair):
-    """The start of a run given neither init nor init_eps, the factor of the
-    unshifted Hessian there, or None where it was not built or does not
-    factor, and the factorizations made.
+    """The start of a run given no init, the factor of the unshifted Hessian
+    there, or None where it was not built or does not factor, and the
+    factorizations made.  The default start is stated here and in the README
+    only.
 
     Every global minimizer, once folded into [0, pi/2], lies in [0, pi/4]:
     taking every node value v above pi/4 to pi/2 - v is 1-Lipschitz, so no
     cell difference grows, keeps sin^2 2h and lowers sin^2 h, so it lowers E
     wherever it moves a node.  So the pitchfork's leading-order minimizer
-    sqrt((2 mu - gamma0) / cbar) phi0, cbar taken at mu = gamma0 / 2
-    (EigenPair.threshold_cbar), is taken only where 2 mu > gamma0, its peak
-    is at most pi/4 and the unshifted Hessian there factors, in that order;
-    where that test fails, next to the threshold, where H cannot resolve
-    2 mu - gamma0, the start is INIT_EPS * phi0, as it is at 2 mu <= gamma0.
+    sqrt((2 mu - gamma0) / cbar) phi0 (Crandall & Rabinowitz, J. Funct.
+    Anal. 8, 1971), cbar taken at mu = gamma0 / 2 (EigenPair.threshold_cbar),
+    is taken only where 2 mu > gamma0, its peak is at most pi/4 and the
+    unshifted Hessian there factors, in that order; where that test fails,
+    next to the threshold, where H cannot resolve 2 mu - gamma0, the start
+    is INIT_EPS * phi0, as it is at 2 mu <= gamma0.
     A peak above pi/4, or one not finite, overshoots every minimizer, and
     the start is the large-mu core law
 
@@ -265,35 +262,26 @@ def minimize(
     params: ModelParams,
     init: Profile | None = None,
     *,
-    eigenpair: EigenPair | None = None,
-    init_eps: float | None = None,
+    eigenpair: EigenPair,
 ) -> SolveReport:
-    """Minimize the reduced energy at fixed parameters.
-
-    init defaults to init_eps * phi0, the scaled threshold eigenprofile, if
-    init_eps is given.  Otherwise it is the amplitude law of the pitchfork,
-    sqrt((2 mu - gamma0) / cbar) phi0, wherever that peaks within pi/4 and
-    the Hessian there is positive definite (its factorization is counted,
-    and is the first iteration's); the core law (pi/4) s / sqrt(1 + s^2),
-    s = sqrt(mu) r, wherever that peak passes pi/4; else INIT_EPS * phi0
-    (see _default_start).  The zero profile is an exact
-    critical point with E = 0, so it always enters the final candidate set:
-    whenever the run ends at nonnegative energy, the trivial profile is
-    returned, converged only if it passed the stop test.
+    """Minimize the reduced energy at fixed parameters from init, else from
+    the default start (see _default_start).  eigenpair is the grid's
+    threshold pair (gamma0, phi0), which the default start and the Newton
+    shift bound read; an init or a pair of another grid is a ValueError.
+    The zero profile, an exact critical point with E = 0, always enters the
+    final candidate set: a run ending at E >= 0 returns it, converged only
+    if it passed the stop test.
     """
     mu = params.mu
     w = grid.weights
     nodes = grid.nodes
 
+    if not np.array_equal(eigenpair.phi0.grid.nodes, nodes):
+        raise ValueError("eigenpair lives on a different grid")
     factorizations = 0
     factor = None  # H's factor at the start, from the amplitude law's test
     if init is None:
-        if eigenpair is None:
-            eigenpair = smallest_eigenpair(grid)
-        if init_eps is not None:
-            v = init_eps * eigenpair.phi0.values
-        else:
-            v, factor, factorizations = _default_start(grid, mu, eigenpair)
+        v, factor, factorizations = _default_start(grid, mu, eigenpair)
     else:
         if init.grid.nodes.shape != nodes.shape or not np.array_equal(init.grid.nodes, nodes):
             raise ValueError("init profile lives on a different grid")
@@ -312,12 +300,11 @@ def minimize(
     converged = False
     diverged = not math.isfinite(gnorm)  # e.g. mu = 1e300
     direction = np.zeros_like(v)  # the search direction; r = 0 stays pinned
-    # with init alone, the eigenpair is built when a Hessian first fails to factor
-    gamma0 = functools.cache(lambda: (eigenpair or smallest_eigenpair(grid)).gamma0)
 
     while not diverged:
         wg = w[1:] * g[1:]
-        step, slope, tried, definite = _newton_direction(grid, mu, wg, cos2h, gamma0, factor)
+        step, slope, tried, definite = _newton_direction(
+            grid, mu, wg, cos2h, eigenpair.gamma0, factor)
         factor = None
         factorizations += tried
         if not math.isfinite(slope):
@@ -380,7 +367,6 @@ def minimize(
         energy=e_cur,
         residual=gnorm,
         iterations=iterations,
-        mu=mu,
         converged=converged,
         fold_applied=fold_count,
         bc_residual=abs(rim_slope(grid, v)),

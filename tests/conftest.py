@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -10,29 +11,57 @@ import magnetodisk
 from magnetodisk import ModelParams, Profile, build_grid, minimize, smallest_eigenpair
 
 
+@functools.cache
+def grid_and_pair(n, grading=2.0):
+    """A grid and its threshold eigenpair, built once per test session: every
+    minimize and trace_branches takes the pair of its grid."""
+    grid = build_grid(n, grading)
+    return grid, smallest_eigenpair(grid)
+
+
+def scaled_phi0(pair, eps):
+    """The start eps * phi0 on the pair's grid, which --init-eps gives."""
+    return Profile(pair.phi0.grid, eps * pair.phi0.values)
+
+
+@pytest.fixture(scope="session")
+def grid64():
+    return grid_and_pair(64)[0]
+
+
+@pytest.fixture(scope="session")
+def pair64():
+    return grid_and_pair(64)[1]
+
+
 @pytest.fixture(scope="session")
 def grid256():
-    return build_grid(256, 2.0)
+    return grid_and_pair(256)[0]
 
 
 @pytest.fixture(scope="session")
-def pair256(grid256):
-    return smallest_eigenpair(grid256)
+def pair256():
+    return grid_and_pair(256)[1]
 
 
 @pytest.fixture(scope="session")
 def grid512():
-    return build_grid(512, 2.0)
+    return grid_and_pair(512)[0]
 
 
 @pytest.fixture(scope="session")
-def pair512(grid512):
-    return smallest_eigenpair(grid512)
+def pair512():
+    return grid_and_pair(512)[1]
 
 
 @pytest.fixture(scope="session")
 def grid1024():
-    return build_grid(1024, 2.0)
+    return grid_and_pair(1024)[0]
+
+
+@pytest.fixture(scope="session")
+def pair1024():
+    return grid_and_pair(1024)[1]
 
 
 @pytest.fixture(scope="session")

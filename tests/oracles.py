@@ -29,7 +29,6 @@ from magnetodisk import (
     cbar,
     integrate,
     minimize,
-    smallest_eigenpair,
 )
 from magnetodisk.fields import magnetization_grid
 from magnetodisk.operators import gradient_values
@@ -361,6 +360,7 @@ def random_profile(grid: RadialGrid, rng: np.random.Generator,
 def verify_trivial_uniqueness(
     grid: RadialGrid,
     params: ModelParams,
+    eigenpair: EigenPair,
     trials: int = 8,
     seed: int = 0,
 ) -> dict:
@@ -373,7 +373,7 @@ def verify_trivial_uniqueness(
     """
     rng = np.random.default_rng(seed)
     reports = [
-        minimize(grid, params, init=random_profile(grid, rng))
+        minimize(grid, params, random_profile(grid, rng), eigenpair=eigenpair)
         for _ in range(trials)
     ]
     norms = [l2_norm(grid, rep.minimizer.values) for rep in reports]
@@ -396,15 +396,13 @@ def zeroth_order_trace(
     mu_hi: float,
     steps: int,
     *,
-    init_eps: float | None = None,
-    eigenpair: EigenPair | None = None,
+    eigenpair: EigenPair,
+    init: Profile | None = None,
 ) -> BifurcationDiagram:
     """trace_branches with the zeroth-order predictor: every supercritical
     step starts from the previous nontrivial profile, the entry step where
     trace_branches starts it.  The corrector and every check are those of
     trace_branches, so the two sweeps must find the same points."""
-    if eigenpair is None:
-        eigenpair = smallest_eigenpair(grid)
     threshold = eigenpair.gamma0 / 2.0
     mus = np.linspace(mu_lo, mu_hi, steps)
     points: list[BranchPoint] = []
@@ -415,9 +413,8 @@ def zeroth_order_trace(
         points.append(BranchPoint(mu, "trivial", 0.0, 0.0))
         if mu <= threshold:
             continue
-        report = minimize(
-            grid, replace(params, mu=mu), init=prev, eigenpair=eigenpair, init_eps=init_eps
-        )
+        start = init if prev is None else prev
+        report = minimize(grid, replace(params, mu=mu), start, eigenpair=eigenpair)
         if not report.converged:
             truncated_at = mu
             break
@@ -437,7 +434,7 @@ def zeroth_order_trace(
     points.sort(key=lambda q: (q.mu, order[q.branch]))
     return BifurcationDiagram(
         gamma0=eigenpair.gamma0,
-        cbar=cbar(eigenpair.phi0, replace(params, mu=threshold)),
+        cbar=cbar(eigenpair.phi0, threshold),
         points=tuple(points),
         mu_step=float(mus[1] - mus[0]),
         truncated_at=truncated_at,

@@ -148,7 +148,7 @@ def reference_newton_direction(grid, mu, wg, cos2h, gamma0, factor=None):
     k0 = grid.stiffness_bands[0][1:]
     curvature = cos2h / r2 - 2.0 * mu * (2.0 * cos2h * cos2h - 1.0)
     bound = min(float(np.max(-curvature * r2)),
-                float(np.max(1.0 / r2 - curvature)) / gamma0() - 1.0)
+                float(np.max(1.0 / r2 - curvature)) / gamma0 - 1.0)
     ladder = [0.0, 2.0 / 3.0 * bound, (1.0 + SHIFT_MARGIN) * bound]
     for tried, tau in enumerate(ladder, start=1):
         if tau == 0.0:

@@ -61,7 +61,7 @@ def test_criterion_2_threshold_dichotomy(grid256, pair256):
     worst_abs_e = 0.0
     for factor in (0.5, 0.9, 1.0):
         out = verify_trivial_uniqueness(
-            grid256, ModelParams(mu=factor * thr), trials=8, seed=0
+            grid256, ModelParams(mu=factor * thr), pair256, trials=8, seed=0
         )
         for rep in out["reports"]:
             worst_norm = max(worst_norm, l2_norm(grid256, rep.minimizer.values))
@@ -90,7 +90,7 @@ def test_criterion_2_threshold_dichotomy(grid256, pair256):
 
 def test_criterion_3_amplitude_law(grid512, pair512):
     gamma0 = pair512.gamma0
-    cb = cbar(pair512.phi0, ModelParams(mu=gamma0 / 2.0))
+    cb = cbar(pair512.phi0, gamma0 / 2.0)
     deltas = []
     ratios = []
     for delta in (0.02, 0.04, 0.08, 0.16):
@@ -214,7 +214,7 @@ def test_criterion_7_operator_split(grid512, pair512):
         scaled_norms.append(l2_norm(grid512, rem_eps.values) / eps**3)
     decays = [a / b for a, b in zip(scaled_norms, scaled_norms[1:])]
 
-    cb = cbar(pair512.phi0, p_thr)
+    cb = cbar(pair512.phi0, p_thr.mu)
     ok = (abs_err <= 1e-12 and rel_err <= 1e-12 and homog
           and all(d >= 3.0 for d in decays) and cb > 0.0)
     _line(7, ok, f"abs={abs_err:.3g} rel={rel_err:.3g} homogeneous={homog} "

@@ -18,6 +18,7 @@ from magnetodisk import (
 from magnetodisk.operators import energy_of_values
 from magnetodisk.solver import FLAT_TOL
 
+from conftest import grid_and_pair
 from oracles import (
     CBAR_CONTINUUM, J1PRIME_ROOT, quartic_coefficient, random_profile, zeroth_order_trace)
 
@@ -38,27 +39,23 @@ def predicted_amplitude(mu: float, gamma0: float, cbar_value: float) -> list[tup
     return [(0.0, False), (beta, True), (-beta, True)]
 
 
-def _threshold_params(pair):
-    return ModelParams(mu=pair.gamma0 / 2.0)
-
-
 def test_cubic_coefficient_is_positive_at_threshold(pair256):
-    assert cbar(pair256.phi0, _threshold_params(pair256)) > 0.0
+    assert cbar(pair256.phi0, pair256.gamma0 / 2.0) > 0.0
 
 
 def test_cubic_coefficient_matches_quadrature_oracle():
     grid = build_grid(2048, 2.0)
     pair = smallest_eigenpair(grid)
-    cb = cbar(pair.phi0, _threshold_params(pair))
+    cb = cbar(pair.phi0, pair.gamma0 / 2.0)
     assert abs(quartic_coefficient(J1PRIME_ROOT) - CBAR_CONTINUUM) <= 1e-13  # frozen constant guard
     assert abs(cb - CBAR_CONTINUUM) <= 1e-4  # measured 8.6e-6
 
 
 def test_cubic_coefficient_is_quartically_homogeneous(grid256, pair256):
-    p = _threshold_params(pair256)
-    base = cbar(pair256.phi0, p)
+    mu = pair256.gamma0 / 2.0
+    base = cbar(pair256.phi0, mu)
     t = 1.7
-    scaled = cbar(Profile(grid256, t * pair256.phi0.values), p)
+    scaled = cbar(Profile(grid256, t * pair256.phi0.values), mu)
     assert abs(scaled - t**4 * base) <= 1e-12 * abs(t**4 * base)
 
 
@@ -67,7 +64,7 @@ def test_cubic_coefficient_is_computed_once_per_eigenpair(monkeypatch):
     # threshold read it from the pair, bit for bit cbar at gamma0 / 2
     grid = build_grid(256, 2.0)
     pair = smallest_eigenpair(grid)
-    expected = cbar(pair.phi0, _threshold_params(pair))
+    expected = cbar(pair.phi0, pair.gamma0 / 2.0)
     calls = []
     computed = eigen.cbar
     monkeypatch.setattr(eigen, "cbar", lambda *args: calls.append(None) or computed(*args))
@@ -99,12 +96,19 @@ def test_predicted_amplitude_rejects_nonpositive_cubic_coefficient():
         predicted_amplitude(2.0, 3.0, -1.0)
 
 
-def test_trace_rejects_bad_ranges(grid256):
+def test_trace_rejects_bad_ranges(grid256, pair256):
     p = ModelParams(mu=1.0)
     with pytest.raises(ValueError):
-        trace_branches(grid256, p, 2.0, 1.0, 5)
+        trace_branches(grid256, p, 2.0, 1.0, 5, eigenpair=pair256)
     with pytest.raises(ValueError):
-        trace_branches(grid256, p, 1.0, 2.0, 1)
+        trace_branches(grid256, p, 1.0, 2.0, 1, eigenpair=pair256)
+
+
+def test_trace_rejects_an_eigenpair_of_another_grid(grid256, pair64):
+    # below the threshold no minimize runs, so the trace itself must refuse
+    # to certify trivial points against another grid's gamma0 / 2
+    with pytest.raises(ValueError, match="eigenpair lives on a different grid"):
+        trace_branches(grid256, ModelParams(mu=0.1), 0.1, 0.5, 3, eigenpair=pair64)
 
 
 def test_trace_below_threshold_is_all_trivial(grid256, pair256):
@@ -218,8 +222,7 @@ def test_energy_obeys_the_threshold_inequality(n, grading):
     # (mu/2) sin^2 2h <= 2 mu sin^2 h.  Every third profile is a multiple of
     # phi0, the direction where the bound is tightest.  gamma0 is a Rayleigh
     # quotient good to roundoff, hence the 1e-12 relative allowance
-    grid = build_grid(n, grading)
-    pair = smallest_eigenpair(grid)
+    grid, pair = grid_and_pair(n, grading)
     rng = np.random.default_rng(n + int(grading))
     for k in range(60):
         mu = rng.uniform(0.0, 50.0)
@@ -333,9 +336,9 @@ def test_predictor_halves_the_corrector_iterations(grid256, pair256, monkeypatch
 def test_mu_values_closer_than_float_spacing_repeat_a_branch_point():
     # linspace repeats 1.7 and 1.7000000000000002, so two steps share s; each
     # repeat replaces the last known point, and the extrapolant stays defined
-    grid = build_grid(64, 2.0)
+    grid, pair = grid_and_pair(64)
     lo, hi = 1.7, np.nextafter(1.7, 2.0)
-    diagram = trace_branches(grid, ModelParams(mu=lo), lo, hi, 5)
+    diagram = trace_branches(grid, ModelParams(mu=lo), lo, hi, 5, eigenpair=pair)
     assert diagram.truncated_at is None
     assert 2.0 * lo > diagram.gamma0
     plus = [(q.mu, q.beta, q.energy) for q in diagram.points if q.branch == "plus"]

@@ -7,7 +7,7 @@ import pytest
 
 from magnetodisk import (
     ModelParams, build_grid, magnetization_grid, minimize, reconstruct_w, smallest_eigenpair)
-from magnetodisk import bifurcation, cli
+from magnetodisk import bifurcation, cli, solver
 from magnetodisk.cli import main
 
 from conftest import fresh_python
@@ -209,6 +209,21 @@ def test_sweep_below_threshold_needs_no_start(tmp_path, capsys):
                "--out", across) == 1
     assert capsys.readouterr().err == "numerical failure: initial profile has non-finite energy\n"
     assert not across.exists()
+
+
+@pytest.mark.filterwarnings("error")  # no RuntimeWarning lines on stderr either
+@pytest.mark.parametrize("args", [("sweep", "--mu-range", "0.1:0.5:3"),
+                                  ("sweep", "--mu-range", "1.5:2.0:6"),
+                                  ("minimize", "--mu", 2.0), ("fields", "--mu", 2.0)],
+                         ids=["sweep-below", "sweep-across", "minimize", "fields"])
+def test_a_start_that_overflows_phi0_fails_like_its_energy(tmp_path, capsys, args):
+    # 1.5e308 is finite and positive, but 1.5e308 * max phi0 overflows: a
+    # sweep below gamma0/2 never uses the start, the rest fail on its energy
+    below = args[2] == "0.1:0.5:3"
+    assert run(*args, "--n", 64, "--init-eps", 1.5e308, "--out", tmp_path / "x") == int(not below)
+    assert capsys.readouterr().err == (
+        "" if below else "numerical failure: initial profile has non-finite energy\n")
+    assert (tmp_path / "x").exists() == below
 
 
 @pytest.mark.filterwarnings("error")  # no RankWarning on stderr either
@@ -487,7 +502,7 @@ def _same(document, values):
             assert got == want and type(got) is type(want), key
 
 
-def test_json_documents_hold_the_in_process_values_bitwise(tmp_path):
+def test_json_documents_hold_the_in_process_values_bitwise(tmp_path, grid64, pair64):
     from magnetodisk import amplitude_fit_slope, detected_threshold, trace_branches
 
     assert run("eigen", "--n", 256, "--out", tmp_path / "e") == 0
@@ -506,7 +521,7 @@ def test_json_documents_hold_the_in_process_values_bitwise(tmp_path):
            "bc_residual": report.bc_residual, "trivial": report.trivial})
 
     assert run("sweep", "--mu-range", "1.5:2.0:6", "--n", 64, "--out", tmp_path / "s") == 0
-    diagram = trace_branches(build_grid(64, 2.0), ModelParams(mu=1.5), 1.5, 2.0, 6)
+    diagram = trace_branches(grid64, ModelParams(mu=1.5), 1.5, 2.0, 6, eigenpair=pair64)
     _same(json.loads((tmp_path / "s" / "summary.json").read_text()),
           {"gamma0": diagram.gamma0, "cbar": diagram.cbar,
            "threshold": detected_threshold(diagram), "slope": amplitude_fit_slope(diagram),
@@ -629,10 +644,25 @@ def test_a_lattice_or_mu_grid_out_of_memory_fails_before_the_solve(
         return linspace(start, stop, num, **kwargs)
 
     monkeypatch.setattr(np, "linspace", refusing)
-    monkeypatch.setattr(cli, "smallest_eigenpair", _solved)
-    monkeypatch.setattr(bifurcation, "smallest_eigenpair", _solved)
+    monkeypatch.setattr(cli, "smallest_eigenpair", _solved)  # every solve needs its pair
     out = tmp_path / "out"
     assert run(*args, "--n", 16, "--out", out) == 1
     err = capsys.readouterr().err
     assert err.startswith("out of memory: Unable to allocate") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [("eigen",), ("minimize", "--mu", 2.5),
+                                  ("fields", "--mu", 2.5, "--samples", 5),
+                                  ("sweep", "--mu-range", "1.5:2.0:6")],
+                         ids=["eigen", "minimize", "fields", "sweep"])
+def test_every_subcommand_builds_the_eigenpair_once(tmp_path, monkeypatch, args):
+    # main builds the threshold pair and hands it on; the solver and the
+    # branch tracer take it from their caller and have no way to build one
+    built = []
+    build = cli.smallest_eigenpair
+    monkeypatch.setattr(cli, "smallest_eigenpair", lambda grid: built.append(grid) or build(grid))
+    assert run(*args, "--n", 64, "--out", tmp_path) == 0
+    assert len(built) == 1
+    assert not hasattr(solver, "smallest_eigenpair")
+    assert not hasattr(bifurcation, "smallest_eigenpair")

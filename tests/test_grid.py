@@ -85,8 +85,7 @@ def test_pencil_is_assembled_once(monkeypatch):
     monkeypatch.setattr(grid_module.RadialGrid, "pencil", counting)
     g = build_grid(256, 2.0)
     main = g.pencil
-    smallest_eigenpair(g)
-    minimize(g, ModelParams(mu=20.0))
+    minimize(g, ModelParams(mu=20.0), eigenpair=smallest_eigenpair(g))
     assert built == [g]
     assert g.pencil is main
     with pytest.raises(ValueError):
@@ -121,7 +120,7 @@ def test_banded_factor_passes_the_cached_off_diagonal(monkeypatch):
 def test_grid_is_collected_once_dropped():
     # the per-grid arrays live on the grid itself, so nothing outlives it
     g = build_grid(64, 2.0)
-    minimize(g, ModelParams(mu=2.0))
+    minimize(g, ModelParams(mu=2.0), eigenpair=smallest_eigenpair(g))
     gradient_values(g, 0.5 * g.nodes, 2.0)
     ref = weakref.ref(g)
     del g
@@ -287,10 +286,9 @@ def test_rim_slope_is_the_one_sided_derivative_bitwise(n, grading):
         assert rim_slope(g, v).hex() == float(derivative(g, v)[-1]).hex()
 
 
-def test_minimizer_reports_the_rim_slope_as_its_boundary_residual():
-    g = build_grid(256, 2.0)
-    rep = minimize(g, ModelParams(mu=2.0))
-    assert rep.bc_residual == abs(float(derivative(g, rep.minimizer.values)[-1]))
+def test_minimizer_reports_the_rim_slope_as_its_boundary_residual(grid256, pair256):
+    rep = minimize(grid256, ModelParams(mu=2.0), eigenpair=pair256)
+    assert rep.bc_residual == abs(float(derivative(grid256, rep.minimizer.values)[-1]))
 
 
 def test_derivative_smooth_accuracy():

@@ -13,7 +13,7 @@ from magnetodisk.operators import (
     gradient_values,
 )
 
-from conftest import fresh_python, smooth_profile
+from conftest import fresh_python, grid_and_pair, smooth_profile
 from oracles import (
     TILTED_ENERGY_CONTINUUM, euler_residual, l2_norm, nonlinear_split, random_profile,
     tilted_profile_energy)
@@ -104,7 +104,7 @@ def test_gradient_is_cubic_on_neutral_direction(grid512, pair512):
     ratio2 = (proj[1] * eps_list[1] ** 3) / (proj[2] * eps_list[2] ** 3)
     assert 7.5 <= ratio1 <= 8.5  # measured 8.0
     assert 7.5 <= ratio2 <= 8.5
-    limit = cbar(pair512.phi0, ModelParams(mu=mu_c))
+    limit = cbar(pair512.phi0, mu_c)
     assert abs(proj[2] - limit) <= 1e-3 * abs(limit)
 
 
@@ -129,9 +129,8 @@ def test_euler_residual_small_on_minimizer(minimizer512):
     assert res <= 1e-5  # measured 9.2e-8
 
 
-def test_euler_residual_decreases_under_refinement(minimizer512):
-    g = build_grid(1024, 2.0)
-    rep = minimize(g, ModelParams(mu=2.0))
+def test_euler_residual_decreases_under_refinement(minimizer512, grid1024, pair1024):
+    rep = minimize(grid1024, ModelParams(mu=2.0), eigenpair=pair1024)
     assert rep.converged
     fine = euler_residual(rep.minimizer, ModelParams(mu=2.0))
     coarse = euler_residual(minimizer512.minimizer, ModelParams(mu=2.0))
@@ -231,7 +230,8 @@ def test_solver_trials_need_a_single_reflection(monkeypatch, n, mu):
         return fold(values)
 
     monkeypatch.setattr(solver, "fold_values", seen)
-    rep = minimize(build_grid(n, 2.0), ModelParams(mu=mu))
+    grid, pair = grid_and_pair(n)
+    rep = minimize(grid, ModelParams(mu=mu), eigenpair=pair)
     assert rep.converged
     assert len(highs) == rep.energy_evals - 1
     assert -np.pi / 2.0 <= min(lows) and max(highs) <= np.pi  # measured max 1.94

@@ -1,15 +1,14 @@
 import dataclasses
-import functools
 
 import numpy as np
 import pytest
 
 import magnetodisk.solver as solver
-from magnetodisk import ModelParams, Profile, build_grid, minimize, smallest_eigenpair
+from magnetodisk import ModelParams, Profile, build_grid, minimize
 from magnetodisk.grid import banded_factor, banded_matvec, banded_solve
 from magnetodisk.operators import gradient_values
 
-from conftest import smooth_profile
+from conftest import grid_and_pair, scaled_phi0, smooth_profile
 from oracles import euler_residual, l2_norm, random_profile, verify_trivial_uniqueness
 from reference_kernels import (
     dense_matrix,
@@ -46,10 +45,9 @@ def test_supercritical_minimizer_lands_on_the_positive_branch(grid256, pair256):
     assert np.all(vals[1:] <= np.pi / 2.0)
 
 
-def test_minimizer_satisfies_the_strong_equation(minimizer512):
-    g = build_grid(1024, 2.0)
+def test_minimizer_satisfies_the_strong_equation(minimizer512, grid1024, pair1024):
     p = ModelParams(mu=2.0)
-    rep = minimize(g, p)
+    rep = minimize(grid1024, p, eigenpair=pair1024)
     assert rep.converged
     assert euler_residual(rep.minimizer, p) <= 1e-6  # measured 2.1e-8
     assert rep.bc_residual <= 1e-6
@@ -69,8 +67,8 @@ def test_descent_is_sign_equivariant_without_folding(grid256, pair256, monkeypat
     # odd, so negating the start negates the whole trajectory bitwise
     monkeypatch.setattr(solver, "fold_values", lambda values: (values, False))
     p = ModelParams(mu=2.0)
-    plus = minimize(grid256, p, init=Profile(grid256, 0.1 * pair256.phi0.values))
-    minus = minimize(grid256, p, init=Profile(grid256, -0.1 * pair256.phi0.values))
+    plus = minimize(grid256, p, scaled_phi0(pair256, 0.1), eigenpair=pair256)
+    minus = minimize(grid256, p, scaled_phi0(pair256, -0.1), eigenpair=pair256)
     assert plus.converged and minus.converged
     assert abs(plus.energy - minus.energy) <= 1e-12  # measured 0.0
     assert l2_norm(grid256, plus.minimizer.values + minus.minimizer.values) <= 1e-8
@@ -101,7 +99,7 @@ def test_minimal_energy_is_nonincreasing_in_mu(grid256, pair256):
 def test_multistart_certifies_trivial_uniqueness_below_threshold(grid256, pair256):
     thr = pair256.gamma0 / 2.0
     for mu in (0.0, thr - 0.05):
-        out = verify_trivial_uniqueness(grid256, ModelParams(mu=mu), trials=8, seed=0)
+        out = verify_trivial_uniqueness(grid256, ModelParams(mu=mu), pair256, trials=8, seed=0)
         assert out["passed"]
         assert out["n_nontrivial"] == 0
         assert out["worst_norm"] <= 1e-8
@@ -109,7 +107,8 @@ def test_multistart_certifies_trivial_uniqueness_below_threshold(grid256, pair25
 
 def test_multistart_flags_nontrivial_minimizers_above_threshold(grid256, pair256):
     thr = pair256.gamma0 / 2.0
-    out = verify_trivial_uniqueness(grid256, ModelParams(mu=thr + 0.1), trials=8, seed=0)
+    out = verify_trivial_uniqueness(grid256, ModelParams(mu=thr + 0.1), pair256, trials=8,
+                                    seed=0)
     assert not out["passed"]
     assert out["n_nontrivial"] >= 1
     assert out["worst_energy"] < -1e-9
@@ -143,7 +142,8 @@ def test_line_search_energy_evaluations_are_capped(monkeypatch, mu):
     for n in (256, 512, 1024):
         calls.clear()
         factors.clear()
-        rep = minimize(build_grid(n, 2.0), ModelParams(mu=mu))
+        grid, pair = grid_and_pair(n)
+        rep = minimize(grid, ModelParams(mu=mu), eigenpair=pair)
         assert rep.converged
         assert rep.iterations <= ITERATION_CAPS[mu]
         assert rep.energy_evals <= ENERGY_EVAL_CAPS[mu]
@@ -174,7 +174,8 @@ LARGE_MU_ENERGIES = {
 
 @pytest.mark.parametrize("n, mu", sorted(LARGE_MU_ENERGIES))
 def test_solve_cost_is_flat_in_mu(n, mu):
-    rep = minimize(build_grid(n, 2.0), ModelParams(mu=mu))
+    grid, pair = grid_and_pair(n)
+    rep = minimize(grid, ModelParams(mu=mu), eigenpair=pair)
     assert rep.converged
     # measured 3, 3, 3 and 4 at either n from the core law (7, 8, 11 and 11
     # at n = 256 and 7, 8, 12 and 11 at n = 1024 from 0.1 phi0)
@@ -210,7 +211,8 @@ def test_line_search_trials_stay_within_the_fold_domain_of_their_iterate(
 
     monkeypatch.setattr(solver, "gradient_from_parts", at_iterate)
     monkeypatch.setattr(solver, "fold_values", folded)
-    rep = minimize(grid256, ModelParams(mu=mu), eigenpair=pair256, init_eps=init_eps)
+    start = scaled_phi0(pair256, init_eps)
+    rep = minimize(grid256, ModelParams(mu=mu), start, eigenpair=pair256)
     assert rep.converged
     assert len(reaches) == rep.energy_evals - 1
     assert max(reaches) <= 1.0
@@ -227,7 +229,7 @@ def test_newton_direction_falls_back_to_the_pencil_step(monkeypatch, grid256, pa
     g = reference_gradient(grid256, v, 2.0)
     wg = grid256.weights[1:] * g[1:]
     step, slope, tried, definite = solver._newton_direction(
-        grid256, 2.0, wg, np.cos(2.0 * v[1:]), lambda: pair256.gamma0)
+        grid256, 2.0, wg, np.cos(2.0 * v[1:]), pair256.gamma0)
     assert step.tobytes() == banded_solve(grid256.pencil_factor, -wg).tobytes()
     assert slope < 0.0
     assert tried == 3
@@ -282,7 +284,7 @@ def test_unshifted_hessian_factors_exactly_when_minimize_reports_it_definite(
         monkeypatch, n, mu, init_eps):
     # at every iterate, and independently of the factorization at n = 64: the
     # smallest eigenvalue of the dense matrix is positive exactly then
-    grid = build_grid(n, 2.0)
+    grid, pair = grid_and_pair(n)
     seen = []
     newton = solver._newton_direction
 
@@ -292,7 +294,7 @@ def test_unshifted_hessian_factors_exactly_when_minimize_reports_it_definite(
         return out
 
     monkeypatch.setattr(solver, "_newton_direction", recorded)
-    rep = minimize(grid, ModelParams(mu=mu), init_eps=init_eps)
+    rep = minimize(grid, ModelParams(mu=mu), scaled_phi0(pair, init_eps), eigenpair=pair)
     assert rep.converged and seen[-1][1]
     for cos2h, definite in seen:
         main = solver.hessian_bands(grid, mu, cos2h)[0](0.0)
@@ -313,8 +315,7 @@ def test_either_shift_bound_makes_the_newton_matrix_positive_definite(monkeypatc
     # at n = 64, by the smallest eigenvalue of the dense matrix: at random
     # profiles in [0, pi/2], at 1e-9 phi0 next to the h = 0 saddle, and at
     # every iterate of a run from there, whose shifts are recorded
-    grid = build_grid(64, 2.0)
-    pair = smallest_eigenpair(grid)
+    grid, pair = grid_and_pair(64)
     r2 = grid.r_squared
     bands = solver.hessian_bands
     runs = []
@@ -331,7 +332,7 @@ def test_either_shift_bound_makes_the_newton_matrix_positive_definite(monkeypatc
         return traced, curvature
 
     monkeypatch.setattr(solver, "hessian_bands", recorded)
-    assert minimize(grid, ModelParams(mu=mu), eigenpair=pair, init_eps=1e-9).converged
+    assert minimize(grid, ModelParams(mu=mu), scaled_phi0(pair, 1e-9), eigenpair=pair).converged
     rng = np.random.default_rng(11)
     profiles = [rng.uniform(0.0, np.pi / 2.0, grid.n) for _ in range(3)]
     profiles.append(1e-9 * pair.phi0.values[1:])
@@ -372,7 +373,8 @@ SADDLE_START_ENERGY = -0.027634954515609787
 
 @pytest.mark.parametrize("n, mu, init_eps", sorted(SHIFT_SEARCH_FACTORIZATIONS))
 def test_shift_search_factorizations_are_pinned(n, mu, init_eps):
-    rep = minimize(build_grid(n, 2.0), ModelParams(mu=mu), init_eps=init_eps)
+    grid, pair = grid_and_pair(n)
+    rep = minimize(grid, ModelParams(mu=mu), scaled_phi0(pair, init_eps), eigenpair=pair)
     assert rep.converged
     assert rep.factorizations == SHIFT_SEARCH_FACTORIZATIONS[n, mu, init_eps]
     assert rep.factorizations <= 1 + 3 * rep.iterations
@@ -390,7 +392,8 @@ def test_shift_search_takes_the_steps_of_the_ladder_scan(monkeypatch, mu, n, ini
     # (1 + SHIFT_MARGIN) tau_b reaches first, so the whole run is the scan's
     # bit for bit; the pencil step is only a safety net, and 2/3 tau_b or
     # tau_b just above it qualifies at every iterate of these runs
-    grid = build_grid(n, 2.0)
+    grid, pair = grid_and_pair(n)
+    start = scaled_phi0(pair, init_eps)
     pencil = []
     descent = solver._descent
 
@@ -400,10 +403,10 @@ def test_shift_search_takes_the_steps_of_the_ladder_scan(monkeypatch, mu, n, ini
 
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_descent", recorded)
-        shipped = minimize(grid, ModelParams(mu=mu), init_eps=init_eps)
+        shipped = minimize(grid, ModelParams(mu=mu), start, eigenpair=pair)
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_newton_direction", reference_newton_direction)
-        ref = minimize(grid, ModelParams(mu=mu), init_eps=init_eps)
+        ref = minimize(grid, ModelParams(mu=mu), start, eigenpair=pair)
     assert shipped.converged
     assert not any(pencil)
     assert shipped.minimizer.values.tobytes() == ref.minimizer.values.tobytes()
@@ -429,11 +432,11 @@ def _reference_solver(monkeypatch):
 
 @pytest.mark.parametrize("mu", [20.0, 100.0, 1000.0])
 def test_fused_descent_is_the_reference_descent_bitwise(monkeypatch, mu):
-    grid = build_grid(256, 2.0)
-    shipped = minimize(grid, ModelParams(mu=mu))
+    grid, pair = grid_and_pair(256)
+    shipped = minimize(grid, ModelParams(mu=mu), eigenpair=pair)
     with monkeypatch.context() as patch:
         _reference_solver(patch)
-        ref = minimize(grid, ModelParams(mu=mu))
+        ref = minimize(grid, ModelParams(mu=mu), eigenpair=pair)
     assert [e.hex() for e in shipped.energy_history] == [e.hex() for e in ref.energy_history]
     # the residual at the returned profile, computed afresh
     g = reference_gradient(grid, ref.minimizer.values, mu)
@@ -449,7 +452,8 @@ def test_solve_stops_without_line_searches_at_the_roundoff_floor(n):
     # Once the gradient passes tol, the stop reads the decrease the Newton
     # step predicts; it does not wait for flat accepted steps, whose Armijo
     # tests at the roundoff floor compare noise with noise.
-    rep = minimize(build_grid(n, 2.0), ModelParams(mu=2.0))
+    grid, pair = grid_and_pair(n)
+    rep = minimize(grid, ModelParams(mu=2.0), eigenpair=pair)
     assert rep.converged
     assert rep.iterations <= 6  # measured 5 at every n
     # measured 1, in the first step; 4 when a backtrack halves the step
@@ -471,9 +475,9 @@ def test_converged_report_satisfies_tol_at_large_mu(grid256, pair256, mu):
 def test_a_start_near_the_saddle_escapes_to_the_minimizer(mu, init_eps):
     # above gamma0/2 the trivial profile is a saddle: the gradient of a tiny
     # start passes tol, but its Hessian is indefinite, so the run must not stop
-    grid = build_grid(64, 2.0)
-    ref = minimize(grid, ModelParams(mu=mu))
-    rep = minimize(grid, ModelParams(mu=mu), init_eps=init_eps)
+    grid, pair = grid_and_pair(64)
+    ref = minimize(grid, ModelParams(mu=mu), eigenpair=pair)
+    rep = minimize(grid, ModelParams(mu=mu), scaled_phi0(pair, init_eps), eigenpair=pair)
     assert rep.converged and not rep.trivial
     assert rep.iterations > 0  # measured 7, 6 and 7 (55, 29 and 15 with the shift ladder)
     assert abs(rep.energy - ref.energy) <= solver.FLAT_TOL * (1.0 + abs(ref.energy))
@@ -482,10 +486,11 @@ def test_a_start_near_the_saddle_escapes_to_the_minimizer(mu, init_eps):
 def test_an_underflowed_start_at_the_saddle_is_not_converged():
     # 1e-200 phi0 has E = 0 and a gradient of 1e-200: only the Hessian tells
     # the saddle at mu = 2 from the minimum at mu = 1
-    grid = build_grid(64, 2.0)
-    saddle = minimize(grid, ModelParams(mu=2.0), init_eps=1e-200)
+    grid, pair = grid_and_pair(64)
+    start = scaled_phi0(pair, 1e-200)
+    saddle = minimize(grid, ModelParams(mu=2.0), start, eigenpair=pair)
     assert not saddle.converged
-    minimum = minimize(grid, ModelParams(mu=1.0), init_eps=1e-200)
+    minimum = minimize(grid, ModelParams(mu=1.0), start, eigenpair=pair)
     assert minimum.converged and minimum.trivial
 
 
@@ -503,17 +508,12 @@ def test_the_default_start_at_mu_2_is_three_newton_steps_from_the_minimizer(monk
         return bands(*args)
 
     monkeypatch.setattr(solver, "hessian_bands", counted)
-    rep = minimize(build_grid(n, 2.0), ModelParams(mu=2.0))
+    grid, pair = grid_and_pair(n)
+    rep = minimize(grid, ModelParams(mu=2.0), eigenpair=pair)
     assert rep.converged and not rep.trivial
     assert rep.iterations <= 3
     assert rep.factorizations == 4
     assert len(built) == rep.factorizations
-
-
-@functools.cache
-def _grid_and_pair(n, grading):
-    grid = build_grid(n, grading)
-    return grid, smallest_eigenpair(grid)
 
 
 def _report_fields(rep):
@@ -536,12 +536,12 @@ def test_the_default_start_never_does_worse_than_a_tenth_of_phi0(n, grading, del
     # run bit for bit, with the failed test more; past its pi/4 bound the
     # core law costs no factorization before the first iteration, and 3 or 4
     # steps (5-12 from 0.1 phi0)
-    grid, pair = _grid_and_pair(n, grading)
+    grid, pair = grid_and_pair(n, grading)
     if mu is None:
         mu = (pair.gamma0 + delta) / 2.0
     _, factor, tested = solver._default_start(grid, mu, pair)
     default = minimize(grid, ModelParams(mu=mu), eigenpair=pair)
-    ref = minimize(grid, ModelParams(mu=mu), eigenpair=pair, init_eps=0.1)
+    ref = minimize(grid, ModelParams(mu=mu), scaled_phi0(pair, 0.1), eigenpair=pair)
     assert default.iterations <= ref.iterations
     assert default.converged or not ref.converged
     assert abs(default.energy - ref.energy) <= solver.FLAT_TOL * (1.0 + abs(ref.energy))
@@ -567,7 +567,7 @@ def test_every_converged_default_minimizer_lies_within_pi_over_4(n, grading):
     # node value v above pi/4 to pi/2 - v keeps sin^2 2h, lowers sin^2 h and
     # is 1-Lipschitz.  From just above the threshold, on the amplitude law,
     # through the switch to the core law, to mu = 1e8
-    grid, pair = _grid_and_pair(n, grading)
+    grid, pair = grid_and_pair(n, grading)
     mus = [(pair.gamma0 + delta) / 2.0 for delta in (1e-3, 1e-1, 1.0, 3.0, 5.0)]
     mus += [5.0, 20.0, 100.0, 1e3, 1e4, 1e6, 1e8]
     converged = 0
@@ -601,11 +601,11 @@ def test_iteration_cap_reports_honest_failure(grid256, pair256):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_nonfinite_initial_energy_is_rejected(grid256):
+def test_nonfinite_initial_energy_is_rejected(grid256, pair256):
     # the overflow on the way to inf is the point of the test
     huge = Profile(grid256, 1e200 * grid256.nodes)
     with pytest.raises(ValueError, match="non-finite"):
-        minimize(grid256, ModelParams(mu=2.0), init=huge)
+        minimize(grid256, ModelParams(mu=2.0), init=huge, eigenpair=pair256)
 
 
 @pytest.mark.filterwarnings("error")  # an overflow must not surface as a warning
@@ -619,11 +619,21 @@ def test_overflowing_gradient_ends_the_run_as_diverged(grid256, pair256):
     assert np.isfinite(rep.energy)
 
 
-def test_init_on_wrong_grid_is_rejected(grid256):
+def test_init_on_wrong_grid_is_rejected(grid256, pair256):
     other = build_grid(128, 2.0)
     init = Profile(other, np.zeros(129))
     with pytest.raises(ValueError, match="different grid"):
-        minimize(grid256, ModelParams(mu=2.0), init=init)
+        minimize(grid256, ModelParams(mu=2.0), init=init, eigenpair=pair256)
+
+
+@pytest.mark.parametrize("n, grading", [(64, 2.0), (256, 3.0)])
+@pytest.mark.parametrize("start", [False, True])
+def test_eigenpair_on_wrong_grid_is_rejected(grid256, pair256, n, grading, start):
+    # another n, or the same n at another grading: the start and the shift
+    # bound would read the wrong gamma0 and phi0
+    init = scaled_phi0(pair256, 1e-3) if start else None
+    with pytest.raises(ValueError, match="eigenpair lives on a different grid"):
+        minimize(grid256, ModelParams(mu=2.0), init, eigenpair=grid_and_pair(n, grading)[1])
 
 
 def test_random_profile_contract(grid256):
