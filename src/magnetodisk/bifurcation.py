@@ -96,12 +96,12 @@ def trace_branches(
     """
     if not (np.isfinite(mu_lo) and np.isfinite(mu_hi) and mu_lo < mu_hi):
         raise ValueError(f"need mu_lo < mu_hi, got [{mu_lo}, {mu_hi}]")
-    if steps < 2:
-        raise ValueError("need at least 2 sweep steps")
+    if not float(steps).is_integer() or steps < 2:
+        raise ValueError(f"need an integral number of at least 2 sweep steps, got {steps}")
     if not np.array_equal(eigenpair.phi0.grid.nodes, grid.nodes):
         raise ValueError("eigenpair lives on a different grid")
 
-    mus = np.linspace(mu_lo, mu_hi, steps)  # before any solve, should it not fit
+    mus = np.linspace(mu_lo, mu_hi, int(steps))  # before any solve, should it not fit
     threshold = eigenpair.gamma0 / 2.0
 
     points: list[BranchPoint] = []

@@ -68,25 +68,57 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Mesh nodes r_k = (k/n)**grading together with r dr quadrature weights.
+    """A mesh on [0, 1], given by its nodes; build_grid places graded ones.
 
-    nodes[0] == 0.0 and nodes[-1] == 1.0 exactly.  The weight attached to
-    r = 0 is identically zero (the measure r dr vanishes there); the weights
-    sum to 1/2, the total mass of r dr on [0, 1].
-
-    The operator arrays (r_squared, two_r_squared, stiffness_bands, pencil,
-    pencil_factor, _off_diagonal) are built on first access, at most once
-    per grid, and are read-only.
+    The constructor keeps a read-only float copy of the nodes and checks
+    them.  The weights and the operator arrays (r_squared, two_r_squared,
+    stiffness_bands, pencil, pencil_factor, _off_diagonal) are derived from
+    the nodes on first access, at most once per grid, and are read-only.
     """
 
     nodes: np.ndarray
-    weights: np.ndarray
-    grading: float
+
+    def __post_init__(self):
+        nodes = np.array(self.nodes, dtype=float)
+        if nodes.ndim != 1 or len(nodes) < 3:
+            raise ValueError(f"need a 1-D array of nodes, at least 2 cells, "
+                             f"got shape {nodes.shape}")
+        if nodes[0] != 0.0 or nodes[-1] != 1.0:
+            raise ValueError(f"nodes must run from 0.0 to 1.0, got {nodes[0]:g} to {nodes[-1]:g}")
+        if not (nodes[1:] > nodes[:-1]).all():
+            raise ValueError("nodes are not strictly increasing")
+        if nodes[1] * nodes[1] < np.finfo(float).tiny:
+            raise ValueError(f"r_1^2 = {nodes[1] * nodes[1]:g}, where 1/r^2 overflows")
+        object.__setattr__(self, "nodes", _read_only(nodes)[0])
 
     @property
     def n(self) -> int:
         """Number of mesh cells (nodes minus one)."""
         return len(self.nodes) - 1
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Quadrature weights for int_0^1 f(r) r dr from nodal samples of f.
+
+        They integrate the piecewise-linear interpolant of the sampled
+        integrand exactly against r dr on every cell, except that the share
+        belonging to the r = 0 node (where the measure vanishes and nodal
+        values are conventions, not data) is folded into its neighbor, so
+        weights[0] == 0 and the sum rule sum(w) = 1/2 is preserved exactly.
+        """
+        a = self.nodes[:-1]
+        b = self.nodes[1:]
+        d = b - a
+        # exact hat-function moments against r dr on the cell [a, b]
+        left = d * (2.0 * a + b) / 6.0
+        right = d * (a + 2.0 * b) / 6.0
+
+        weights = np.zeros(self.n + 1)
+        weights[:-1] += left
+        weights[1:] += right
+        weights[1] += weights[0]  # r = 0 carries no measure; keep the sum rule
+        weights[0] = 0.0
+        return _read_only(weights)[0]
 
     @cached_property
     def r_squared(self) -> np.ndarray:
@@ -138,14 +170,8 @@ class RadialGrid:
 
 
 def build_grid(n: int, grading: float = 2.0) -> RadialGrid:
-    """Build a graded mesh with n cells, clustered near r = 0 for grading > 1.
-
-    The quadrature weights integrate the piecewise-linear interpolant of the
-    sampled integrand exactly against r dr on every cell, except that the
-    share belonging to the r = 0 node (where the measure vanishes and nodal
-    values are conventions, not data) is folded into its neighbor so the sum
-    rule sum(w) = 1/2 is preserved exactly.
-    """
+    """The mesh with n cells and nodes r_k = (k/n)**grading, clustered near
+    r = 0 for grading > 1."""
     if int(n) != n or n < 2:
         raise ValueError(f"need at least 2 cells, got n={n}")
     n = int(n)
@@ -161,28 +187,11 @@ def build_grid(n: int, grading: float = 2.0) -> RadialGrid:
         nodes = np.fromiter(map(math.pow, x.tolist(), repeat(float(grading))), float, n + 1)
     nodes[0] = 0.0
     nodes[-1] = 1.0
-
-    a = nodes[:-1]
-    b = nodes[1:]
-    d = b - a
     # a steep grading underflows (k/n)**grading, or its square, to 0 for small k
-    if not (d > 0.0).all():
-        raise ValueError(f"grading {grading} at n={n} gives nodes that are not strictly increasing")
-    if b[0] * b[0] < np.finfo(float).tiny:
-        raise ValueError(f"grading {grading} at n={n} gives r_1^2 = {b[0] * b[0]:g}, "
-                         "where 1/r^2 overflows")
-    # exact hat-function moments against r dr on the cell [a, b]
-    left = d * (2.0 * a + b) / 6.0
-    right = d * (a + 2.0 * b) / 6.0
-
-    weights = np.zeros(n + 1)
-    weights[:-1] += left
-    weights[1:] += right
-    weights[1] += weights[0]  # r = 0 carries no measure; keep the sum rule
-    weights[0] = 0.0
-
-    _read_only(nodes, weights)
-    return RadialGrid(nodes=nodes, weights=weights, grading=float(grading))
+    try:
+        return RadialGrid(nodes)
+    except ValueError as e:
+        raise ValueError(f"grading {grading} at n={n}: {e}") from None
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:

@@ -67,9 +67,10 @@ class Profile:
 class ModelParams:
     """Model parameters: field strength mu = lambda^2 / 2, finite and >= 0.
 
-    tol is the solver residual tolerance in the L^2(r dr) norm; max_iter caps
-    the minimizer's iterations.  The constructor holds every range rule, and
-    dataclasses.replace runs it too; lambda goes to the fields functions.
+    tol, finite and > 0, is the solver residual tolerance in the L^2(r dr)
+    norm; max_iter, an integer >= 1, caps the minimizer's iterations.  The
+    constructor holds every range rule, and dataclasses.replace runs it too;
+    lambda goes to the fields functions.
     """
 
     mu: float
@@ -79,10 +80,11 @@ class ModelParams:
     def __post_init__(self):
         if not np.isfinite(self.mu) or self.mu < 0.0:
             raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
-        if not (self.tol > 0.0):
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        # an infinite tol would pass every gradient test
+        if not (np.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        if not float(self.max_iter).is_integer() or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter}")
 
 
 def energy_parts(grid: RadialGrid, values: np.ndarray,
@@ -109,7 +111,11 @@ def energy_parts(grid: RadialGrid, values: np.ndarray,
 
 
 def energy_of_values(grid: RadialGrid, values: np.ndarray, mu: float) -> float:
-    """Discrete energy from raw nodal values (no Profile validation)."""
+    """Discrete energy from raw nodal values (no Profile validation).
+
+    A reference kernel: no code in the package calls it.  The tests and
+    bench/tracing.py use it by name as the standalone form of the fused
+    path, energy_parts, which it matches bit for bit."""
     return energy_parts(grid, values, mu)[0]
 
 
@@ -145,6 +151,10 @@ def gradient_values(grid: RadialGrid, values: np.ndarray, mu: float) -> np.ndarr
 
     The value at r = 0 is 0 by convention (test profiles vanish there); the
     natural condition h_r(1) = 0 is contained in the last row weakly.
+
+    A reference kernel: no code in the package calls it.  The tests and
+    bench/tracing.py use it by name as the standalone form of the fused
+    path, gradient_from_parts, which it matches bit for bit.
     """
     dv = values[1:] - values[:-1]
     return gradient_from_parts(grid, values, mu, dv, np.sin(2.0 * values[1:]))[0]

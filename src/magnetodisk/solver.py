@@ -283,7 +283,7 @@ def minimize(
     if init is None:
         v, factor, factorizations = _default_start(grid, mu, eigenpair)
     else:
-        if init.grid.nodes.shape != nodes.shape or not np.array_equal(init.grid.nodes, nodes):
+        if not np.array_equal(init.grid.nodes, nodes):
             raise ValueError("init profile lives on a different grid")
         v = init.values
 

@@ -102,6 +102,14 @@ def test_trace_rejects_bad_ranges(grid256, pair256):
         trace_branches(grid256, p, 2.0, 1.0, 5, eigenpair=pair256)
     with pytest.raises(ValueError):
         trace_branches(grid256, p, 1.0, 2.0, 1, eigenpair=pair256)
+    with pytest.raises(ValueError, match="integral"):
+        trace_branches(grid256, p, 1.0, 2.0, 2.5, eigenpair=pair256)
+
+
+def test_trace_takes_an_integral_float_step_count(grid256, pair256):
+    # below the threshold no minimize runs: 3.0 steps are 3 points
+    diagram = trace_branches(grid256, ModelParams(mu=0.1), 0.1, 0.5, 3.0, eigenpair=pair256)
+    assert [pt.mu for pt in diagram.points] == np.linspace(0.1, 0.5, 3).tolist()
 
 
 def test_trace_rejects_an_eigenpair_of_another_grid(grid256, pair64):

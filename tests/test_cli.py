@@ -319,6 +319,7 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         ("minimize", "--mu", "inf"),
         ("minimize", "--lambda", "nan"),
         ("minimize", "--mu", 2.0, "--tol", "nan"),
+        ("minimize", "--mu", 2.0, "--tol", "inf"),
         ("minimize", "--mu", 2.0, "--init-eps", "nan"),
         ("sweep", "--mu-range", "1:2:3", "--tol", "nan"),
         ("sweep", "--mu-range", "1:2:3", "--lambda", 2.0),  # lambda sets mu
@@ -360,6 +361,14 @@ def test_grading_that_collapses_nodes_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")  # no RuntimeWarning lines on stderr either
+def test_grading_whose_r1_squared_underflows_exits_2(tmp_path, capsys):
+    assert run("eigen", "--n", 64, "--grading", 100, "--out", tmp_path / "x") == 2
+    assert not (tmp_path / "x").exists()
+    assert capsys.readouterr().err == (
+        "error: grading 100.0 at n=64: r_1^2 = 0, where 1/r^2 overflows\n")
 
 
 def test_minimize_from_a_huge_start_ends_with_a_truthful_report(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 from functools import cached_property
@@ -5,7 +6,8 @@ from functools import cached_property
 import numpy as np
 import pytest
 import magnetodisk.grid as grid_module
-from magnetodisk import ModelParams, build_grid, integrate, minimize, smallest_eigenpair
+from magnetodisk import (
+    ModelParams, RadialGrid, build_grid, integrate, minimize, smallest_eigenpair)
 from magnetodisk.grid import banded_factor, banded_matvec, banded_solve, rim_slope
 from magnetodisk.operators import gradient_values
 
@@ -48,6 +50,61 @@ def test_grid_rejects_collapsed_nodes():
     with pytest.raises(ValueError, match="1/r\\^2 overflows"):
         build_grid(64, 100.0)
     assert build_grid(64, 85.0).r_squared[0] > 0.0
+
+
+def test_grid_is_its_nodes():
+    g = build_grid(64, 2.0)
+    assert tuple(f.name for f in dataclasses.fields(RadialGrid)) == ("nodes",)
+    # the weights are derived from the nodes, never given
+    with pytest.raises(TypeError):
+        RadialGrid(g.nodes, weights=np.ones(65))
+    with pytest.raises(TypeError):
+        RadialGrid(g.nodes, grading=7.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.weights = np.ones(65)
+    assert g.weights is g.weights
+    # the grid keeps its own float copy of what it is given
+    nodes = np.array([0, 1, 4, 16]) / 16
+    h = RadialGrid(nodes)
+    nodes[1] = 0.5
+    assert h.nodes.tolist() == [0.0, 0.0625, 0.25, 1.0]
+    assert RadialGrid([0, 0.5, 1]).nodes.dtype == float
+    h = RadialGrid(g.nodes)
+    assert h.nodes is not g.nodes and not h.nodes.flags.writeable
+    assert h.weights.tobytes() == g.weights.tobytes()
+    assert h.pencil.tobytes() == g.pencil.tobytes()
+
+
+@pytest.mark.parametrize(
+    "nodes, match",
+    [
+        ([[0.0, 0.5, 1.0]], "1-D"),
+        ([0.0, 1.0], "at least 2 cells"),
+        ([0.0], "at least 2 cells"),
+        ([1e-3, 0.5, 1.0], "from 0.0 to 1.0"),
+        ([0.0, 0.5, 0.999], "from 0.0 to 1.0"),
+        ([0.0, 0.5, 0.5, 1.0], "strictly increasing"),
+        ([0.0, 0.7, 0.5, 1.0], "strictly increasing"),
+        ([0.0, np.nan, 1.0], "strictly increasing"),
+        ([np.nan, 0.5, 1.0], "from 0.0 to 1.0"),
+        ([0.0, 1e-160, 1.0], "1/r\\^2 overflows"),
+    ],
+)
+def test_radial_grid_rejects_bad_nodes(nodes, match):
+    with pytest.raises(ValueError, match=match):
+        RadialGrid(np.array(nodes))
+
+
+@pytest.mark.parametrize("grading", [1.0, 2.0, 3.5])
+@pytest.mark.parametrize("n", [2, 3, 64, 257])
+def test_every_other_node_of_a_grid_is_the_grid_of_half_the_cells(n, grading):
+    # nested meshes: (2k / 2n)**g is (k / n)**g to the bit, so the coarse grid
+    # built from the fine grid's nodes is build_grid's own
+    fine = build_grid(2 * n, grading)
+    coarse = RadialGrid(fine.nodes[::2])
+    want = build_grid(n, grading)
+    for name in ("nodes", "weights", "pencil"):
+        assert getattr(coarse, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_grid_is_immutable():

@@ -60,6 +60,20 @@ def test_model_params():
         ModelParams(mu=1.0, max_iter=0)
 
 
+def test_model_params_rejects_an_infinite_tol():
+    # every gradient norm passes an infinite tol, so the stop test is vacuous
+    with pytest.raises(ValueError, match="tol must be finite"):
+        ModelParams(mu=1.0, tol=np.inf)
+    with pytest.raises(ValueError, match="tol must be finite"):
+        replace(ModelParams(mu=1.0), tol=np.inf)
+
+
+@pytest.mark.parametrize("max_iter", [2.5, np.nan, np.inf])
+def test_model_params_rejects_a_non_integral_max_iter(max_iter):
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        ModelParams(mu=1.0, max_iter=max_iter)
+
+
 def test_zero_profile_has_zero_energy_and_gradient():
     g = build_grid(64, 2.0)
     zero = Profile(g, np.zeros(65))
