@@ -379,16 +379,8 @@ class _Writer:
 
 def cmd_eigen(cfg: RunConfig, grid: RadialGrid, params: ModelParams, pair: EigenPair) -> int:
     writer = _Writer(cfg)
-    writer.json(
-        "eigen.json",
-        {
-            "gamma0": pair.gamma0,
-            "n": cfg.n,
-            "grading": cfg.grading,
-            "residual": pair.residual,
-            "iterations": pair.iterations,
-        },
-    )
+    writer.json("eigen.json", {"gamma0": pair.gamma0, "n": cfg.n, "grading": cfg.grading,
+                               "residual": pair.residual, "iterations": pair.iterations})
     writer.table("phi0", ["r", "phi0"], [grid.nodes, pair.phi0.values])
     return 0
 

@@ -66,14 +66,15 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialGrid:
     """A mesh on [0, 1], given by its nodes; build_grid places graded ones.
 
     The constructor keeps a read-only float copy of the nodes and checks
-    them.  The weights and the operator arrays (r_squared, two_r_squared,
-    stiffness_bands, pencil, pencil_factor, _off_diagonal) are derived from
-    the nodes on first access, at most once per grid, and are read-only.
+    them; grids compare and hash by identity.  The weights and the operator
+    arrays (r_squared, two_r_squared, stiffness_bands, pencil, pencil_factor,
+    _off_diagonal) are derived from the nodes on first access, at most once
+    per grid, and are read-only.
     """
 
     nodes: np.ndarray
@@ -106,15 +107,17 @@ class RadialGrid:
         values are conventions, not data) is folded into its neighbor, so
         weights[0] == 0 and the sum rule sum(w) = 1/2 is preserved exactly.
         """
-        a = self.nodes[:-1]
-        b = self.nodes[1:]
+        a, b = self.nodes[:-1], self.nodes[1:]
         d = b - a
-        # exact hat-function moments against r dr on the cell [a, b]
-        left = d * (2.0 * a + b) / 6.0
-        right = d * (a + 2.0 * b) / 6.0
-
-        weights = np.zeros(self.n + 1)
-        weights[:-1] += left
+        # exact hat-function moments against r dr on the cell [a, b]:
+        # d (2a + b) / 6 for its left node, d (a + 2b) / 6 for its right one
+        weights, right = np.empty(self.n + 1), np.empty(self.n)
+        weights[-1] = 0.0
+        for moment, near, far in ((weights[:-1], a, b), (right, b, a)):
+            np.multiply(2.0, near, out=moment)
+            moment += far
+            moment *= d
+            moment /= 6.0
         weights[1:] += right
         weights[1] += weights[0]  # r = 0 carries no measure; keep the sum rule
         weights[0] = 0.0
@@ -141,9 +144,8 @@ class RadialGrid:
         I v, cell by cell, so K is symmetric positive semidefinite.
         """
         r = self.nodes
-        kappa = (r[:-1] + r[1:]) / (2.0 * np.diff(r))
-        diagonal = np.zeros(self.n + 1)
-        diagonal[:-1] += kappa
+        kappa = (r[:-1] + r[1:]) / (2.0 * (r[1:] - r[:-1]))
+        diagonal = np.append(kappa, 0.0)
         diagonal[1:] += kappa
         return _read_only(diagonal, kappa)
 
@@ -172,7 +174,7 @@ class RadialGrid:
 def build_grid(n: int, grading: float = 2.0) -> RadialGrid:
     """The mesh with n cells and nodes r_k = (k/n)**grading, clustered near
     r = 0 for grading > 1."""
-    if int(n) != n or n < 2:
+    if n != n or n in (math.inf, -math.inf) or int(n) != n or n < 2:  # int() takes no nan, inf
         raise ValueError(f"need at least 2 cells, got n={n}")
     n = int(n)
     if not np.isfinite(grading) or grading < 1.0:

@@ -37,12 +37,11 @@ from .grid import RadialGrid
 
 __all__ = ["Profile", "ModelParams", "energy_of_values", "gradient_values", "fold_values"]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Profile:
-    """Nodal grid function.  Angle profiles are pinned to 0 at r = 0.
-
-    Displacement profiles produced by field reconstruction satisfy w(1) = 0
-    instead and are built with pin_origin=False.
+    """Nodal grid function, compared and hashed by identity.  Angle profiles
+    are pinned to 0 at r = 0; displacement profiles produced by field
+    reconstruction satisfy w(1) = 0 instead and are built with pin_origin=False.
     """
 
     grid: RadialGrid

@@ -1,13 +1,13 @@
 """The energy, gradient and fold as first written, one numpy expression each,
 with the flux-form stiffness apply K v that the gradient builds on; the
-Bessel start and inverse iteration of magnetodisk.eigen, with a fresh array
+Horner start and inverse iteration of magnetodisk.eigen, with a fresh array
 for every intermediate; and the shifted Newton step of magnetodisk.solver as
 a linear scan of its ladder of tried shifts.
 
 The kernels of magnetodisk.operators build the same fields in place, fused
 (energy_parts hands dv and sin 2h to gradient_from_parts), and do the same
 floating-point operations in the same order, so they must agree with these
-bit for bit; so must eigen's in-place series and normalisation.  The
+bit for bit; so must eigen's in-place start and normalisation.  The
 operator references read only the grid's nodes and weights; the inverse
 iteration solves with the grid's pencil factor, as eigen does.  The solver
 skips the tau = 0 factorization when the caller holds H's factor, and builds
@@ -15,9 +15,12 @@ each tried matrix by the same operations, so its steps must agree with the
 scan's bit for bit.
 """
 
+from functools import reduce
+
 import numpy as np
 
-from magnetodisk.grid import banded_factor, banded_matvec, banded_solve
+from magnetodisk.eigen import _J1_START
+from magnetodisk.grid import banded_factor, banded_solve
 from magnetodisk.solver import SHIFT_MARGIN
 
 
@@ -74,21 +77,18 @@ def reference_fold(values):
     return a, changed
 
 
-def reference_bessel_j1(x):
-    """J1 by 12 terms of its power series."""
-    q = -0.25 * x * x
-    term = 0.5 * x
-    total = term
-    for k in range(1, 12):
-        term = term * q / (k * (k + 1))
-        total = total + term
-    return total
+def reference_j1_start(grid):
+    """J1(j'_{1,1} r) = sum_k c_k r^(2k+1) at the nodes 1..n, with eigen's
+    coefficients c_k: c_0 r plus r^3 (c_1 + c_2 r^2 + ...) by Horner's rule."""
+    r, r2 = grid.nodes[1:], grid.r_squared
+    return reduce(lambda p, c: p * r2 + c, _J1_START[-2:0:-1], _J1_START[-1]) * r2 * r \
+        + _J1_START[0] * r
 
 
 def reference_inverse_iteration(grid, v, deflate, max_iter=400, rq_tol=1e-14):
     """Shift-0 inverse iteration on the pencil, deflated against the
-    M-normalized mode deflate unless it is None: (gamma, v, residual,
-    solves), as eigen._inverse_iteration returns them.
+    M-normalized mode deflate unless it is None: (gamma, v, solves), as
+    eigen._inverse_iteration returns them.
 
     It stops by an older rule than eigen's, kept as an independent
     reference: two solves in a row that change gamma by at most
@@ -130,9 +130,7 @@ def reference_inverse_iteration(grid, v, deflate, max_iter=400, rq_tol=1e-14):
         v = u
     else:
         raise RuntimeError(f"inverse iteration did not settle in {max_iter} iterations")
-    res = banded_matvec(grid, grid.pencil, v) - gamma * m * v
-    return gamma, v, float(np.sqrt(np.sum(res * res))), it
-
+    return gamma, v, it
 
 
 def reference_newton_direction(grid, mu, wg, cos2h, gamma0, factor=None):

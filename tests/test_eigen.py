@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from magnetodisk.grid import banded_matvec, banded_solve
 
 import oracles
 from oracles import GAMMA0_CONTINUUM, J1PRIME_ROOT, boundary_slope
-from reference_kernels import reference_bessel_j1, reference_inverse_iteration, stiffness_apply
+from reference_kernels import reference_inverse_iteration, reference_j1_start, stiffness_apply
 
 
 def test_pencil_matches_elimination_of_the_origin_node(grid256):
@@ -154,7 +156,7 @@ def test_ground_mode_is_the_inverse_iteration_fixed_point(n):
 def test_start_vector_does_not_change_the_eigenvalue(n):
     grid = build_grid(n, 2.0)
     gamma0 = smallest_eigenpair(grid).gamma0
-    gamma, _, _, _ = _inverse_iteration(grid, np.sin(0.5 * np.pi * grid.nodes[1:]), None)
+    gamma, _, _ = _inverse_iteration(grid, np.sin(0.5 * np.pi * grid.nodes[1:]), None)
     assert abs(gamma - gamma0) <= 1e-12 * gamma0
 
 
@@ -183,21 +185,66 @@ def test_threshold_couples_eigenvalue_to_model(pair256):
 @pytest.mark.parametrize("grading", [1.0, 2.0, 3.0])
 @pytest.mark.parametrize("n", [64, 256, 1024, 4096, 65536])
 def test_in_place_iteration_is_the_reference_iteration_bitwise(monkeypatch, n, grading):
-    # the Bessel series and the normalisation run in reused buffers, with the
+    # the Horner start and the normalisation run in reused buffers, with the
     # operations of the one-expression forms in the same order; the reference
     # stops by the older plateau rule, and at these n both rules stop at the
     # same solve
     grid = build_grid(n, grading)
-    x = eigen._J1PRIME_ROOT * grid.nodes[1:]
-    assert eigen._bessel_j1(x).tobytes() == reference_bessel_j1(x).tobytes()
+    assert eigen._j1_start(grid).tobytes() == reference_j1_start(grid).tobytes()
     pair = smallest_eigenpair(grid)
     gamma1, psi = second_eigenpair(grid, pair)
-    monkeypatch.setattr(eigen, "_bessel_j1", reference_bessel_j1)
+    monkeypatch.setattr(eigen, "_j1_start", reference_j1_start)
     monkeypatch.setattr(eigen, "_inverse_iteration", reference_inverse_iteration)
     ref = smallest_eigenpair(grid)
     ref_gamma1, ref_psi = second_eigenpair(grid, ref)
     assert pair.gamma0.hex() == ref.gamma0.hex()
     assert pair.phi0.values.tobytes() == ref.phi0.values.tobytes()
-    assert (pair.residual.hex(), pair.iterations) == (ref.residual.hex(), ref.iterations)
+    assert pair.iterations == ref.iterations
+    # the residual of the returned pair, written out
+    v = ref.phi0.values[1:]
+    res = banded_matvec(grid, grid.pencil, v) - ref.gamma0 * grid.weights[1:] * v
+    assert pair.residual.hex() == float(np.sqrt(np.sum(res * res))).hex()
     assert gamma1.hex() == ref_gamma1.hex()
     assert psi.values.tobytes() == ref_psi.values.tobytes()
+
+
+def test_horner_start_is_the_sampled_bessel_mode():
+    # the oracle's series at the package's j'_{1,1}: the folded coefficients
+    # and Horner's rule lose only a few ulp
+    grid = build_grid(256, 2.0)  # 257 nodes
+    got = eigen._j1_start(grid)
+    want = np.array([oracles.bessel_j1(eigen._J1PRIME_ROOT * r) for r in grid.nodes[1:]])
+    ulps = np.abs(got - want) / np.spacing(np.abs(want))
+    assert ulps.max() <= 4.0  # measured 2
+
+
+@pytest.mark.parametrize("n, solves", [(256, 5), (4096, 3), (65536, 3)])
+def test_solve_counts_are_pinned(n, solves):
+    # the Bessel start leaves only the O(h^2) discretization error to settle
+    assert smallest_eigenpair(build_grid(n, 2.0)).iterations == solves
+
+
+def test_residual_is_computed_on_first_read(grid256, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return banded_matvec(*args)
+
+    monkeypatch.setattr(eigen, "banded_matvec", counted)
+    pair = smallest_eigenpair(grid256)
+    assert calls == []  # the solver computes no residual
+    first = pair.residual
+    assert len(calls) == 1
+    assert pair.residual is first and len(calls) == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pair.gamma0 = 1.0
+    assert tuple(f.name for f in dataclasses.fields(eigen.EigenPair)) == (
+        "gamma0", "phi0", "iterations")
+
+
+def test_eigenpairs_compare_without_comparing_arrays(pair256):
+    # the profile compares by identity, so == and hash never compare arrays
+    assert pair256 == pair256
+    assert {pair256: 1}[pair256] == 1
+    assert pair256 != smallest_eigenpair(pair256.phi0.grid)

@@ -39,6 +39,20 @@ def test_grid_rejects_bad_arguments():
         build_grid(1, 1.0)
     with pytest.raises(ValueError):
         build_grid(64, 0.5)
+    # a cell count that is not a finite integer is the same usage error,
+    # not an OverflowError or a failed float-to-int conversion
+    for n in (float("inf"), float("-inf"), float("nan"), 8.5, "8"):
+        with pytest.raises(ValueError, match="need at least 2 cells"):
+            build_grid(n)
+
+
+def test_grids_compare_and_hash_by_identity():
+    # two grids of the same nodes are two grids, and == never compares arrays
+    g = build_grid(8)
+    assert g == g
+    assert g != build_grid(8)
+    assert {g: 1}[g] == 1
+    assert hash(g) == hash(g)
 
 
 def test_grid_rejects_collapsed_nodes():

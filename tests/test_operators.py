@@ -39,6 +39,15 @@ def test_profile_is_immutable():
         p.values[2] = 1.0
 
 
+def test_profiles_compare_and_hash_by_identity():
+    g = build_grid(8)
+    p = Profile(g, np.zeros(9))
+    assert p == p
+    assert p != Profile(g, np.zeros(9))
+    assert {p: 1}[p] == 1
+    assert hash(p) == hash(p)
+
+
 def test_profile_pin_origin_opt_out():
     g = build_grid(16, 2.0)
     p = Profile(g, np.ones(17), pin_origin=False)
