@@ -360,8 +360,11 @@ class _Writer:
         self.out.mkdir(parents=True, exist_ok=True)
         with open(path, "wb") as fh:
             fh.write(opening.encode())
-            for start in range(0, n_rows, _BLOCK_ROWS):
-                stop = min(start + _BLOCK_ROWS, n_rows)
+            # the fewest blocks of at most _BLOCK_ROWS rows, of near-equal
+            # size: no short last block pays a whole _g17 call for a few rows
+            blocks = -(-n_rows // _BLOCK_ROWS)
+            for k in range(blocks):
+                start, stop = n_rows * k // blocks, n_rows * (k + 1) // blocks
                 size = stop - start
                 block = rows[:size]
                 for j, text in texts.items():

@@ -12,14 +12,19 @@ The exchange term h_r^2 is the P1 stiffness of the grid, sum_k kappa_k
 (h_{k+1} - h_k)^2; the sin^2 h / r^2 and sin^2 2h terms are lumped on the
 nodal quadrature weights.
 
-Two kernels hold the formulas, and build their fields in place.
-energy_parts computes E together with the cell differences dv = diff(h) and
-sin 2h at the nodes 1..n.  gradient_from_parts turns those two arrays into
-the gradient (flux kappa dv, then the nodal terms) and also returns cos 2h,
-from which solver.hessian_bands builds the Newton matrix, cos 4h included.
-A line-search trial that is
-accepted thus hands its dv and sin 2h to the gradient at the same point, so
-the minimizer computes diff(h), sin 2h and cos 2h once per iterate.
+Two kernels hold the formulas, and build their fields in place; each makes
+one transcendental pass over the nodes.  energy_parts computes E together
+with the cell differences dv = diff(h) and s = sin h at the nodes 1..n,
+forming (mu/2) sin^2 2h as 2 mu s^2 (1 - s^2).  gradient_from_parts turns
+those two arrays and cos h into the gradient (flux kappa dv, then the nodal
+terms, with sin 2h = 2 s cos h) and also returns cos 2h = 1 - 2 s^2, from
+which solver.hessian_bands builds the Newton matrix, cos 4h included.  A
+line-search trial that is accepted thus hands its dv and sin h to the
+gradient at the same point, so the minimizer computes diff(h), sin h and
+cos h once per iterate.  numpy evaluates float64 sin and cos by libm's
+scalar loop on every CPU; its tan and exp run SIMD kernels, three to six
+times faster but with last bits that depend on the CPU's vector extensions,
+so they are not used, and the outputs do not depend on the CPU.
 energy_of_values and gradient_values are the same kernels called from raw
 values.  Both do the same floating-point operations in the same order as the
 one-expression formulas that tests/reference_kernels.py keeps as their
@@ -90,23 +95,26 @@ def energy_parts(grid: RadialGrid, values: np.ndarray,
                  mu: float) -> tuple[float, np.ndarray, np.ndarray]:
     """E from raw nodal values (no Profile validation), with the two fields
     the gradient at the same values needs: the cell differences
-    dv = values[1:] - values[:-1] and sin2h = sin(2 values[1:])."""
+    dv = values[1:] - values[:-1] and sinh = sin(values[1:])."""
     dv = values[1:] - values[:-1]
-    exchange = dv * dv
-    exchange *= grid.stiffness_bands[1]
-    v = values[1:]
-    s = np.sin(v)
-    s /= grid.nodes[1:]
-    t = 2.0 * v
-    sin2h = np.sin(t)
-    # w * (s^2 - (mu/2) sin^2 2h), built in s's buffer
-    s *= s
-    np.multiply(sin2h, 0.5 * mu, out=t)
-    t *= sin2h
-    s -= t
-    s *= grid.weights[1:]
-    e = np.pi * (float(np.add.reduce(exchange)) + float(np.add.reduce(s)))
-    return e, dv, sin2h
+    t = dv * dv
+    t *= grid.stiffness_bands[1]
+    exchange = float(np.add.reduce(t))
+    sinh = np.sin(values[1:])
+    s2 = sinh * sinh
+    # (mu/2) sin^2 2h = 2 mu s^2 (1 - s^2), s = sin h, in the exchange term's
+    # buffer; mu multiplies s^2 (1 - s^2) <= 1/4, so no product exceeds mu/2
+    # and 2 mu is never formed
+    np.subtract(1.0, s2, out=t)
+    t *= s2
+    t *= mu
+    t += t
+    # w * (s^2 / r^2 - (mu/2) sin^2 2h), built in s^2's buffer
+    s2 /= grid.r_squared
+    s2 -= t
+    s2 *= grid.weights[1:]
+    e = np.pi * (exchange + float(np.add.reduce(s2)))
+    return e, dv, sinh
 
 
 def energy_of_values(grid: RadialGrid, values: np.ndarray, mu: float) -> float:
@@ -119,9 +127,10 @@ def energy_of_values(grid: RadialGrid, values: np.ndarray, mu: float) -> float:
 
 
 def gradient_from_parts(grid: RadialGrid, values: np.ndarray, mu: float, dv: np.ndarray,
-                        sin2h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Raw nodal gradient field (see gradient_values) and cos(2 values[1:]), from
-    the dv and sin2h of energy_parts at the same values, which it overwrites."""
+                        sinh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Raw nodal gradient field (see gradient_values) and cos 2h = 1 - 2 sin^2 h
+    at the nodes 1..n, from the dv and sinh of energy_parts at the same
+    values, which it overwrites."""
     flux = dv
     flux *= grid.stiffness_bands[1]
     # q / w + sin 2h / (2 r^2) - mu sin 2h cos 2h, built in the buffer of the
@@ -131,11 +140,18 @@ def gradient_from_parts(grid: RadialGrid, values: np.ndarray, mu: float, dv: np.
     g[0] = 0.0
     np.subtract(flux[:-1], flux[1:], out=g[1:-1])
     g[-1] = flux[-1]
-    cos2h = 2.0 * values[1:]
-    np.cos(cos2h, out=cos2h)
+    # sin 2h = 2 sin h cos h and cos 2h = 1 - 2 sin^2 h; cos h itself, not
+    # sqrt(1 - sin^2 h), keeps the sign of sin 2h for every h
+    sin2h = np.cos(values[1:])
+    sin2h *= sinh
+    sin2h *= 2.0
+    cos2h = sinh
+    cos2h *= sinh
+    cos2h *= -2.0
+    cos2h += 1.0
     gi = g[1:]
     gi /= grid.weights[1:]
-    gi += sin2h / grid.two_r_squared
+    gi += np.divide(sin2h, grid.two_r_squared, out=flux)
     sin2h *= mu
     sin2h *= cos2h
     gi -= sin2h
@@ -156,7 +172,7 @@ def gradient_values(grid: RadialGrid, values: np.ndarray, mu: float) -> np.ndarr
     path, gradient_from_parts, which it matches bit for bit.
     """
     dv = values[1:] - values[:-1]
-    return gradient_from_parts(grid, values, mu, dv, np.sin(2.0 * values[1:]))[0]
+    return gradient_from_parts(grid, values, mu, dv, np.sin(values[1:]))[0]
 
 
 def fold_values(values: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -17,6 +17,9 @@ factor, is the step, so every iteration has one.
 Without an explicit start, a run starts where _default_start says, the one
 statement of the default-start policy.  The caller's threshold eigenpair
 (gamma0, phi0) is the one source of both that start and the shift bound.
+The amplitude law's start is taken only where the unshifted Hessian there
+factors; that test is the first iteration's tau = 0 factorization, built
+from the start's first gradient evaluation.
 
 Every accepted iterate is folded back into [0, pi/2], which never raises the
 energy, so the iterate and a minimizer both lie in [0, pi/2] at every node,
@@ -33,13 +36,13 @@ roundoff floor of the energy; a step predicting less than that floor is
 accepted at its first trial unless the energy rises past it.  The last
 accepted iterate is returned, and the norm of its gradient is the residual.
 
-Each trial of the line search is one operators.energy_parts call.  The
-accepted trial's cell differences and sin 2h go to
-operators.gradient_from_parts, whose cos 2h the Newton matrix reuses, cos 4h
-as 2 cos^2 2h - 1 included.  So every quantity is computed once per iterate,
-with the operations and operands of the standalone energy and gradient
-kernels, and the trajectory is bit for bit the one that evaluating each
-afresh gives.  The boundary certificate is
+Each trial of the line search is one operators.energy_parts call, one sine
+pass.  The accepted trial's cell differences and sin h go to
+operators.gradient_from_parts, one cosine pass, whose cos 2h the Newton
+matrix reuses, cos 4h as 2 cos^2 2h - 1 included.  So every quantity is
+computed once per iterate, with the operations and operands of the
+standalone energy and gradient kernels, and the trajectory is bit for bit
+the one that evaluating each afresh gives.  The boundary certificate is
 grid.rim_slope of the returned profile.
 """
 
@@ -98,12 +101,14 @@ class SolveReport:
     energy_evals counts every energy evaluation of the run and backtracks
     every trial step that the line search rejected, so energy_evals ==
     1 + iterations + backtracks unless a trial energy came out NaN
-    (diverged).  factorizations counts the LDL^T
-    factorizations (grid.banded_factor) of the shifted Newton matrices, the
-    failed ones included: the tau = 0 matrix at every iteration (at the
-    first, the default start's Hessian test stands for it when the test
-    ran; see _default_start), and the one or two shifted matrices tried when
-    it does not factor; the grid's cached pencil factor is not counted.
+    (diverged) or the amplitude law's start failed its Hessian test, whose
+    energy evaluation adds one (see _default_start).  factorizations
+    counts the LDL^T factorizations (grid.banded_factor) of the shifted
+    Newton matrices, the failed ones included: the tau = 0 matrix at every
+    iteration (at an amplitude-law start the Hessian test is the first, and
+    a failed test counts one more), and the one or two shifted matrices
+    tried when it does not factor; the grid's cached pencil factor is not
+    counted.
     """
 
     minimizer: Profile
@@ -131,12 +136,12 @@ def hessian_bands(grid: RadialGrid, mu: float, cos2h: np.ndarray
 
     is the Hessian of E / (2 pi) (H v is the derivative of W g along v) and
     P = K + W / r^2 the threshold pencil; diagonal(0.0) is H's.  cos2h is
-    cos(2 h[1:]) as the gradient computed it; cos 4h is 2 cos^2 2h - 1 from
-    it, and c is computed once.  Each main diagonal is K0 + w c at tau = 0
-    and K0 + w ((c + tau / r^2) / (1 + tau)) otherwise, built afresh from c
-    by the same operations whatever shifts came before, so the stiffness
-    diagonal K0 enters exactly, and every call writes it into the same
-    buffer: use or copy it before the next."""
+    cos 2h = 1 - 2 sin^2 h at the nodes 1..n as the gradient computed it;
+    cos 4h is 2 cos^2 2h - 1 from it, and c is computed once.  Each main
+    diagonal is K0 + w c at tau = 0 and K0 + w ((c + tau / r^2) / (1 + tau))
+    otherwise, built afresh from c by the same operations whatever shifts
+    came before, so the stiffness diagonal K0 enters exactly, and every call
+    writes it into the same buffer: use or copy it before the next."""
     w = grid.weights[1:]
     r2 = grid.r_squared
     k0 = grid.stiffness_bands[0][1:]
@@ -180,8 +185,9 @@ def _descent(factor, wg):
 def _newton_direction(grid, mu, wg, cos2h, gamma0, factor=None):
     """Shifted Newton step, its slope, the factorizations made and whether
     the unshifted Hessian H factored, i.e. is positive definite.  cos2h is
-    cos(2 h[1:]) at the iterate, as the gradient computed it; gamma0 is the
-    threshold eigenvalue; factor is H's, if the caller holds it (not counted).
+    cos 2h at the nodes 1..n of the iterate, as the gradient computed it;
+    gamma0 is the threshold eigenvalue; factor is H's, if the caller holds
+    it (not counted).
 
     H is tried first, since the stop test asks whether it factors.  If not,
     ((H + tau P) / (1 + tau)) d = -W g is solved for tau = 2/3 tau_b, then
@@ -213,10 +219,10 @@ def _newton_direction(grid, mu, wg, cos2h, gamma0, factor=None):
 
 
 def _default_start(grid, mu, eigenpair):
-    """The start of a run given no init, the factor of the unshifted Hessian
-    there, or None where it was not built or does not factor, and the
-    factorizations made.  The default start is stated here and in the README
-    only.
+    """The start of a run given no init, and the start to fall back on if
+    the unshifted Hessian at the first does not factor, or None where the
+    first is taken as it is.  The default start is stated here and in the
+    README only.
 
     Every global minimizer, once folded into [0, pi/2], lies in [0, pi/4]:
     taking every node value v above pi/4 to pi/2 - v is 1-Lipschitz, so no
@@ -224,31 +230,30 @@ def _default_start(grid, mu, eigenpair):
     wherever it moves a node.  So the pitchfork's leading-order minimizer
     sqrt((2 mu - gamma0) / cbar) phi0 (Crandall & Rabinowitz, J. Funct.
     Anal. 8, 1971), cbar taken at mu = gamma0 / 2 (EigenPair.threshold_cbar),
-    is taken only where 2 mu > gamma0, its peak is at most pi/4 and the
-    unshifted Hessian there factors, in that order; where that test fails,
-    next to the threshold, where H cannot resolve 2 mu - gamma0, the start
-    is INIT_EPS * phi0, as it is at 2 mu <= gamma0.
+    is the start where 2 mu > gamma0 and its peak is at most pi/4, provided
+    that the unshifted Hessian there factors; minimize tests that on the
+    cos 2h of its first gradient evaluation.  Where the test fails, next to
+    the threshold, where H cannot resolve 2 mu - gamma0, the start is
+    INIT_EPS * phi0, as it is at 2 mu <= gamma0.
     A peak above pi/4, or one not finite, overshoots every minimizer, and
     the start is the large-mu core law
 
         h0(r) = (pi/4) s / sqrt(1 + s^2) = (pi/4) sqrt(mu r^2 / (1 + mu r^2)),
 
-    s = sqrt(mu) r, a core of width mu^-1/2 rising to the plateau pi/4; it
-    costs no factorization here.  It is built from *, / and sqrt, which
-    round correctly, so it does not depend on the CPU."""
+    s = sqrt(mu) r, a core of width mu^-1/2 rising to the plateau pi/4.
+    Both laws are built from *, / and sqrt, which round correctly, so they
+    do not depend on the CPU."""
     phi = eigenpair.phi0.values
     delta = 2.0 * mu - eigenpair.gamma0
     if not delta > 0.0:
-        return INIT_EPS * phi, None, 0
+        return INIT_EPS * phi, None
     amplitude = math.sqrt(delta / eigenpair.threshold_cbar)
     if amplitude * float(np.maximum.reduce(phi)) <= PLATEAU:
-        v = amplitude * phi
-        factor = _factor(grid, hessian_bands(grid, mu, np.cos(2.0 * v[1:]))[0](0.0))
-        return (INIT_EPS * phi if factor is None else v), factor, 1
+        return amplitude * phi, INIT_EPS * phi
     x = mu * grid.r_squared
     v = np.zeros_like(phi)
     v[1:] = PLATEAU * np.sqrt(x / (1.0 + x))
-    return v, None, 0
+    return v, None
 
 
 # Overflow is checked, not warned about: a non-finite start energy raises, a
@@ -280,19 +285,29 @@ def minimize(
         raise ValueError("eigenpair lives on a different grid")
     factorizations = 0
     factor = None  # H's factor at the start, from the amplitude law's test
+    fallback = None
     if init is None:
-        v, factor, factorizations = _default_start(grid, mu, eigenpair)
+        v, fallback = _default_start(grid, mu, eigenpair)
     else:
         if not np.array_equal(init.grid.nodes, nodes):
             raise ValueError("init profile lives on a different grid")
         v = init.values
 
-    e_cur, dv, sin2h = energy_parts(grid, v, mu)
+    e_cur, dv, sinh = energy_parts(grid, v, mu)
     energy_evals = 1
     backtracks = 0
     if not np.isfinite(e_cur):
         raise ValueError("initial profile has non-finite energy")
-    g, cos2h = gradient_from_parts(grid, v, mu, dv, sin2h)
+    g, cos2h = gradient_from_parts(grid, v, mu, dv, sinh)
+    if fallback is not None:
+        # the start's Hessian test is the first iteration's tau = 0 factorization
+        factor = _factor(grid, hessian_bands(grid, mu, cos2h)[0](0.0))
+        factorizations = 1
+        if factor is None:
+            v = fallback
+            e_cur, dv, sinh = energy_parts(grid, v, mu)
+            energy_evals += 1
+            g, cos2h = gradient_from_parts(grid, v, mu, dv, sinh)
     gnorm = math.sqrt(dot(w * g, g))
 
     history = [e_cur]
@@ -325,7 +340,7 @@ def minimize(
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             cand, folded = fold_values(v + alpha * direction)
-            e_new, dv, sin2h = energy_parts(grid, cand, mu)
+            e_new, dv, sinh = energy_parts(grid, cand, mu)
             energy_evals += 1
             if math.isnan(e_new):
                 diverged = True
@@ -349,7 +364,7 @@ def minimize(
         e_cur = e_new
         history.append(e_cur)
 
-        g, cos2h = gradient_from_parts(grid, v, mu, dv, sin2h)
+        g, cos2h = gradient_from_parts(grid, v, mu, dv, sinh)
         gnorm = math.sqrt(dot(w * g, g))
         if not math.isfinite(gnorm):
             diverged = True

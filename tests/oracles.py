@@ -94,26 +94,19 @@ def bessel_j1_prime(x: float) -> float:
     return total
 
 
-def bisect_root(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-15
-) -> float:
+def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """A root of f in [lo, hi], where f changes sign, by bisection down to
+    two adjacent doubles, of which the one where |f| is smaller."""
     flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
     if flo * fhi > 0.0:
         raise ValueError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > tol * max(1.0, abs(lo)):
-        mid = 0.5 * (lo + hi)
+    while flo != 0.0 and fhi != 0.0 and (mid := 0.5 * (lo + hi)) not in (lo, hi):
         fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
+        if (fmid > 0.0) == (flo > 0.0):
             lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+        else:
+            hi, fhi = mid, fmid
+    return lo if abs(flo) <= abs(fhi) else hi
 
 
 def first_j1prime_root() -> float:
@@ -169,9 +162,9 @@ def tilted_profile_energy() -> float:
 
 
 # Frozen oracle outputs (recomputed and re-asserted by the test suite).
-J1PRIME_ROOT = 1.8411837813406597
-GAMMA0_CONTINUUM = 3.38995771667189
-CBAR_CONTINUUM = 18.309365249651385
+J1PRIME_ROOT = 1.8411837813406593
+GAMMA0_CONTINUUM = 3.389957716671889
+CBAR_CONTINUUM = 18.309365249651368
 TILTED_ENERGY_CONTINUUM = 6.072193963753959
 
 

@@ -5,7 +5,8 @@ for every intermediate; and the shifted Newton step of magnetodisk.solver as
 a linear scan of its ladder of tried shifts.
 
 The kernels of magnetodisk.operators build the same fields in place, fused
-(energy_parts hands dv and sin 2h to gradient_from_parts), and do the same
+(energy_parts hands dv and sin h to gradient_from_parts, which takes sin 2h
+and cos 2h from sin h and cos h), and do the same
 floating-point operations in the same order, so they must agree with these
 bit for bit; so must eigen's in-place start and normalisation.  The
 operator references read only the grid's nodes and weights; the inverse
@@ -45,10 +46,16 @@ def dense_matrix(grid, diagonal):
     return np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1)
 
 
+def reference_cos2h(values):
+    """cos 2h at the nodes 1..n as 1 - 2 sin^2 h, the form the gradient returns."""
+    s = np.sin(values[1:])
+    return 1.0 - 2.0 * (s * s)
+
+
 def reference_energy(grid, values, mu):
-    v = values[1:]
-    sin2h = np.sin(2.0 * v)
-    nodal = (np.sin(v) / grid.nodes[1:]) ** 2 - 0.5 * mu * sin2h * sin2h
+    s2 = np.sin(values[1:]) ** 2
+    # (mu/2) sin^2 2h = 2 mu sin^2 h (1 - sin^2 h)
+    nodal = s2 / grid.nodes[1:] ** 2 - (1.0 - s2) * s2 * mu * 2.0
     return np.pi * (float(np.sum(kappa(grid) * np.diff(values) ** 2))
                     + float(np.sum(grid.weights[1:] * nodal)))
 
@@ -57,12 +64,12 @@ def reference_gradient(grid, values, mu):
     r = grid.nodes
     w = grid.weights
     q = stiffness_apply(grid, values)
-    sin2h = np.sin(2.0 * values)
+    sin2h = 2.0 * (np.sin(values[1:]) * np.cos(values[1:]))
     g = np.zeros_like(values)
     g[1:] = (
         q[1:] / w[1:]
-        + sin2h[1:] / (2.0 * r[1:] ** 2)
-        - mu * sin2h[1:] * np.cos(2.0 * values[1:])
+        + sin2h / (2.0 * r[1:] ** 2)
+        - mu * sin2h * reference_cos2h(values)
     )
     return g
 

@@ -45,7 +45,7 @@ def test_criterion_1_eigenvalue_oracle():
     elapsed = time.perf_counter() - t0
 
     root = oracles.first_j1prime_root()
-    assert abs(root * root - GAMMA0_CONTINUUM) <= 1e-13  # frozen constant guard
+    assert root * root == GAMMA0_CONTINUUM  # frozen constant guard
 
     rel = abs(pair.gamma0 - GAMMA0_CONTINUUM) / GAMMA0_CONTINUUM
     ok = rel <= 1e-5 and pair.gamma0 > 1.0 and elapsed < 1.0

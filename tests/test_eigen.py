@@ -62,9 +62,12 @@ def test_ground_eigenvalue_matches_bessel_oracle(pair512):
 
 
 def test_oracle_constants_recompute():
+    # j'_{1,1} = 1.84118378134065930264..., whose nearest double the
+    # bisection finds; its square is the double nearest j'_{1,1}^2 =
+    # 3.38995771667188872685...
     root = oracles.first_j1prime_root()
-    assert abs(root - J1PRIME_ROOT) <= 1e-14
-    assert abs(root**2 - GAMMA0_CONTINUUM) <= 1e-13
+    assert root == J1PRIME_ROOT == eigen._J1PRIME_ROOT
+    assert root * root == GAMMA0_CONTINUUM
 
     from scipy.special import jnp_zeros
 

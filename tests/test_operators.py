@@ -17,7 +17,8 @@ from conftest import fresh_python, grid_and_pair, smooth_profile
 from oracles import (
     TILTED_ENERGY_CONTINUUM, euler_residual, l2_norm, nonlinear_split, random_profile,
     tilted_profile_energy)
-from reference_kernels import kappa, reference_energy, reference_fold, reference_gradient
+from reference_kernels import (
+    kappa, reference_cos2h, reference_energy, reference_fold, reference_gradient)
 
 
 def test_profile_validation():
@@ -96,6 +97,21 @@ def test_energy_of_tilted_profile_matches_quadrature_oracle(grid1024):
     e = energy_of_values(grid1024, vals, 1.0)
     assert abs(tilted_profile_energy() - TILTED_ENERGY_CONTINUUM) <= 1e-13  # frozen constant guard
     assert abs(e - TILTED_ENERGY_CONTINUUM) <= 1e-6  # measured 6.8e-7
+
+
+@pytest.mark.filterwarnings("error")  # an overflow must not surface as a warning
+def test_energy_and_gradient_are_finite_at_the_largest_mu(grid256):
+    # (mu/2) sin^2 2h is formed as mu s^2 (1 - s^2) doubled, never with 2 mu,
+    # so at the largest double the energy stays above -pi mu / 4, reached by
+    # h = pi/4, and the gradient's mu sin 2h cos 2h stays within mu / 2
+    mu = np.finfo(float).max
+    rng = np.random.default_rng(8)
+    for values in (np.full(257, np.pi / 4.0), np.full(257, np.pi / 8.0),
+                   rng.uniform(0.0, np.pi / 2.0, 257)):
+        values[0] = 0.0
+        e = energy_of_values(grid256, values, mu)
+        assert np.isfinite(e) and e >= -np.pi / 4.0 * mu
+        assert np.all(np.isfinite(gradient_values(grid256, values, mu)))
 
 
 def test_gradient_matches_finite_differences(grid256):
@@ -399,10 +415,10 @@ def test_kernels_match_the_reference_formulas_bitwise(n, mu):
         ref = reference_gradient(grid, values, mu)
         assert g.tobytes() == ref.tobytes()  # stricter than array_equal: -0.0 != 0.0
         # the descent loop's path: a trial's energy hands its parts to the gradient
-        e_trial, dv, sin2h = energy_parts(grid, values, mu)
+        e_trial, dv, sinh = energy_parts(grid, values, mu)
         assert e_trial.hex() == e.hex()
         assert dv.tobytes() == np.diff(values).tobytes()
-        assert sin2h.tobytes() == np.sin(2.0 * values[1:]).tobytes()
-        g_trial, cos2h = gradient_from_parts(grid, values, mu, dv, sin2h)
+        assert sinh.tobytes() == np.sin(values[1:]).tobytes()
+        g_trial, cos2h = gradient_from_parts(grid, values, mu, dv, sinh)
         assert g_trial.tobytes() == ref.tobytes()
-        assert cos2h.tobytes() == np.cos(2.0 * values[1:]).tobytes()
+        assert cos2h.tobytes() == reference_cos2h(values).tobytes()

@@ -6,12 +6,13 @@ import pytest
 import magnetodisk.solver as solver
 from magnetodisk import ModelParams, Profile, build_grid, minimize
 from magnetodisk.grid import banded_factor, banded_matvec, banded_solve
-from magnetodisk.operators import gradient_values
+from magnetodisk.operators import energy_parts, gradient_from_parts, gradient_values
 
 from conftest import grid_and_pair, scaled_phi0, smooth_profile
 from oracles import euler_residual, l2_norm, random_profile, verify_trivial_uniqueness
 from reference_kernels import (
     dense_matrix,
+    reference_cos2h,
     reference_energy,
     reference_fold,
     reference_gradient,
@@ -425,8 +426,8 @@ def _reference_solver(monkeypatch):
     the gradient's cos 2h to the Newton step."""
     monkeypatch.setattr(solver, "energy_parts",
                         lambda grid, v, mu: (reference_energy(grid, v, mu), None, None))
-    monkeypatch.setattr(solver, "gradient_from_parts", lambda grid, v, mu, dv, sin2h: (
-        reference_gradient(grid, v, mu), np.cos(2.0 * v[1:])))
+    monkeypatch.setattr(solver, "gradient_from_parts", lambda grid, v, mu, dv, sinh: (
+        reference_gradient(grid, v, mu), reference_cos2h(v)))
     monkeypatch.setattr(solver, "fold_values", reference_fold)
 
 
@@ -516,9 +517,44 @@ def test_the_default_start_at_mu_2_is_three_newton_steps_from_the_minimizer(monk
     assert len(built) == rep.factorizations
 
 
+@pytest.mark.parametrize("mu", [2.0, 1000.0])
+def test_one_sine_per_energy_and_one_cosine_per_gradient(monkeypatch, mu):
+    # the energy computes sin h, the gradient cos h and from both sin 2h and
+    # cos 2h, which the Newton matrix and the start's Hessian test read; the
+    # start itself (the amplitude law at mu = 2, the core law at mu = 1000)
+    # takes none
+    grid, pair = grid_and_pair(256)
+    calls = dict.fromkeys(["sin", "cos", "gradient"], 0)
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np, "sin", counted("sin", np.sin))
+    monkeypatch.setattr(np, "cos", counted("cos", np.cos))
+    monkeypatch.setattr(solver, "gradient_from_parts",
+                        counted("gradient", solver.gradient_from_parts))
+    solver._default_start(grid, mu, pair)
+    assert calls == {"sin": 0, "cos": 0, "gradient": 0}
+    rep = minimize(grid, ModelParams(mu=mu), eigenpair=pair)
+    assert rep.converged
+    assert calls == {"sin": rep.energy_evals, "cos": rep.iterations + 1,
+                     "gradient": rep.iterations + 1}
+    assert rep.factorizations == 4
+
+
 def _report_fields(rep):
     return {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)
-            if f.name not in ("minimizer", "factorizations")}
+            if f.name not in ("minimizer", "factorizations", "energy_evals")}
+
+
+def _start_factor(grid, mu, v):
+    """H's factor at v, from the cos 2h of the gradient there, or None."""
+    _, dv, sinh = energy_parts(grid, v, mu)
+    _, cos2h = gradient_from_parts(grid, v, mu, dv, sinh)
+    return solver._factor(grid, solver.hessian_bands(grid, mu, cos2h)[0](0.0))
 
 
 @pytest.mark.parametrize("n, grading, delta, mu", [
@@ -533,13 +569,16 @@ def test_the_default_start_never_does_worse_than_a_tenth_of_phi0(n, grading, del
     # wherever that does and ends at its energy up to the roundoff floor.
     # The amplitude law, where taken, is 0-2 steps from the minimizer (4-14
     # from 0.1 phi0); where its Hessian test fails the run is the 0.1 phi0
-    # run bit for bit, with the failed test more; past its pi/4 bound the
-    # core law costs no factorization before the first iteration, and 3 or 4
-    # steps (5-12 from 0.1 phi0)
+    # run bit for bit, with the failed test more: one factorization, and the
+    # energy and gradient evaluation at the amplitude law's start that it
+    # reads.  Past its pi/4 bound the core law costs no factorization before
+    # the first iteration, and 3 or 4 steps (5-12 from 0.1 phi0)
     grid, pair = grid_and_pair(n, grading)
     if mu is None:
         mu = (pair.gamma0 + delta) / 2.0
-    _, factor, tested = solver._default_start(grid, mu, pair)
+    start, fallback = solver._default_start(grid, mu, pair)
+    tested = fallback is not None
+    factor = _start_factor(grid, mu, start) if tested else None
     default = minimize(grid, ModelParams(mu=mu), eigenpair=pair)
     ref = minimize(grid, ModelParams(mu=mu), scaled_phi0(pair, 0.1), eigenpair=pair)
     assert default.iterations <= ref.iterations
@@ -551,6 +590,7 @@ def test_the_default_start_never_does_worse_than_a_tenth_of_phi0(n, grading, del
         assert default.minimizer.values.tobytes() == ref.minimizer.values.tobytes()
         assert _report_fields(default) == _report_fields(ref)
         assert default.factorizations == ref.factorizations + 1
+        assert default.energy_evals == ref.energy_evals + 1
     else:
         assert default.iterations <= 4
         assert default.factorizations <= 5

@@ -13,6 +13,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+import magnetodisk.cli as cli
 from magnetodisk.cli import _BLOCK_ROWS, _G17_MAX, _G17_MIN, RunConfig, _g17, _Writer
 
 
@@ -115,10 +116,30 @@ def test_block_boundaries(tmp_path, fmt, n_rows):
     assert_same_bytes(tmp_path, fmt, ["r", "v"], [floats(n_rows, 1), floats(n_rows, 2)])
 
 
+@pytest.mark.parametrize("n_rows", [_BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1, 65537])
+def test_blocks_are_the_fewest_and_near_equal(tmp_path, monkeypatch, n_rows):
+    # ceil(n_rows / _BLOCK_ROWS) blocks, one _g17 call each, whose sizes
+    # differ by at most a row: a row past a full block is not a block of its own
+    sizes = []
+    g17 = cli._g17
+
+    def recorded(x, null=False):
+        sizes.append(len(x) // 2)  # two float columns
+        return g17(x, null)
+
+    monkeypatch.setattr(cli, "_g17", recorded)
+    _Writer(RunConfig(command="eigen", out=str(tmp_path))).table(
+        "t", ["r", "v"], [floats(n_rows, 1), floats(n_rows, 2)])
+    assert len(sizes) == -(-n_rows // _BLOCK_ROWS)
+    assert sum(sizes) == n_rows
+    assert max(sizes) - min(sizes) <= 1 and max(sizes) <= _BLOCK_ROWS
+
+
 @FORMATS
 def test_large_table(tmp_path, fmt):
-    # cells outside the kernel's range in every block, a str column, and a
-    # last block of one row
+    # cells outside the kernel's range in every block, a str column, and
+    # 65537 rows, which the writer splits into 17 blocks of 3855 or 3856 rows
+    # (one row past 16 full blocks)
     n_rows = 65537
     values = floats(n_rows, 3)
     values[::1000] = np.nan
