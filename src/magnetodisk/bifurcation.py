@@ -68,16 +68,17 @@ class BifurcationDiagram:
 def trace_branches(
     grid: RadialGrid,
     params: ModelParams,
-    mu_lo: float,
-    mu_hi: float,
-    steps: int,
+    mus: np.ndarray,
     *,
     eigenpair: EigenPair,
     init: Profile | None = None,
 ) -> BifurcationDiagram:
-    """Natural-parameter continuation over [mu_lo, mu_hi] with `steps` points.
+    """Natural-parameter continuation over the given mu values.
 
-    Every step records the trivial branch.  At mu <= gamma0/2 that is all:
+    mus is 1-D, at least 2 finite values, non-decreasing, the first below
+    the last; mu_step is mus[1] - mus[0].  params supplies the tol and
+    max_iter of every step; its mu is not read.  Every step records the
+    trivial branch.  At mu <= gamma0/2 that is all:
     the module's bound makes E_h > 0 there for every h != 0, so no minimize
     runs.  (gamma0, a Rayleigh quotient, may exceed the exact eigenvalue by
     roundoff; there a nontrivial energy is O(delta^2), inside the energy
@@ -94,14 +95,16 @@ def trace_branches(
     step fails to converge, the diagram is truncated there and that mu
     recorded.
     """
-    if not (np.isfinite(mu_lo) and np.isfinite(mu_hi) and mu_lo < mu_hi):
-        raise ValueError(f"need mu_lo < mu_hi, got [{mu_lo}, {mu_hi}]")
-    if not float(steps).is_integer() or steps < 2:
-        raise ValueError(f"need an integral number of at least 2 sweep steps, got {steps}")
-    if not np.array_equal(eigenpair.phi0.grid.nodes, grid.nodes):
+    mus = np.asarray(mus, dtype=np.float64)
+    if not (mus.ndim == 1 and mus.size >= 2 and np.isfinite(mus).all()
+            and (mus[1:] >= mus[:-1]).all() and mus[0] < mus[-1]):
+        raise ValueError("need mus 1-D, at least 2 finite values, non-decreasing, "
+                         "the first below the last")
+    if eigenpair.phi0.grid is not grid:
         raise ValueError("eigenpair lives on a different grid")
+    if init is not None and init.grid is not grid:
+        raise ValueError("init profile lives on a different grid")
 
-    mus = np.linspace(mu_lo, mu_hi, int(steps))  # before any solve, should it not fit
     threshold = eigenpair.gamma0 / 2.0
 
     points: list[BranchPoint] = []

@@ -1,13 +1,14 @@
 """Command-line driver: magnetodisk <eigen|minimize|sweep|fields>.
 
-main resolves the configuration, builds the grid, ModelParams and the
-threshold eigenpair once and hands them to the subcommand.  Their
-constructors judge n, grading, mu, tol and max_iter; the CLI checks only what
-they never see.  lambda, read only here, defaults to sqrt(2 mu).
+main resolves the configuration, builds each input of the run once (grid,
+ModelParams, fields lattice or sweep mu grid, threshold eigenpair) and hands
+them to the subcommand.  Their constructors judge n, grading, mu, tol and
+max_iter; the CLI checks only what they never see.  lambda, read only here,
+defaults to sqrt(2 mu).
 
 Exit codes: 0 success, 1 numerical failure, 2 invalid input (found before
 anything is written).  Running out of memory is one stderr line too: exit 2
-while the configuration is resolved and the grid built, else exit 1.
+while the configuration is resolved and the arrays it sizes built, else 1.
 Output files carry a metadata header with the package version and a hash
 of the resolved configuration; reruns with identical configuration are
 bit-identical.  JSON text is json.dumps's; the float cells of a table come
@@ -440,10 +441,10 @@ def cmd_minimize(cfg: RunConfig, grid: RadialGrid, params: ModelParams, pair: Ei
     return _solve_status(report, params)
 
 
-def cmd_sweep(cfg: RunConfig, grid: RadialGrid, params: ModelParams, pair: EigenPair) -> int:
-    lo, hi, steps = cfg.mu_range
-    init = _start(cfg, pair) if hi > pair.gamma0 / 2.0 else None  # used above gamma0/2 only
-    diagram = trace_branches(grid, params, lo, hi, steps, eigenpair=pair, init=init)
+def cmd_sweep(cfg: RunConfig, grid: RadialGrid, params: ModelParams, pair: EigenPair,
+              mus: np.ndarray) -> int:
+    init = _start(cfg, pair) if mus[-1] > pair.gamma0 / 2.0 else None  # used above gamma0/2 only
+    diagram = trace_branches(grid, params, mus, eigenpair=pair, init=init)
     writer = _Writer(cfg)
     names = ["mu", "branch", "beta", "energy"]
     writer.table("diagram", names,
@@ -485,11 +486,12 @@ def cmd_fields(cfg: RunConfig, grid: RadialGrid, params: ModelParams, pair: Eige
     return _solve_status(report, params)
 
 
+# each subcommand's function and help text
 _COMMANDS = {
-    "eigen": cmd_eigen,
-    "minimize": cmd_minimize,
-    "sweep": cmd_sweep,
-    "fields": cmd_fields,
+    "eigen": (cmd_eigen, "solve the threshold eigenproblem"),
+    "minimize": (cmd_minimize, "minimize the energy at fixed mu"),
+    "sweep": (cmd_sweep, "trace solution branches over a mu range"),
+    "fields": (cmd_fields, "reconstruct magnetization and displacement on the disk"),
 }
 
 
@@ -502,13 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "minimization, branch tracing, and field reconstruction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "eigen": "solve the threshold eigenproblem",
-        "minimize": "minimize the energy at fixed mu",
-        "sweep": "trace solution branches over a mu range",
-        "fields": "reconstruct magnetization and displacement on the disk",
-    }
-    for name, text in descriptions.items():
+    for name, (_, text) in _COMMANDS.items():
         sp = sub.add_parser(name, help=text)
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--n", type=int, help="mesh cells (default 512)")
@@ -545,21 +541,20 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        # mu from --mu or --lambda, else the low end of --mu-range, else 0
+        # mu from --mu or --lambda, else the low end of --mu-range, else 0;
+        # sweep reads only tol and max_iter, but mu = LO rejects a negative LO
         lo = cfg.mu_range[0] if cfg.mu_range is not None else 0.0
         mu = cfg.mu if cfg.mu is not None else lo
         params = ModelParams(mu=mu, tol=cfg.tol, max_iter=cfg.max_iter)
         grid = build_grid(cfg.n, cfg.grading)
+        # the other arrays the configuration sizes: one too large is a usage error
+        inputs = (_lattice(cfg.samples) if cfg.command == "fields" else
+                  (np.linspace(*cfg.mu_range),) if cfg.command == "sweep" else ())
     except (ValueError, TypeError, MemoryError) as exc:
         print(f"error: {_reason(exc)}", file=sys.stderr)
         return 2
     try:
-        # the arrays the user sizes come before the eigen solve, so that one too
-        # large fails at once: the fields lattice, the sweep mu grid (built again)
-        if cfg.command == "sweep":
-            np.linspace(*cfg.mu_range)
-        lattice = _lattice(cfg.samples) if cfg.command == "fields" else ()
-        return _COMMANDS[cfg.command](cfg, grid, params, smallest_eigenpair(grid), *lattice)
+        return _COMMANDS[cfg.command][0](cfg, grid, params, smallest_eigenpair(grid), *inputs)
     except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
         # every input passed the checks above, so a ValueError here comes
         # from the numbers, e.g. a start whose energy is not finite

@@ -272,16 +272,15 @@ def minimize(
     """Minimize the reduced energy at fixed parameters from init, else from
     the default start (see _default_start).  eigenpair is the grid's
     threshold pair (gamma0, phi0), which the default start and the Newton
-    shift bound read; an init or a pair of another grid is a ValueError.
+    shift bound read; an init or a pair of another grid object is a ValueError.
     The zero profile, an exact critical point with E = 0, always enters the
     final candidate set: a run ending at E >= 0 returns it, converged only
     if it passed the stop test.
     """
     mu = params.mu
     w = grid.weights
-    nodes = grid.nodes
 
-    if not np.array_equal(eigenpair.phi0.grid.nodes, nodes):
+    if eigenpair.phi0.grid is not grid:
         raise ValueError("eigenpair lives on a different grid")
     factorizations = 0
     factor = None  # H's factor at the start, from the amplitude law's test
@@ -289,7 +288,7 @@ def minimize(
     if init is None:
         v, fallback = _default_start(grid, mu, eigenpair)
     else:
-        if not np.array_equal(init.grid.nodes, nodes):
+        if init.grid is not grid:
             raise ValueError("init profile lives on a different grid")
         v = init.values
 

@@ -385,9 +385,7 @@ def verify_trivial_uniqueness(
 def zeroth_order_trace(
     grid: RadialGrid,
     params: ModelParams,
-    mu_lo: float,
-    mu_hi: float,
-    steps: int,
+    mus: np.ndarray,
     *,
     eigenpair: EigenPair,
     init: Profile | None = None,
@@ -397,7 +395,6 @@ def zeroth_order_trace(
     trace_branches starts it.  The corrector and every check are those of
     trace_branches, so the two sweeps must find the same points."""
     threshold = eigenpair.gamma0 / 2.0
-    mus = np.linspace(mu_lo, mu_hi, steps)
     points: list[BranchPoint] = []
     prev: Profile | None = None
     truncated_at: float | None = None

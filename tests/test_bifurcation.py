@@ -68,7 +68,7 @@ def test_cubic_coefficient_is_computed_once_per_eigenpair(monkeypatch):
     calls = []
     computed = eigen.cbar
     monkeypatch.setattr(eigen, "cbar", lambda *args: calls.append(None) or computed(*args))
-    diagram = trace_branches(grid, ModelParams(mu=2.0), 1.5, 2.2, 8, eigenpair=pair)
+    diagram = trace_branches(grid, ModelParams(mu=2.0), np.linspace(1.5, 2.2, 8), eigenpair=pair)
     for mu in (2.0, 20.0):
         minimize(grid, ModelParams(mu=mu), eigenpair=pair)
     assert len(calls) == 1
@@ -97,32 +97,78 @@ def test_predicted_amplitude_rejects_nonpositive_cubic_coefficient():
 
 
 def test_trace_rejects_bad_ranges(grid256, pair256):
-    p = ModelParams(mu=1.0)
-    with pytest.raises(ValueError):
-        trace_branches(grid256, p, 2.0, 1.0, 5, eigenpair=pair256)
-    with pytest.raises(ValueError):
-        trace_branches(grid256, p, 1.0, 2.0, 1, eigenpair=pair256)
-    with pytest.raises(ValueError, match="integral"):
-        trace_branches(grid256, p, 1.0, 2.0, 2.5, eigenpair=pair256)
+    bad = [
+        np.linspace(2.0, 1.0, 5),  # decreasing
+        [1.0, 1.5, 1.2, 2.0],  # decreasing in the middle
+        [1.0, 1.0],  # the first not below the last
+        [1.0, np.nan, 2.0],
+        [1.0, np.inf],
+        [1.0],  # a single value
+        np.linspace(1.0, 2.0, 4).reshape(2, 2),
+    ]
+    for mus in bad:
+        # the message names the rule, not the array
+        with pytest.raises(ValueError, match=r"^need mus 1-D, at least 2 finite values, "
+                                             r"non-decreasing, the first below the last$"):
+            trace_branches(grid256, ModelParams(mu=1.0), mus, eigenpair=pair256)
 
 
-def test_trace_takes_an_integral_float_step_count(grid256, pair256):
-    # below the threshold no minimize runs: 3.0 steps are 3 points
-    diagram = trace_branches(grid256, ModelParams(mu=0.1), 0.1, 0.5, 3.0, eigenpair=pair256)
-    assert [pt.mu for pt in diagram.points] == np.linspace(0.1, 0.5, 3).tolist()
+def test_trace_takes_a_list_of_mu_values(grid256, pair256):
+    # below the threshold no minimize runs: the points are the given mus
+    mus = [0.1, 0.3, 0.3, 0.5]
+    diagram = trace_branches(grid256, ModelParams(mu=0.1), mus, eigenpair=pair256)
+    assert [pt.mu for pt in diagram.points] == mus
+    assert diagram.mu_step == 0.3 - 0.1
 
 
 def test_trace_rejects_an_eigenpair_of_another_grid(grid256, pair64):
     # below the threshold no minimize runs, so the trace itself must refuse
     # to certify trivial points against another grid's gamma0 / 2
     with pytest.raises(ValueError, match="eigenpair lives on a different grid"):
-        trace_branches(grid256, ModelParams(mu=0.1), 0.1, 0.5, 3, eigenpair=pair64)
+        trace_branches(grid256, ModelParams(mu=0.1), np.linspace(0.1, 0.5, 3), eigenpair=pair64)
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 1.5), (1.5, 2.2)], ids=["subcritical", "supercritical"])
+def test_trace_rejects_an_init_of_another_grid(lo, hi):
+    # checked next to the pair, before any point is certified: below the
+    # threshold no minimize runs that would see it
+    grid, pair = grid_and_pair(64)
+    other, other_pair = grid_and_pair(128)
+    init = Profile(other, 0.1 * other_pair.phi0.values)
+    with pytest.raises(ValueError, match="init profile lives on a different grid"):
+        trace_branches(grid, ModelParams(mu=lo), np.linspace(lo, hi, 3), eigenpair=pair,
+                       init=init)
+
+
+def test_grids_match_by_identity():
+    # a grid with the same nodes is another grid: neither minimize nor
+    # trace_branches takes its pair or its profile
+    grid, pair = grid_and_pair(64)
+    twin = build_grid(64)
+    assert np.array_equal(twin.nodes, grid.nodes)
+    twin_start = Profile(twin, 0.1 * pair.phi0.values)
+    with pytest.raises(ValueError, match="eigenpair lives on a different grid"):
+        minimize(twin, ModelParams(mu=2.0), eigenpair=pair)
+    with pytest.raises(ValueError, match="init profile lives on a different grid"):
+        minimize(grid, ModelParams(mu=2.0), twin_start, eigenpair=pair)
+    with pytest.raises(ValueError, match="eigenpair lives on a different grid"):
+        trace_branches(twin, ModelParams(mu=1.0), [1.0, 2.0], eigenpair=pair)
+    with pytest.raises(ValueError, match="init profile lives on a different grid"):
+        trace_branches(grid, ModelParams(mu=1.0), [1.0, 2.0], eigenpair=pair, init=twin_start)
+
+
+def test_trace_does_not_read_the_mu_of_params(grid256, pair256):
+    # params supplies tol and max_iter (see test_truncated_continuation_is_reported)
+    mus = np.linspace(1.5, 2.2, 8)
+    a, b = (trace_branches(grid256, ModelParams(mu=mu), mus, eigenpair=pair256)
+            for mu in (0.0, 99.0))
+    assert a == b
 
 
 def test_trace_below_threshold_is_all_trivial(grid256, pair256):
     thr = pair256.gamma0 / 2.0
     diagram = trace_branches(
-        grid256, ModelParams(mu=0.2), 0.2, thr - 0.3, 5, eigenpair=pair256
+        grid256, ModelParams(mu=0.2), np.linspace(0.2, thr - 0.3, 5), eigenpair=pair256
     )
     assert all(q.branch == "trivial" for q in diagram.points)
     assert all(q.energy == 0.0 and q.beta == 0.0 for q in diagram.points)
@@ -134,7 +180,7 @@ def test_trace_below_threshold_is_all_trivial(grid256, pair256):
 def straddling_diagram(grid256, pair256):
     thr = pair256.gamma0 / 2.0
     return trace_branches(
-        grid256, ModelParams(mu=thr - 0.2), thr - 0.2, thr + 0.3, 11,
+        grid256, ModelParams(mu=thr - 0.2), np.linspace(thr - 0.2, thr + 0.3, 11),
         eigenpair=pair256,
     )
 
@@ -175,7 +221,7 @@ def test_traced_points_are_sorted(straddling_diagram):
 def test_tracing_is_deterministic(grid256, pair256):
     thr = pair256.gamma0 / 2.0
     runs = [
-        trace_branches(grid256, ModelParams(mu=thr), thr - 0.05, thr + 0.15, 5,
+        trace_branches(grid256, ModelParams(mu=thr), np.linspace(thr - 0.05, thr + 0.15, 5),
                        eigenpair=pair256)
         for _ in range(2)
     ]
@@ -188,7 +234,7 @@ def test_tracing_is_deterministic(grid256, pair256):
 def test_amplitudes_follow_the_square_root_law(grid256, pair256):
     thr = pair256.gamma0 / 2.0
     diagram = trace_branches(
-        grid256, ModelParams(mu=thr), thr + 0.01, thr + 0.25, 8, eigenpair=pair256
+        grid256, ModelParams(mu=thr), np.linspace(thr + 0.01, thr + 0.25, 8), eigenpair=pair256
     )
     cb = diagram.cbar
     measured = [
@@ -209,7 +255,7 @@ def test_amplitudes_follow_the_square_root_law(grid256, pair256):
 def test_truncated_continuation_is_reported(grid256, pair256):
     thr = pair256.gamma0 / 2.0
     diagram = trace_branches(
-        grid256, ModelParams(mu=thr, max_iter=1), thr - 0.1, thr + 0.3, 5,
+        grid256, ModelParams(mu=thr, max_iter=1), np.linspace(thr - 0.1, thr + 0.3, 5),
         eigenpair=pair256,
     )
     assert diagram.truncated_at is not None
@@ -268,12 +314,13 @@ def test_trace_solves_nothing_at_or_below_the_threshold(grid256, pair256, monkey
 
     monkeypatch.setattr(bifurcation, "minimize", counting_minimize)
     thr = pair256.gamma0 / 2.0
-    below = trace_branches(grid256, ModelParams(mu=thr), thr - 0.3, thr, 4, eigenpair=pair256)
+    below = trace_branches(grid256, ModelParams(mu=thr), np.linspace(thr - 0.3, thr, 4),
+                           eigenpair=pair256)
     assert solved == []
     assert [q.branch for q in below.points] == ["trivial"] * 4
     assert below.points[-1].mu == thr
 
-    across = trace_branches(grid256, ModelParams(mu=thr), thr - 0.4, thr + 0.2, 6,
+    across = trace_branches(grid256, ModelParams(mu=thr), np.linspace(thr - 0.4, thr + 0.2, 6),
                             eigenpair=pair256)
     mus = sorted({q.mu for q in across.points})
     assert solved == [mu for mu in mus if mu > thr]
@@ -302,8 +349,9 @@ def test_predictor_finds_the_zeroth_order_points(request, n, span):
     if lo < 0.0:  # offsets from gamma0/2
         lo, hi = pair.gamma0 / 2.0 + lo, pair.gamma0 / 2.0 + hi
     params = ModelParams(mu=lo)
-    predicted = trace_branches(grid, params, lo, hi, steps, eigenpair=pair)
-    zeroth = zeroth_order_trace(grid, params, lo, hi, steps, eigenpair=pair)
+    mus = np.linspace(lo, hi, steps)
+    predicted = trace_branches(grid, params, mus, eigenpair=pair)
+    zeroth = zeroth_order_trace(grid, params, mus, eigenpair=pair)
 
     assert predicted.truncated_at is None and zeroth.truncated_at is None
     assert [(q.mu, q.branch) for q in predicted.points] == [
@@ -333,7 +381,8 @@ def test_predictor_halves_the_corrector_iterations(grid256, pair256, monkeypatch
         return report
 
     monkeypatch.setattr(bifurcation, "minimize", counting_minimize)
-    diagram = trace_branches(grid256, ModelParams(mu=1.5), 1.5, 2.2, 15, eigenpair=pair256)
+    diagram = trace_branches(grid256, ModelParams(mu=1.5), np.linspace(1.5, 2.2, 15),
+                             eigenpair=pair256)
     assert diagram.truncated_at is None
     assert len(iterations) == 11
     assert iterations[0] <= 1
@@ -346,7 +395,7 @@ def test_mu_values_closer_than_float_spacing_repeat_a_branch_point():
     # repeat replaces the last known point, and the extrapolant stays defined
     grid, pair = grid_and_pair(64)
     lo, hi = 1.7, np.nextafter(1.7, 2.0)
-    diagram = trace_branches(grid, ModelParams(mu=lo), lo, hi, 5, eigenpair=pair)
+    diagram = trace_branches(grid, ModelParams(mu=lo), np.linspace(lo, hi, 5), eigenpair=pair)
     assert diagram.truncated_at is None
     assert 2.0 * lo > diagram.gamma0
     plus = [(q.mu, q.beta, q.energy) for q in diagram.points if q.branch == "plus"]

@@ -1,6 +1,7 @@
 import json
 import math
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +136,17 @@ def test_package_exports_resolve_and_leave_the_test_helpers_out():
     # neither a subcommand nor the README example runs these
     for name in ("assemble_pencil", "second_eigenpair"):
         assert not hasattr(magnetodisk, name) and name not in magnetodisk.__all__
+
+
+def test_the_readme_library_example_runs():
+    # the example runs as written, against this checkout's package, so a
+    # signature change cannot leave it stale
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    result = fresh_python("-c", blocks[0].split("```", 1)[0], check=False, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert len(result.stdout.splitlines()) == 2
 
 
 def test_minimize_subcritical(tmp_path):
@@ -530,7 +542,8 @@ def test_json_documents_hold_the_in_process_values_bitwise(tmp_path, grid64, pai
            "bc_residual": report.bc_residual, "trivial": report.trivial})
 
     assert run("sweep", "--mu-range", "1.5:2.0:6", "--n", 64, "--out", tmp_path / "s") == 0
-    diagram = trace_branches(grid64, ModelParams(mu=1.5), 1.5, 2.0, 6, eigenpair=pair64)
+    diagram = trace_branches(grid64, ModelParams(mu=1.5), np.linspace(1.5, 2.0, 6),
+                             eigenpair=pair64)
     _same(json.loads((tmp_path / "s" / "summary.json").read_text()),
           {"gamma0": diagram.gamma0, "cbar": diagram.cbar,
            "threshold": detected_threshold(diagram), "slope": amplitude_fit_slope(diagram),
@@ -655,9 +668,18 @@ def test_a_lattice_or_mu_grid_out_of_memory_fails_before_the_solve(
     monkeypatch.setattr(np, "linspace", refusing)
     monkeypatch.setattr(cli, "smallest_eigenpair", _solved)  # every solve needs its pair
     out = tmp_path / "out"
-    assert run(*args, "--n", 16, "--out", out) == 1
+    assert run(*args, "--n", 16, "--out", out) == 2
     err = capsys.readouterr().err
-    assert err.startswith("out of memory: Unable to allocate") and err.count("\n") == 1
+    assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_mu_grid_past_numpy_s_size_limit_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "smallest_eigenpair", _solved)
+    out = tmp_path / "out"
+    assert run("sweep", "--mu-range", f"1.5:2.2:{10**23}", "--n", 16, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
 
 
