@@ -526,8 +526,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--init-eps", dest="init_eps", type=float,
                         help="start from init_eps * phi0; sweep uses it for "
                              "its first step above gamma0/2 only (default: "
-                             "the pitchfork's amplitude or core law, else "
-                             "0.1 * phi0; see the README)")
+                             "the pitchfork start at its sixth-order "
+                             "amplitude or the core law, else 0.1 * phi0; "
+                             "see the README)")
         sp.add_argument("--samples", type=int,
                         help="lattice points per axis for fields output")
     return parser

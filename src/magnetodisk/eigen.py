@@ -27,7 +27,17 @@ residual is computed here: EigenPair.residual is one matvec on first read.
 cbar projects the cubic term of the Euler operator onto the ground mode: the
 pitchfork at mu = gamma0 / 2 opens with amplitude sqrt((2 mu - gamma0) / cbar)
 along phi0, which both the minimizer's default start and the branch tracer
-read from EigenPair.threshold_cbar, computed once per pair.
+read from EigenPair.threshold_cbar, computed once per pair.  Past the leading
+order, the discrete energy along phi0 is, by the Taylor series of sin^2 h and
+sin^2 2h and phi0^T A phi0 = gamma0,
+
+    E(a phi0) / pi = -(2 mu - gamma0) a^2 + (1/2) cbar(mu) a^4 + c6(mu) a^6 + O(a^8),
+
+cbar(mu) = -(2/3) P4 + (16/3) mu Q4 and c6(mu) = (2/45) P6 - (64/45) mu Q6,
+with the moments P_k = sum w phi0^k / r^2 and Q_k = sum w phi0^k over the
+nodes 1..n.  EigenPair.moments computes the four once per pair and
+EigenPair.sextic(mu) the two coefficients at mu, from which the default start
+takes its amplitude.
 """
 
 from __future__ import annotations
@@ -73,8 +83,9 @@ def _j1_start(grid: RadialGrid) -> np.ndarray:
 class EigenPair:
     """Eigenvalue gamma0 with its nonnegative, r dr-normalized eigenprofile;
     iterations counts the inverse-iteration solves.  residual, the norm
-    ||A phi0 - gamma0 M phi0||_2 over the nodes 1..n, and threshold_cbar, cbar
-    at mu = gamma0 / 2, are computed from the pair on first read and kept.
+    ||A phi0 - gamma0 M phi0||_2 over the nodes 1..n, threshold_cbar, cbar
+    at mu = gamma0 / 2, and moments, (P4, Q4, P6, Q6) of the energy's
+    expansion along phi0, are computed from the pair on first read and kept.
     """
 
     gamma0: float
@@ -100,6 +111,25 @@ class EigenPair:
     @cached_property
     def threshold_cbar(self) -> float:
         return cbar(self.phi0, self.gamma0 / 2.0)
+
+    @cached_property
+    def moments(self) -> tuple[float, float, float, float]:
+        """(P4, Q4, P6, Q6): P_k = sum w phi0^k / r^2 and Q_k = sum w phi0^k
+        over the nodes 1..n, by *, / and pairwise sums."""
+        grid, v = self.phi0.grid, self.phi0.values[1:]
+        w, r2 = grid.weights[1:], grid.r_squared
+        v2 = v * v
+        v4 = v2 * v2  # not v ** 4, numpy's SIMD power
+        v6 = v4 * v2
+        return dot(w, v4 / r2), dot(w, v4), dot(w, v6 / r2), dot(w, v6)
+
+    def sextic(self, mu: float) -> tuple[float, float]:
+        """(cbar(mu), c6(mu)), the coefficients of the energy along phi0 at
+        mu (see the module docstring); cbar(mu) is the function cbar up to
+        roundoff."""
+        p4, q4, p6, q6 = self.moments
+        return (-(2.0 / 3.0) * p4 + (16.0 / 3.0) * mu * q4,
+                (2.0 / 45.0) * p6 - (64.0 / 45.0) * mu * q6)
 
 
 def _inverse_iteration(grid: RadialGrid, v: np.ndarray,

@@ -17,7 +17,7 @@ factor, is the step, so every iteration has one.
 Without an explicit start, a run starts where _default_start says, the one
 statement of the default-start policy.  The caller's threshold eigenpair
 (gamma0, phi0) is the one source of both that start and the shift bound.
-The amplitude law's start is taken only where the unshifted Hessian there
+The pitchfork start, a phi0, is taken only where the unshifted Hessian there
 factors; that test is the first iteration's tau = 0 factorization, built
 from the start's first gradient evaluation.
 
@@ -101,11 +101,11 @@ class SolveReport:
     energy_evals counts every energy evaluation of the run and backtracks
     every trial step that the line search rejected, so energy_evals ==
     1 + iterations + backtracks unless a trial energy came out NaN
-    (diverged) or the amplitude law's start failed its Hessian test, whose
+    (diverged) or the pitchfork start failed its Hessian test, whose
     energy evaluation adds one (see _default_start).  factorizations
     counts the LDL^T factorizations (grid.banded_factor) of the shifted
     Newton matrices, the failed ones included: the tau = 0 matrix at every
-    iteration (at an amplitude-law start the Hessian test is the first, and
+    iteration (at a pitchfork start the Hessian test is the first, and
     a failed test counts one more), and the one or two shifted matrices
     tried when it does not factor; the grid's cached pencil factor is not
     counted.
@@ -227,29 +227,40 @@ def _default_start(grid, mu, eigenpair):
     Every global minimizer, once folded into [0, pi/2], lies in [0, pi/4]:
     taking every node value v above pi/4 to pi/2 - v is 1-Lipschitz, so no
     cell difference grows, keeps sin^2 2h and lowers sin^2 h, so it lowers E
-    wherever it moves a node.  So the pitchfork's leading-order minimizer
+    wherever it moves a node.  The pitchfork's leading-order minimizer
     sqrt((2 mu - gamma0) / cbar) phi0 (Crandall & Rabinowitz, J. Funct.
     Anal. 8, 1971), cbar taken at mu = gamma0 / 2 (EigenPair.threshold_cbar),
-    is the start where 2 mu > gamma0 and its peak is at most pi/4, provided
-    that the unshifted Hessian there factors; minimize tests that on the
-    cos 2h of its first gradient evaluation.  Where the test fails, next to
-    the threshold, where H cannot resolve 2 mu - gamma0, the start is
-    INIT_EPS * phi0, as it is at 2 mu <= gamma0.
-    A peak above pi/4, or one not finite, overshoots every minimizer, and
-    the start is the large-mu core law
+    picks the start.  Where 2 mu > gamma0 and its peak is at most pi/4, the
+    start is the pitchfork start a phi0, a^2 = u the positive root of
+    3 c6 u^2 + cbar u - delta = 0, delta = 2 mu - gamma0: the stationary
+    point of the energy along phi0 expanded to sixth order at the run's own
+    mu, with cbar(mu) and c6(mu) from EigenPair.sextic (Golubitsky &
+    Schaeffer, Singularities and Groups in Bifurcation Theory I, 1985,
+    ch. VII).  u is taken as 2 delta / (cbar + sqrt(cbar^2 + 12 c6 delta)),
+    which does not cancel and holds at c6 = 0; the discriminant stays above
+    cbar^2 / 6 wherever the leading-order peak is at most pi/4, at every
+    grading and on coarse random node sets alike.  The pitchfork start is
+    taken provided that the unshifted Hessian there factors; minimize tests
+    that on the cos 2h of its first gradient evaluation.  Where it fails,
+    next to the threshold, where H cannot resolve 2 mu - gamma0, the start
+    is INIT_EPS * phi0, as it is at 2 mu <= gamma0.
+    A leading-order peak above pi/4, or one not finite, overshoots every
+    minimizer, and the start is the large-mu core law
 
         h0(r) = (pi/4) s / sqrt(1 + s^2) = (pi/4) sqrt(mu r^2 / (1 + mu r^2)),
 
     s = sqrt(mu) r, a core of width mu^-1/2 rising to the plateau pi/4.
-    Both laws are built from *, / and sqrt, which round correctly, so they
-    do not depend on the CPU."""
+    Both laws are built from *, / and sqrt, which round correctly, and the
+    moments from numpy's pairwise sums, so they do not depend on the CPU."""
     phi = eigenpair.phi0.values
     delta = 2.0 * mu - eigenpair.gamma0
     if not delta > 0.0:
         return INIT_EPS * phi, None
-    amplitude = math.sqrt(delta / eigenpair.threshold_cbar)
-    if amplitude * float(np.maximum.reduce(phi)) <= PLATEAU:
-        return amplitude * phi, INIT_EPS * phi
+    peak = math.sqrt(delta / eigenpair.threshold_cbar) * float(np.maximum.reduce(phi))
+    if peak <= PLATEAU:
+        cbar, c6 = eigenpair.sextic(mu)
+        u = 2.0 * delta / (cbar + math.sqrt(cbar * cbar + 12.0 * c6 * delta))
+        return math.sqrt(u) * phi, INIT_EPS * phi
     x = mu * grid.r_squared
     v = np.zeros_like(phi)
     v[1:] = PLATEAU * np.sqrt(x / (1.0 + x))
@@ -283,7 +294,7 @@ def minimize(
     if eigenpair.phi0.grid is not grid:
         raise ValueError("eigenpair lives on a different grid")
     factorizations = 0
-    factor = None  # H's factor at the start, from the amplitude law's test
+    factor = None  # H's factor at the start, from the pitchfork start's test
     fallback = None
     if init is None:
         v, fallback = _default_start(grid, mu, eigenpair)

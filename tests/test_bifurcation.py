@@ -369,7 +369,7 @@ def test_predictor_finds_the_zeroth_order_points(request, n, span):
 
 
 def test_predictor_halves_the_corrector_iterations(grid256, pair256, monkeypatch):
-    # the entry step starts on the amplitude law and every later step within
+    # the entry step starts on the pitchfork start and every later step within
     # a few tol of the branch, so the corrector needs at most 2 Newton steps;
     # measured [1, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1], 16 in all, against 44 from
     # the previous profile and 22 with the entry step from 0.1 phi0

@@ -7,6 +7,7 @@ from magnetodisk import ModelParams, build_grid, integrate, smallest_eigenpair
 from magnetodisk import eigen
 from magnetodisk.eigen import _inverse_iteration, second_eigenpair
 from magnetodisk.grid import banded_matvec, banded_solve
+from magnetodisk.operators import energy_of_values
 
 import oracles
 from oracles import GAMMA0_CONTINUUM, J1PRIME_ROOT, boundary_slope
@@ -251,3 +252,32 @@ def test_eigenpairs_compare_without_comparing_arrays(pair256):
     assert pair256 == pair256
     assert {pair256: 1}[pair256] == 1
     assert pair256 != smallest_eigenpair(pair256.phi0.grid)
+
+
+@pytest.mark.parametrize("n", [256, 4096])
+@pytest.mark.parametrize("mu", [1.8, 2.5])
+def test_sextic_coefficients_expand_the_energy_along_phi0(n, mu):
+    # E(a phi0) / pi = -delta a^2 + cbar a^4 / 2 + c6 a^6 + O(a^8): the
+    # remainder falls by 2^8 per halving of a, and cbar(mu) is the function
+    # cbar up to roundoff
+    grid = build_grid(n, 2.0)
+    pair = smallest_eigenpair(grid)
+    delta = 2.0 * mu - pair.gamma0
+    cb, c6 = pair.sextic(mu)
+    assert abs(cb - eigen.cbar(pair.phi0, mu)) <= 1e-14 * cb
+    assert abs(pair.sextic(pair.gamma0 / 2.0)[0] - pair.threshold_cbar) <= 1e-14 * cb
+
+    def remainder(a):
+        e = energy_of_values(grid, a * pair.phi0.values, mu) / np.pi
+        return e - (-delta * a * a + 0.5 * cb * a ** 4 + c6 * a ** 6)
+
+    # smaller a would read phi0^T A phi0 - gamma0, 6e-12 at n = 4096, against a^8
+    ratios = [remainder(a) / remainder(0.5 * a) for a in (0.16, 0.08)]
+    assert all(abs(q / 256.0 - 1.0) <= 0.05 for q in ratios)  # measured within 0.9 %
+
+
+def test_moments_are_computed_once_per_eigenpair(grid256):
+    pair = smallest_eigenpair(grid256)
+    first = pair.moments
+    assert pair.moments is first
+    assert len(first) == 4 and all(isinstance(m, float) and m > 0.0 for m in first)

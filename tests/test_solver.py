@@ -1,12 +1,25 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import magnetodisk.solver as solver
-from magnetodisk import ModelParams, Profile, build_grid, minimize
+from magnetodisk import (
+    ModelParams,
+    Profile,
+    RadialGrid,
+    build_grid,
+    minimize,
+    smallest_eigenpair,
+)
 from magnetodisk.grid import banded_factor, banded_matvec, banded_solve
-from magnetodisk.operators import energy_parts, gradient_from_parts, gradient_values
+from magnetodisk.operators import (
+    energy_of_values,
+    energy_parts,
+    gradient_from_parts,
+    gradient_values,
+)
 
 from conftest import grid_and_pair, scaled_phi0, smooth_profile
 from oracles import euler_residual, l2_norm, random_profile, verify_trivial_uniqueness
@@ -496,11 +509,12 @@ def test_an_underflowed_start_at_the_saddle_is_not_converged():
 
 
 @pytest.mark.parametrize("n", [256, 16384])
-def test_the_default_start_at_mu_2_is_three_newton_steps_from_the_minimizer(monkeypatch, n):
-    # the amplitude law sqrt((2 mu - gamma0) / cbar) phi0, against 5 steps
-    # from 0.1 phi0; measured 3 at every n = 256 ... 16384.  The start's
-    # Hessian test is the first iteration's tau = 0 factorization, not a
-    # fifth one, and the first iteration builds no Newton matrix of its own
+def test_the_default_start_at_mu_2_is_two_newton_steps_from_the_minimizer(monkeypatch, n):
+    # the pitchfork start at the sixth-order amplitude, against 3 steps from
+    # the leading-order amplitude sqrt((2 mu - gamma0) / cbar) and 5 from
+    # 0.1 phi0; measured 2 at every n = 64 ... 16384.  The start's Hessian
+    # test is the first iteration's tau = 0 factorization, not a fourth one,
+    # and the first iteration builds no Newton matrix of its own
     built = []
     bands = solver.hessian_bands
 
@@ -512,8 +526,8 @@ def test_the_default_start_at_mu_2_is_three_newton_steps_from_the_minimizer(monk
     grid, pair = grid_and_pair(n)
     rep = minimize(grid, ModelParams(mu=2.0), eigenpair=pair)
     assert rep.converged and not rep.trivial
-    assert rep.iterations <= 3
-    assert rep.factorizations == 4
+    assert rep.iterations == 2
+    assert rep.factorizations == 3
     assert len(built) == rep.factorizations
 
 
@@ -521,7 +535,7 @@ def test_the_default_start_at_mu_2_is_three_newton_steps_from_the_minimizer(monk
 def test_one_sine_per_energy_and_one_cosine_per_gradient(monkeypatch, mu):
     # the energy computes sin h, the gradient cos h and from both sin 2h and
     # cos 2h, which the Newton matrix and the start's Hessian test read; the
-    # start itself (the amplitude law at mu = 2, the core law at mu = 1000)
+    # start itself (the pitchfork start at mu = 2, the core law at mu = 1000)
     # takes none
     grid, pair = grid_and_pair(256)
     calls = dict.fromkeys(["sin", "cos", "gradient"], 0)
@@ -542,7 +556,7 @@ def test_one_sine_per_energy_and_one_cosine_per_gradient(monkeypatch, mu):
     assert rep.converged
     assert calls == {"sin": rep.energy_evals, "cos": rep.iterations + 1,
                      "gradient": rep.iterations + 1}
-    assert rep.factorizations == 4
+    assert rep.factorizations == {2.0: 3, 1000.0: 4}[mu]
 
 
 def _report_fields(rep):
@@ -567,12 +581,12 @@ def test_the_default_start_never_does_worse_than_a_tenth_of_phi0(n, grading, del
     # delta = 2 mu - gamma0 sets mu near the pitchfork.  Whatever the start,
     # the run costs no more iterations than the one from 0.1 phi0, converges
     # wherever that does and ends at its energy up to the roundoff floor.
-    # The amplitude law, where taken, is 0-2 steps from the minimizer (4-14
+    # The pitchfork start, where taken, is 0-2 steps from the minimizer (4-14
     # from 0.1 phi0); where its Hessian test fails the run is the 0.1 phi0
     # run bit for bit, with the failed test more: one factorization, and the
-    # energy and gradient evaluation at the amplitude law's start that it
-    # reads.  Past its pi/4 bound the core law costs no factorization before
-    # the first iteration, and 3 or 4 steps (5-12 from 0.1 phi0)
+    # energy and gradient evaluation at the pitchfork start that it reads.
+    # Past its pi/4 bound the core law costs no factorization before the
+    # first iteration, and 3 or 4 steps (5-12 from 0.1 phi0)
     grid, pair = grid_and_pair(n, grading)
     if mu is None:
         mu = (pair.gamma0 + delta) / 2.0
@@ -600,12 +614,129 @@ def test_the_default_start_never_does_worse_than_a_tenth_of_phi0(n, grading, del
         assert tested and factor is None
 
 
+def _leading_order_start(grid, mu, pair):
+    """The default start with the leading-order amplitude sqrt(delta / cbar),
+    cbar at gamma0 / 2, written out: the family choice, the core law and
+    0.1 phi0 are the default start's, the pitchfork amplitude is not."""
+    phi = pair.phi0.values
+    delta = 2.0 * mu - pair.gamma0
+    if not delta > 0.0:
+        return 0.1 * phi, None
+    amplitude = math.sqrt(delta / pair.threshold_cbar)
+    if amplitude * phi.max() <= np.pi / 4.0:
+        return amplitude * phi, 0.1 * phi
+    x = mu * grid.r_squared
+    return np.concatenate(([0.0], np.pi / 4.0 * np.sqrt(x / (1.0 + x)))), None
+
+
+def _squared_amplitude(start, pair):
+    """u = a^2 of a start a phi0, read at phi0's peak."""
+    k = int(np.argmax(pair.phi0.values))
+    return (start[k] / pair.phi0.values[k]) ** 2
+
+
+@pytest.mark.parametrize("grading", [1.0, 2.0, 3.5])
+@pytest.mark.parametrize("mu", [1.8, 2.0, 2.5, 3.0, 3.6])
+def test_the_pitchfork_start_is_the_sextic_stationary_point(mu, grading):
+    # a^2 = u solves 3 c6 u^2 + cbar u - delta = 0 to roundoff, and the
+    # energy there lies below the energy at the leading-order amplitude
+    grid, pair = grid_and_pair(1024, grading)
+    start, fallback = solver._default_start(grid, mu, pair)
+    leading, _ = _leading_order_start(grid, mu, pair)
+    assert fallback is not None
+    delta = 2.0 * mu - pair.gamma0
+    cb, c6 = pair.sextic(mu)
+    u = _squared_amplitude(start, pair)
+    terms = (3.0 * c6 * u * u, cb * u, -delta)
+    assert abs(sum(terms)) <= 1e-14 * sum(map(abs, terms))
+    assert energy_of_values(grid, start, mu) < energy_of_values(grid, leading, mu)
+
+
+@pytest.mark.parametrize("grading", [1.0, 2.0, 3.5])
+def test_the_pitchfork_amplitude_tends_to_the_leading_order_law(grading):
+    # u / (delta / cbar(gamma0 / 2)) - 1 = s delta + O(delta^2), with
+    # s = -(8/3) Q4 / cbar - 3 c6 / cbar^2 from the moments at gamma0 / 2
+    grid, pair = grid_and_pair(1024, grading)
+    cb0 = pair.threshold_cbar
+    _, q4, _, _ = pair.moments
+    slope = -(8.0 / 3.0) * q4 / cb0 - 3.0 * pair.sextic(pair.gamma0 / 2.0)[1] / cb0 ** 2
+    for target in (1e-2, 1e-4, 1e-6):
+        mu = (pair.gamma0 + target) / 2.0
+        delta = 2.0 * mu - pair.gamma0
+        start, _ = solver._default_start(grid, mu, pair)
+        excess = _squared_amplitude(start, pair) / (delta / cb0) - 1.0
+        assert abs(excess - slope * delta) <= 0.05 * abs(slope) * delta  # O(delta) in all
+        assert abs(excess - slope * delta) <= 0.1 * delta * delta + 1e-14  # measured 0.058 delta^2
+
+
+def _assert_positive_root_up_to_the_core_law(grid, pair, mu_hi):
+    for mu in np.linspace(pair.gamma0 / 2.0, mu_hi, 101)[1:]:
+        mu = float(mu)
+        delta = 2.0 * mu - pair.gamma0
+        start, fallback = solver._default_start(grid, mu, pair)
+        if fallback is None:  # past the switch to the core law
+            continue
+        cb, c6 = pair.sextic(mu)
+        assert cb > 0.0 and cb * cb + 12.0 * c6 * delta > cb * cb / 6.0
+        assert np.all(start[1:] > 0.0) and np.all(np.isfinite(start))
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("grading", [1.0, 2.0, 3.5])
+def test_the_pitchfork_start_has_a_positive_root_up_to_the_core_law(n, grading):
+    # the discriminant cbar^2 + 12 c6 delta stays above cbar^2 / 6 (measured
+    # 0.23 cbar^2 at the least) wherever the start is the pitchfork start,
+    # up to the switch to the core law at mu = 3.6856
+    grid, pair = grid_and_pair(n, grading)
+    assert solver._default_start(grid, 3.6856, pair)[1] is not None
+    _assert_positive_root_up_to_the_core_law(grid, pair, 3.6856)
+
+
+def test_the_pitchfork_start_has_a_positive_root_on_coarse_random_grids():
+    # 2 to 11 cells at random nodes: the discriminant still stays above
+    # cbar^2 / 6 (measured 0.20 cbar^2 at the least) wherever the
+    # leading-order peak is at most pi/4
+    rng = np.random.default_rng(35)
+    for _ in range(50):
+        interior = np.sort(rng.random(rng.integers(1, 11)))
+        grid = RadialGrid(np.concatenate(([0.0], interior, [1.0])))
+        pair = smallest_eigenpair(grid)
+        _assert_positive_root_up_to_the_core_law(grid, pair, pair.gamma0 / 2.0 + 10.0)
+
+
+@pytest.mark.parametrize("n, grading, mu", [
+    *[(n, grading, mu) for n in (64, 1024) for grading in (1.0, 2.0, 3.5)
+      for mu in (0.5, 1.6, 3.6857, 5.0, 20.0, 1e3, 1e8)],
+    (1024, 2.0, None),
+])
+def test_the_core_law_and_the_tenth_of_phi0_starts_are_the_leading_order_laws(n, grading, mu):
+    # the sixth-order amplitude moves only the pitchfork start: the family
+    # is chosen by the leading-order peak, and the core law, 0.1 phi0 and the
+    # fallback are its starts bit for bit.  mu = None is delta = 1e-13, where
+    # the Hessian test fails at both amplitudes, so the run is the 0.1 phi0
+    # run bit for bit (see test_the_default_start_never_does_worse_...)
+    grid, pair = grid_and_pair(n, grading)
+    hessian_test_fails = mu is None
+    if hessian_test_fails:
+        mu = (pair.gamma0 + 1e-13) / 2.0
+    start, fallback = solver._default_start(grid, mu, pair)
+    ref_start, ref_fallback = _leading_order_start(grid, mu, pair)
+    assert (fallback is None) == (ref_fallback is None)
+    if fallback is None:
+        assert start.tobytes() == ref_start.tobytes()
+    else:  # 2 mu - gamma0 = 1e-13, or n = 64 at mu = 3.6857
+        assert fallback.tobytes() == ref_fallback.tobytes()
+    if hessian_test_fails:
+        assert _start_factor(grid, mu, start) is None
+        assert _start_factor(grid, mu, ref_start) is None
+
+
 @pytest.mark.parametrize("grading", [1.0, 2.0, 3.0, 4.0])
 @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
 def test_every_converged_default_minimizer_lies_within_pi_over_4(n, grading):
     # folded into [0, pi/2], a global minimizer lies in [0, pi/4]: taking a
     # node value v above pi/4 to pi/2 - v keeps sin^2 2h, lowers sin^2 h and
-    # is 1-Lipschitz.  From just above the threshold, on the amplitude law,
+    # is 1-Lipschitz.  From just above the threshold, on the pitchfork start,
     # through the switch to the core law, to mu = 1e8
     grid, pair = grid_and_pair(n, grading)
     mus = [(pair.gamma0 + delta) / 2.0 for delta in (1e-3, 1e-1, 1.0, 3.0, 5.0)]
@@ -634,9 +765,10 @@ def test_a_run_converged_at_the_iteration_cap_reports_it(grid256, pair256):
 
 
 def test_iteration_cap_reports_honest_failure(grid256, pair256):
-    rep = minimize(grid256, ModelParams(mu=2.5, max_iter=3), eigenpair=pair256)
+    # the default start converges in 3 iterations here
+    rep = minimize(grid256, ModelParams(mu=2.5, max_iter=2), eigenpair=pair256)
     assert not rep.converged
-    assert rep.iterations == 3
+    assert rep.iterations == 2
     assert rep.energy < 0.0  # the last accepted iterate is still returned
 
 
