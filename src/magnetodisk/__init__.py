@@ -11,7 +11,7 @@ from .bifurcation import (
     detected_threshold,
     trace_branches,
 )
-from .eigen import EigenPair, cbar, smallest_eigenpair
+from .eigen import EigenPair, smallest_eigenpair
 from .fields import magnetization_grid, reconstruct_w
 from .grid import RadialGrid, build_grid, integrate
 from .operators import ModelParams, Profile
@@ -27,7 +27,6 @@ __all__ = [
     "SolveReport",
     "amplitude_fit_slope",
     "build_grid",
-    "cbar",
     "detected_threshold",
     "integrate",
     "magnetization_grid",

@@ -24,20 +24,22 @@ of their one-expression forms in the same order.  Every other reduction is
 grid.dot, so the results do not depend on the BLAS thread count.  No
 residual is computed here: EigenPair.residual is one matvec on first read.
 
-cbar projects the cubic term of the Euler operator onto the ground mode: the
-pitchfork at mu = gamma0 / 2 opens with amplitude sqrt((2 mu - gamma0) / cbar)
-along phi0, which both the minimizer's default start and the branch tracer
-read from EigenPair.threshold_cbar, computed once per pair.  Past the leading
-order, the discrete energy along phi0 is, by the Taylor series of sin^2 h and
+The discrete energy along phi0 is, by the Taylor series of sin^2 h and
 sin^2 2h and phi0^T A phi0 = gamma0,
 
     E(a phi0) / pi = -(2 mu - gamma0) a^2 + (1/2) cbar(mu) a^4 + c6(mu) a^6 + O(a^8),
 
 cbar(mu) = -(2/3) P4 + (16/3) mu Q4 and c6(mu) = (2/45) P6 - (64/45) mu Q6,
 with the moments P_k = sum w phi0^k / r^2 and Q_k = sum w phi0^k over the
-nodes 1..n.  EigenPair.moments computes the four once per pair and
-EigenPair.sextic(mu) the two coefficients at mu, from which the default start
-takes its amplitude.
+nodes 1..n.  cbar(mu) is the projection of the Euler operator's cubic term
+onto the ground mode, the lumped form of int [-(2/3) phi^4 / r + (16/3) mu
+phi^4 r] dr; it is positive for mu >= gamma0 / 8, which makes the threshold
+crossing a supercritical pitchfork that opens with amplitude
+sqrt((2 mu - gamma0) / cbar) along phi0, cbar taken at mu = gamma0 / 2.
+EigenPair.moments computes the four moments once per pair, EigenPair.sextic(mu)
+the two coefficients at mu, from which the default start takes its
+amplitude, and EigenPair.threshold_cbar is sextic's cbar at gamma0 / 2, which
+both the minimizer's default start and the branch tracer read.
 """
 
 from __future__ import annotations
@@ -48,10 +50,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import RadialGrid, banded_matvec, banded_solve, dot, integrate
+from .grid import RadialGrid, banded_matvec, banded_solve, dot
 from .operators import Profile
 
-__all__ = ["EigenPair", "cbar", "smallest_eigenpair", "second_eigenpair"]
+__all__ = ["EigenPair", "smallest_eigenpair"]
 
 # j'_{1,1}, the first positive root of J1': the continuum ground mode on the
 # unit disk is J1(j'_{1,1} r), with eigenvalue j'_{1,1}^2: the sum of c_k
@@ -110,7 +112,7 @@ class EigenPair:
 
     @cached_property
     def threshold_cbar(self) -> float:
-        return cbar(self.phi0, self.gamma0 / 2.0)
+        return self.sextic(self.gamma0 / 2.0)[0]
 
     @cached_property
     def moments(self) -> tuple[float, float, float, float]:
@@ -125,27 +127,15 @@ class EigenPair:
 
     def sextic(self, mu: float) -> tuple[float, float]:
         """(cbar(mu), c6(mu)), the coefficients of the energy along phi0 at
-        mu (see the module docstring); cbar(mu) is the function cbar up to
-        roundoff."""
+        mu (see the module docstring)."""
         p4, q4, p6, q6 = self.moments
         return (-(2.0 / 3.0) * p4 + (16.0 / 3.0) * mu * q4,
                 (2.0 / 45.0) * p6 - (64.0 / 45.0) * mu * q6)
 
 
-def _inverse_iteration(grid: RadialGrid, v: np.ndarray,
-                       deflate: np.ndarray | None) -> tuple[float, np.ndarray, int]:
+def _inverse_iteration(grid: RadialGrid, v: np.ndarray) -> tuple[float, np.ndarray, int]:
     factor = grid.pencil_factor
     m = grid.weights[1:]
-
-    def project(x: np.ndarray) -> np.ndarray:
-        if deflate is None:
-            return x
-        return x - dot(m, x * deflate) * deflate
-
-    v = project(v)
-    if deflate is not None:
-        v[0] += 1e-3  # keep the start outside the deflated direction
-        v = project(v)
     scratch = np.empty_like(v)  # v * v, then M v, (M v) * u and m * (u * u)
     v /= np.sqrt(dot(m, np.multiply(v, v, out=scratch)))  # the caller's start, in place
 
@@ -153,7 +143,7 @@ def _inverse_iteration(grid: RadialGrid, v: np.ndarray,
     settled = 0
     for it in range(1, MAX_ITER + 1):
         mv = np.multiply(m, v, out=scratch)
-        u = project(banded_solve(factor, mv))
+        u = banded_solve(factor, mv)
         mv *= u
         gamma = 1.0 / float(np.add.reduce(mv))
         np.multiply(u, u, out=scratch)
@@ -173,16 +163,6 @@ def _inverse_iteration(grid: RadialGrid, v: np.ndarray,
     return gamma, v, it
 
 
-def _signed_mode(grid: RadialGrid, v: np.ndarray) -> Profile:
-    """Mode v on nodes 1..n as a profile: signed so that int v r dr >= 0,
-    normalized in r dr and padded with the origin value 0."""
-    m = grid.weights[1:]
-    scale = np.sqrt(dot(m, v * v))
-    values = np.zeros(grid.n + 1)
-    np.divide(v, -scale if dot(m, v) < 0.0 else scale, out=values[1:])
-    return Profile(grid, values)
-
-
 def smallest_eigenpair(grid: RadialGrid) -> EigenPair:
     """Smallest eigenpair of the pencil by inverse iteration (shift 0),
     started at the sampled continuum mode J1(j'_{1,1} r).
@@ -194,30 +174,10 @@ def smallest_eigenpair(grid: RadialGrid) -> EigenPair:
     int phi r dr > 0.  Raises RuntimeError with the last Rayleigh quotient if
     the iteration does not settle.
     """
-    gamma, v, it = _inverse_iteration(grid, _j1_start(grid), None)
-    return EigenPair(gamma0=gamma, phi0=_signed_mode(grid, v), iterations=it)
+    gamma, v, it = _inverse_iteration(grid, _j1_start(grid))
+    m = grid.weights[1:]
+    scale = np.sqrt(dot(m, v * v))
+    values = np.zeros(grid.n + 1)  # the origin value 0, then the mode
+    np.divide(v, -scale if dot(m, v) < 0.0 else scale, out=values[1:])
+    return EigenPair(gamma0=gamma, phi0=Profile(grid, values), iterations=it)
 
-
-def second_eigenpair(grid: RadialGrid, first: EigenPair) -> tuple[float, Profile]:
-    """Next-smallest eigenvalue and its eigenprofile, via deflation against
-    the first pair in the mass inner product, started at sin(pi r / 2).
-    Unlike the ground mode, this profile changes sign, so it is returned as a
-    plain (value, profile) pair.
-    """
-    gamma, v, _ = _inverse_iteration(
-        grid, np.sin(0.5 * np.pi * grid.nodes[1:]), first.phi0.values[1:])
-    return gamma, _signed_mode(grid, v)
-
-
-def cbar(phi0: Profile, mu: float) -> float:
-    """Projected cubic coefficient int [-(2/3) phi^4/r + (16/3) mu phi^4 r] dr.
-
-    Positive for mu >= gamma0/8, which makes the threshold crossing a
-    supercritical pitchfork.
-    """
-    grid = phi0.grid
-    v2 = phi0.values[1:] * phi0.values[1:]
-    v4 = v2 * v2  # not v ** 4, numpy's SIMD power
-    f = np.zeros_like(phi0.values)
-    f[1:] = -(2.0 / 3.0) * v4 / grid.r_squared + (16.0 / 3.0) * mu * v4
-    return integrate(grid, f)

@@ -24,9 +24,8 @@ gradient at the same point, so the minimizer computes diff(h), sin h and
 cos h once per iterate.  numpy evaluates float64 sin and cos by libm's
 scalar loop on every CPU; its tan and exp run SIMD kernels, three to six
 times faster but with last bits that depend on the CPU's vector extensions,
-so they are not used, and the outputs do not depend on the CPU.
-energy_of_values and gradient_values are the same kernels called from raw
-values.  Both do the same floating-point operations in the same order as the
+so they are not used, and the outputs do not depend on the CPU.  Both
+kernels do the same floating-point operations in the same order as the
 one-expression formulas that tests/reference_kernels.py keeps as their
 bitwise reference.  fold_values maps iterates into [0, pi/2] in one pass
 and never raises the energy.
@@ -40,7 +39,7 @@ import numpy as np
 
 from .grid import RadialGrid
 
-__all__ = ["Profile", "ModelParams", "energy_of_values", "gradient_values", "fold_values"]
+__all__ = ["Profile", "ModelParams", "fold_values"]
 
 @dataclass(frozen=True, eq=False)
 class Profile:
@@ -117,20 +116,17 @@ def energy_parts(grid: RadialGrid, values: np.ndarray,
     return e, dv, sinh
 
 
-def energy_of_values(grid: RadialGrid, values: np.ndarray, mu: float) -> float:
-    """Discrete energy from raw nodal values (no Profile validation).
-
-    A reference kernel: no code in the package calls it.  The tests and
-    bench/tracing.py use it by name as the standalone form of the fused
-    path, energy_parts, which it matches bit for bit."""
-    return energy_parts(grid, values, mu)[0]
-
-
 def gradient_from_parts(grid: RadialGrid, values: np.ndarray, mu: float, dv: np.ndarray,
                         sinh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Raw nodal gradient field (see gradient_values) and cos 2h = 1 - 2 sin^2 h
+    """First variation g of E from raw nodal values, and cos 2h = 1 - 2 sin^2 h
     at the nodes 1..n, from the dv and sinh of energy_parts at the same
-    values, which it overwrites."""
+    values, which it overwrites.  For every test profile v with v(0) = 0,
+
+        d/dt E(h + t v) |_{t=0} = 2 pi <g, v>   in the r dr inner product.
+
+    The value at r = 0 is 0 by convention (test profiles vanish there); the
+    natural condition h_r(1) = 0 is contained in the last row weakly.
+    """
     flux = dv
     flux *= grid.stiffness_bands[1]
     # q / w + sin 2h / (2 r^2) - mu sin 2h cos 2h, built in the buffer of the
@@ -156,23 +152,6 @@ def gradient_from_parts(grid: RadialGrid, values: np.ndarray, mu: float, dv: np.
     sin2h *= cos2h
     gi -= sin2h
     return g, cos2h
-
-
-def gradient_values(grid: RadialGrid, values: np.ndarray, mu: float) -> np.ndarray:
-    """First variation g of E from raw nodal values: for every test profile v
-    with v(0) = 0,
-
-        d/dt E(h + t v) |_{t=0} = 2 pi <g, v>   in the r dr inner product.
-
-    The value at r = 0 is 0 by convention (test profiles vanish there); the
-    natural condition h_r(1) = 0 is contained in the last row weakly.
-
-    A reference kernel: no code in the package calls it.  The tests and
-    bench/tracing.py use it by name as the standalone form of the fused
-    path, gradient_from_parts, which it matches bit for bit.
-    """
-    dv = values[1:] - values[:-1]
-    return gradient_from_parts(grid, values, mu, dv, np.sin(values[1:]))[0]
 
 
 def fold_values(values: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -4,7 +4,8 @@ certificates the tests hold the package's results to.
 The first part touches nothing of the package: plain power series,
 bisection, and adaptive Simpson quadrature, so oracle agreement is an
 independent check rather than the code testing itself.  The second part
-reads the package's grids, profiles and kernels: the second-order nodal
+reads the package's grids, profiles and kernels: the gradient of raw nodal
+values, the projected cubic coefficient by quadrature, the second-order nodal
 derivative, the strong-form residuals, the cubic split of the Euler operator,
 the reduction identity of the magnetization, random starts, the multistart
 uniqueness check and a zeroth-order continuation.  The command line runs none
@@ -26,12 +27,11 @@ from magnetodisk import (
     ModelParams,
     Profile,
     RadialGrid,
-    cbar,
     integrate,
     minimize,
 )
 from magnetodisk.fields import magnetization_grid
-from magnetodisk.operators import gradient_values
+from magnetodisk.operators import energy_parts, gradient_from_parts
 from reference_kernels import stiffness_apply
 
 
@@ -172,6 +172,25 @@ TILTED_ENERGY_CONTINUUM = 6.072193963753959
 # Certificates on the package's grids and profiles.
 
 
+def gradient_field(grid: RadialGrid, values: np.ndarray, mu: float) -> np.ndarray:
+    """The first variation of E at raw nodal values, by the fused path
+    minimize runs: energy_parts' dv and sin h handed to gradient_from_parts."""
+    _, dv, sinh = energy_parts(grid, values, mu)
+    return gradient_from_parts(grid, values, mu, dv, sinh)[0]
+
+
+def cbar(phi0: Profile, mu: float) -> float:
+    """Projected cubic coefficient int [-(2/3) phi^4/r + (16/3) mu phi^4 r] dr
+    of the lumped nodal integrand, by integrate: the independent form of
+    EigenPair.sextic's cbar(mu), which sums the moments P4 and Q4 instead."""
+    grid = phi0.grid
+    v2 = phi0.values[1:] * phi0.values[1:]
+    v4 = v2 * v2  # not v ** 4, numpy's SIMD power
+    f = np.zeros_like(phi0.values)
+    f[1:] = -(2.0 / 3.0) * v4 / grid.r_squared + (16.0 / 3.0) * mu * v4
+    return integrate(grid, f)
+
+
 def l2_norm(grid: RadialGrid, values: np.ndarray) -> float:
     """Norm of a nodal field in L^2((0,1), r dr)."""
     values = np.asarray(values, dtype=float)
@@ -231,7 +250,7 @@ def euler_residual(h: Profile, p: ModelParams) -> float:
     boundary condition.  The residual field is the gradient field, so
     discrete critical points score at truncation level.
     """
-    rho = gradient_values(h.grid, h.values, p.mu)
+    rho = gradient_field(h.grid, h.values, p.mu)
     w = h.grid.weights
     interior = float(np.sqrt(max(np.sum(w[1:-1] * rho[1:-1] ** 2), 0.0)))
     return interior + abs(boundary_slope(h))
@@ -242,7 +261,7 @@ def nonlinear_split(h: Profile, p: ModelParams) -> tuple[Profile, Profile, Profi
 
     Returns nodal fields (L, C, D) with
 
-        L(h) = -h_rr - h_r/r + h/r^2          (assembled weakly, as in gradient_values),
+        L(h) = -h_rr - h_r/r + h/r^2          (assembled weakly, as in gradient_field),
         C(h) = -(2/3) h^3/r^2 + (16/3) mu h^3  (exactly cubic),
         D(h) = remainder, of quintic order in h,
 

@@ -10,7 +10,8 @@ and cos 2h from sin h and cos h), and do the same
 floating-point operations in the same order, so they must agree with these
 bit for bit; so must eigen's in-place start and normalisation.  The
 operator references read only the grid's nodes and weights; the inverse
-iteration solves with the grid's pencil factor, as eigen does.  The solver
+iteration solves with the grid's pencil factor, as eigen does, and can also
+deflate against a given mode, which gives the tests the second eigenpair.  The solver
 skips the tau = 0 factorization when the caller holds H's factor, and builds
 each tried matrix by the same operations, so its steps must agree with the
 scan's bit for bit.
@@ -92,7 +93,7 @@ def reference_j1_start(grid):
         + _J1_START[0] * r
 
 
-def reference_inverse_iteration(grid, v, deflate, max_iter=400, rq_tol=1e-14):
+def reference_inverse_iteration(grid, v, deflate=None, max_iter=400, rq_tol=1e-14):
     """Shift-0 inverse iteration on the pencil, deflated against the
     M-normalized mode deflate unless it is None: (gamma, v, solves), as
     eigen._inverse_iteration returns them.

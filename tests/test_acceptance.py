@@ -12,14 +12,13 @@ from magnetodisk import (
     ModelParams,
     Profile,
     build_grid,
-    cbar,
     integrate,
     minimize,
     reconstruct_w,
     smallest_eigenpair,
 )
 from magnetodisk.cli import main as cli_main
-from magnetodisk.operators import energy_of_values, fold_values, gradient_values
+from magnetodisk.operators import energy_parts, fold_values
 
 import oracles
 from oracles import (
@@ -27,6 +26,7 @@ from oracles import (
     check_reduction_identity,
     derivative,
     displacement_equation_residual,
+    gradient_field,
     l2_norm,
     nonlinear_split,
     random_profile,
@@ -90,7 +90,7 @@ def test_criterion_2_threshold_dichotomy(grid256, pair256):
 
 def test_criterion_3_amplitude_law(grid512, pair512):
     gamma0 = pair512.gamma0
-    cb = cbar(pair512.phi0, gamma0 / 2.0)
+    cb = pair512.threshold_cbar
     deltas = []
     ratios = []
     for delta in (0.02, 0.04, 0.08, 0.16):
@@ -117,9 +117,9 @@ def test_criterion_4_gradient_consistency(grid256):
     for _ in range(20):
         h = random_profile(grid256, rng, amplitude=1.2)
         d = random_profile(grid256, rng, amplitude=1.0)
-        fd = (energy_of_values(grid256, h.values + t * d.values, p.mu)
-              - energy_of_values(grid256, h.values - t * d.values, p.mu)) / (2.0 * t)
-        pairing = 2.0 * np.pi * integrate(grid256, gradient_values(grid256, h.values, p.mu)
+        fd = (energy_parts(grid256, h.values + t * d.values, p.mu)[0]
+              - energy_parts(grid256, h.values - t * d.values, p.mu)[0]) / (2.0 * t)
+        pairing = 2.0 * np.pi * integrate(grid256, gradient_field(grid256, h.values, p.mu)
                                           * d.values)
         worst = max(worst, abs(pairing - fd) / max(1.0, abs(fd)))
     ok = worst < 1e-6
@@ -138,7 +138,7 @@ def test_criterion_5_energy_lower_bound(grid256):
         else:
             vals = rng.uniform(-np.pi, np.pi, size=grid256.nodes.size)
             vals[0] = 0.0
-        e = energy_of_values(grid256, vals, mu)
+        e = energy_parts(grid256, vals, mu)[0]
         worst_slack = min(worst_slack, e + np.pi * mu / 4.0)
     ok = worst_slack >= -1e-6
     _line(5, ok, f"worst slack above -pi*mu/4 is {worst_slack:.3g}")
@@ -158,13 +158,13 @@ def test_criterion_6_fold_and_odd_symmetry(grid256):
             vals[0] = 0.0
             h = Profile(grid256, vals)
             folded = fold_values(h.values)[0]
-            worst = max(worst, abs(energy_of_values(grid256, folded, p.mu)
-                                   - energy_of_values(grid256, h.values, p.mu)))
+            worst = max(worst, abs(energy_parts(grid256, folded, p.mu)[0]
+                                   - energy_parts(grid256, h.values, p.mu)[0]))
     for _ in range(10):
         h = random_profile(grid256, rng, amplitude=np.pi)
         neg = Profile(grid256, -h.values)
-        worst = max(worst, abs(energy_of_values(grid256, neg.values, p.mu)
-                               - energy_of_values(grid256, h.values, p.mu)))
+        worst = max(worst, abs(energy_parts(grid256, neg.values, p.mu)[0]
+                               - energy_parts(grid256, h.values, p.mu)[0]))
     ok = worst <= 1e-10
     _line(6, ok, f"worst energy mismatch {worst:.3g}")
     assert ok
@@ -178,7 +178,7 @@ def test_criterion_7_operator_split(grid512, pair512):
     vals[0] = 0.0
     lap, cub, rem = nonlinear_split(Profile(grid512, vals), p)
     recombined = lap.values + cub.values + rem.values - 2.0 * p.mu * vals
-    abs_err = np.abs(recombined - gradient_values(grid512, vals, p.mu)).max()
+    abs_err = np.abs(recombined - gradient_field(grid512, vals, p.mu)).max()
 
     # identity, scale-relative tolerance: profiles linear at the origin,
     # where the individual terms carry O(1/r^2) magnitudes
@@ -190,7 +190,7 @@ def test_criterion_7_operator_split(grid512, pair512):
         np.ones_like(ramp), np.abs(lap2.values), np.abs(cub2.values),
         np.abs(rem2.values), np.abs(2.0 * p.mu * ramp),
     ])
-    rel_err = (np.abs(recombined2 - gradient_values(grid512, ramp, p.mu)) / scale).max()
+    rel_err = (np.abs(recombined2 - gradient_field(grid512, ramp, p.mu)) / scale).max()
 
     # exact cubic homogeneity for power-of-two scalings
     rng = np.random.default_rng(29)
@@ -214,7 +214,7 @@ def test_criterion_7_operator_split(grid512, pair512):
         scaled_norms.append(l2_norm(grid512, rem_eps.values) / eps**3)
     decays = [a / b for a, b in zip(scaled_norms, scaled_norms[1:])]
 
-    cb = cbar(pair512.phi0, p_thr.mu)
+    cb = pair512.threshold_cbar
     ok = (abs_err <= 1e-12 and rel_err <= 1e-12 and homog
           and all(d >= 3.0 for d in decays) and cb > 0.0)
     _line(7, ok, f"abs={abs_err:.3g} rel={rel_err:.3g} homogeneous={homog} "

@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -8,19 +10,18 @@ from magnetodisk import (
     ModelParams,
     Profile,
     build_grid,
-    cbar,
     detected_threshold,
     amplitude_fit_slope,
     minimize,
     smallest_eigenpair,
     trace_branches,
 )
-from magnetodisk.operators import energy_of_values
+from magnetodisk.operators import energy_parts
 from magnetodisk.solver import FLAT_TOL
 
 from conftest import grid_and_pair
 from oracles import (
-    CBAR_CONTINUUM, J1PRIME_ROOT, quartic_coefficient, random_profile, zeroth_order_trace)
+    CBAR_CONTINUUM, J1PRIME_ROOT, cbar, quartic_coefficient, random_profile, zeroth_order_trace)
 
 
 def predicted_amplitude(mu: float, gamma0: float, cbar_value: float) -> list[tuple[float, bool]]:
@@ -40,18 +41,19 @@ def predicted_amplitude(mu: float, gamma0: float, cbar_value: float) -> list[tup
 
 
 def test_cubic_coefficient_is_positive_at_threshold(pair256):
-    assert cbar(pair256.phi0, pair256.gamma0 / 2.0) > 0.0
+    assert pair256.threshold_cbar > 0.0
 
 
 def test_cubic_coefficient_matches_quadrature_oracle():
     grid = build_grid(2048, 2.0)
     pair = smallest_eigenpair(grid)
-    cb = cbar(pair.phi0, pair.gamma0 / 2.0)
+    cb = pair.threshold_cbar
     assert abs(quartic_coefficient(J1PRIME_ROOT) - CBAR_CONTINUUM) <= 1e-13  # frozen constant guard
     assert abs(cb - CBAR_CONTINUUM) <= 1e-4  # measured 8.6e-6
 
 
 def test_cubic_coefficient_is_quartically_homogeneous(grid256, pair256):
+    # of the quadrature form that the tests hold EigenPair.sextic's cbar to
     mu = pair256.gamma0 / 2.0
     base = cbar(pair256.phi0, mu)
     t = 1.7
@@ -61,18 +63,22 @@ def test_cubic_coefficient_is_quartically_homogeneous(grid256, pair256):
 
 def test_cubic_coefficient_is_computed_once_per_eigenpair(monkeypatch):
     # the diagram and the default start of every minimize above the
-    # threshold read it from the pair, bit for bit cbar at gamma0 / 2
+    # threshold read it from the pair, bit for bit sextic's cbar at
+    # gamma0 / 2, from moments computed once per pair
+    calls = []
+    computed = eigen.EigenPair.__dict__["moments"].func
+    counted = cached_property(lambda pair: calls.append(pair) or computed(pair))
+    counted.__set_name__(eigen.EigenPair, "moments")
+    monkeypatch.setattr(eigen.EigenPair, "moments", counted)
     grid = build_grid(256, 2.0)
     pair = smallest_eigenpair(grid)
-    expected = cbar(pair.phi0, pair.gamma0 / 2.0)
-    calls = []
-    computed = eigen.cbar
-    monkeypatch.setattr(eigen, "cbar", lambda *args: calls.append(None) or computed(*args))
     diagram = trace_branches(grid, ModelParams(mu=2.0), np.linspace(1.5, 2.2, 8), eigenpair=pair)
     for mu in (2.0, 20.0):
         minimize(grid, ModelParams(mu=mu), eigenpair=pair)
-    assert len(calls) == 1
-    assert diagram.cbar.hex() == pair.threshold_cbar.hex() == expected.hex()
+    assert calls == [pair]
+    sextic = pair.sextic(pair.gamma0 / 2.0)[0]
+    assert diagram.cbar.hex() == pair.threshold_cbar.hex() == sextic.hex()
+    assert calls == [pair]
 
 
 def test_predicted_amplitude_at_and_below_threshold():
@@ -285,7 +291,7 @@ def test_energy_obeys_the_threshold_inequality(n, grading):
             values = amplitude * pair.phi0.values
         else:
             values = random_profile(grid, rng, amplitude).values
-        energy = energy_of_values(grid, values, mu)
+        energy = energy_parts(grid, values, mu)[0]
         s = np.sin(values)
         mass = float(np.sum(grid.weights * s * s))
         bound = np.pi * (pair.gamma0 - 2.0 * mu) * mass
@@ -301,8 +307,8 @@ def test_eigenprofile_lowers_the_energy_just_above_the_threshold(grid256, pair25
     # discrete threshold at exactly gamma0_h/2
     thr = pair256.gamma0 / 2.0
     values = 1e-2 * np.sqrt(delta) * pair256.phi0.values
-    assert energy_of_values(grid256, values, thr + delta) < 0.0
-    assert energy_of_values(grid256, values, thr - delta) > 0.0
+    assert energy_parts(grid256, values, thr + delta)[0] < 0.0
+    assert energy_parts(grid256, values, thr - delta)[0] > 0.0
 
 
 def test_trace_solves_nothing_at_or_below_the_threshold(grid256, pair256, monkeypatch):

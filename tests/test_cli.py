@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import platform
+import pkgutil
 from pathlib import Path
 
 import numpy as np
@@ -134,8 +136,15 @@ def test_package_exports_resolve_and_leave_the_test_helpers_out():
     assert [name for name in MOVED_TO_TESTS if hasattr(magnetodisk, name)] == []
     assert not set(MOVED_TO_TESTS) & set(magnetodisk.__all__)
     # neither a subcommand nor the README example runs these
-    for name in ("assemble_pencil", "second_eigenpair"):
-        assert not hasattr(magnetodisk, name) and name not in magnetodisk.__all__
+    modules = (magnetodisk, magnetodisk.eigen, magnetodisk.operators)
+    for name in ("assemble_pencil", "cbar", "energy_of_values", "gradient_values",
+                 "second_eigenpair"):
+        assert [m.__name__ for m in modules if hasattr(m, name) or name in m.__all__] == []
+    # a stale entry would break a star import of its module
+    for info in pkgutil.iter_modules(magnetodisk.__path__):
+        m = importlib.import_module(f"magnetodisk.{info.name}")
+        assert [name for name in m.__all__ if not hasattr(m, name)] == [], info.name
+        assert len(set(m.__all__)) == len(m.__all__), info.name
 
 
 def test_the_readme_library_example_runs():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from magnetodisk import Profile, integrate, magnetization_grid, reconstruct_w
-from magnetodisk.operators import energy_of_values
+from magnetodisk.operators import energy_parts
 
 from oracles import check_reduction_identity, derivative, displacement_equation_residual
 
@@ -24,7 +24,7 @@ def coupled_energy(h: Profile, w: Profile, lam: float) -> float:
     dw = derivative(grid, w.values)
     sin2h = np.sin(2.0 * h.values)
     coupling = integrate(grid, lam * sin2h * dw + dw * dw)
-    return energy_of_values(grid, h.values, 0.0) + np.pi * coupling
+    return energy_parts(grid, h.values, 0.0)[0] + np.pi * coupling
 
 
 def test_zero_profile_reconstructs_zero_displacement(grid256):
@@ -147,7 +147,7 @@ def test_coupled_energy_matches_reduced_energy(minimizer256):
     h = minimizer256.minimizer
     w = reconstruct_w(h, LAM)
     coupled = coupled_energy(h, w, LAM)
-    reduced = energy_of_values(h.grid, h.values, 2.0)
+    reduced = energy_parts(h.grid, h.values, 2.0)[0]
     assert abs(coupled - reduced) <= 1e-8  # measured 2.3e-10
 
 
@@ -156,5 +156,5 @@ def test_coupled_energy_mismatch_shrinks_under_refinement(minimizer256, minimize
     for rep, mu in ((minimizer256, 2.0), (minimizer512, 2.0)):
         h = rep.minimizer
         w = reconstruct_w(h, LAM)
-        diffs.append(abs(coupled_energy(h, w, LAM) - energy_of_values(h.grid, h.values, mu)))
+        diffs.append(abs(coupled_energy(h, w, LAM) - energy_parts(h.grid, h.values, mu)[0]))
     assert diffs[1] < diffs[0]

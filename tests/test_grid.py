@@ -9,10 +9,9 @@ import magnetodisk.grid as grid_module
 from magnetodisk import (
     ModelParams, RadialGrid, build_grid, integrate, minimize, smallest_eigenpair)
 from magnetodisk.grid import banded_factor, banded_matvec, banded_solve, rim_slope
-from magnetodisk.operators import gradient_values
 
 from conftest import fresh_python
-from oracles import adaptive_simpson, derivative, l2_norm
+from oracles import adaptive_simpson, derivative, gradient_field, l2_norm
 from reference_kernels import dense_matrix, stiffness_apply
 
 
@@ -192,7 +191,7 @@ def test_grid_is_collected_once_dropped():
     # the per-grid arrays live on the grid itself, so nothing outlives it
     g = build_grid(64, 2.0)
     minimize(g, ModelParams(mu=2.0), eigenpair=smallest_eigenpair(g))
-    gradient_values(g, 0.5 * g.nodes, 2.0)
+    gradient_field(g, 0.5 * g.nodes, 2.0)
     ref = weakref.ref(g)
     del g
     gc.collect()

@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 import magnetodisk.solver as solver
-from magnetodisk import ModelParams, Profile, build_grid, cbar, integrate, minimize
+from magnetodisk import ModelParams, Profile, build_grid, integrate, minimize
 from magnetodisk.operators import (
-    energy_of_values,
     energy_parts,
     fold_values,
     gradient_from_parts,
-    gradient_values,
 )
 
 from conftest import fresh_python, grid_and_pair, smooth_profile
 from oracles import (
-    TILTED_ENERGY_CONTINUUM, euler_residual, l2_norm, nonlinear_split, random_profile,
-    tilted_profile_energy)
+    TILTED_ENERGY_CONTINUUM, euler_residual, gradient_field, l2_norm, nonlinear_split,
+    random_profile, tilted_profile_energy)
 from reference_kernels import (
     kappa, reference_cos2h, reference_energy, reference_fold, reference_gradient)
 
@@ -88,13 +86,13 @@ def test_zero_profile_has_zero_energy_and_gradient():
     g = build_grid(64, 2.0)
     zero = Profile(g, np.zeros(65))
     p = ModelParams(mu=1.7)
-    assert energy_of_values(g, zero.values, p.mu) == 0.0
-    assert np.abs(gradient_values(g, zero.values, p.mu)).max() == 0.0
+    assert energy_parts(g, zero.values, p.mu)[0] == 0.0
+    assert np.abs(gradient_field(g, zero.values, p.mu)).max() == 0.0
 
 
 def test_energy_of_tilted_profile_matches_quadrature_oracle(grid1024):
     vals = 0.5 * np.pi * grid1024.nodes
-    e = energy_of_values(grid1024, vals, 1.0)
+    e = energy_parts(grid1024, vals, 1.0)[0]
     assert abs(tilted_profile_energy() - TILTED_ENERGY_CONTINUUM) <= 1e-13  # frozen constant guard
     assert abs(e - TILTED_ENERGY_CONTINUUM) <= 1e-6  # measured 6.8e-7
 
@@ -109,9 +107,9 @@ def test_energy_and_gradient_are_finite_at_the_largest_mu(grid256):
     for values in (np.full(257, np.pi / 4.0), np.full(257, np.pi / 8.0),
                    rng.uniform(0.0, np.pi / 2.0, 257)):
         values[0] = 0.0
-        e = energy_of_values(grid256, values, mu)
+        e = energy_parts(grid256, values, mu)[0]
         assert np.isfinite(e) and e >= -np.pi / 4.0 * mu
-        assert np.all(np.isfinite(gradient_values(grid256, values, mu)))
+        assert np.all(np.isfinite(gradient_field(grid256, values, mu)))
 
 
 def test_gradient_matches_finite_differences(grid256):
@@ -121,9 +119,9 @@ def test_gradient_matches_finite_differences(grid256):
     t = 1e-5
     for _ in range(5):
         d = smooth_profile(grid256, rng.normal(size=4), scale=1.0)
-        fd = (energy_of_values(grid256, h.values + t * d.values, p.mu)
-              - energy_of_values(grid256, h.values - t * d.values, p.mu)) / (2.0 * t)
-        pairing = 2.0 * np.pi * integrate(grid256, gradient_values(grid256, h.values, p.mu)
+        fd = (energy_parts(grid256, h.values + t * d.values, p.mu)[0]
+              - energy_parts(grid256, h.values - t * d.values, p.mu)[0]) / (2.0 * t)
+        pairing = 2.0 * np.pi * integrate(grid256, gradient_field(grid256, h.values, p.mu)
                                           * d.values)
         assert abs(pairing - fd) <= 1e-6 * max(1.0, abs(fd))  # measured 2.9e-10
 
@@ -137,13 +135,13 @@ def test_gradient_is_cubic_on_neutral_direction(grid512, pair512):
     eps_list = (1e-2, 5e-3, 2.5e-3)
     proj = []
     for eps in eps_list:
-        g = gradient_values(grid512, eps * phi, mu_c)
+        g = gradient_field(grid512, eps * phi, mu_c)
         proj.append(integrate(grid512, g * phi) / eps**3)
     ratio1 = (proj[0] * eps_list[0] ** 3) / (proj[1] * eps_list[1] ** 3)
     ratio2 = (proj[1] * eps_list[1] ** 3) / (proj[2] * eps_list[2] ** 3)
     assert 7.5 <= ratio1 <= 8.5  # measured 8.0
     assert 7.5 <= ratio2 <= 8.5
-    limit = cbar(pair512.phi0, mu_c)
+    limit = pair512.threshold_cbar
     assert abs(proj[2] - limit) <= 1e-3 * abs(limit)
 
 
@@ -152,9 +150,9 @@ def test_odd_symmetry_is_bitwise(grid256):
     rng = np.random.default_rng(3)
     h = smooth_profile(grid256, rng.normal(size=5), scale=1.4)
     neg = Profile(grid256, -h.values)
-    assert energy_of_values(grid256, neg.values, p.mu) == energy_of_values(grid256, h.values, p.mu)
-    assert np.array_equal(gradient_values(grid256, neg.values, p.mu),
-                          -gradient_values(grid256, h.values, p.mu))
+    assert energy_parts(grid256, neg.values, p.mu)[0] == energy_parts(grid256, h.values, p.mu)[0]
+    assert np.array_equal(gradient_field(grid256, neg.values, p.mu),
+                          -gradient_field(grid256, h.values, p.mu))
 
 
 def test_euler_residual_vanishes_on_zero():
@@ -282,8 +280,8 @@ def test_fold_preserves_energy_on_single_signed_profiles(grid512, sign):
     # reflection, which the energy cannot see
     vals = sign * 1.4 * np.sin(np.pi * grid512.nodes) ** 2
     vals[0] = 0.0
-    before = energy_of_values(grid512, vals, 2.0)
-    after = energy_of_values(grid512, fold_values(vals)[0], 2.0)
+    before = energy_parts(grid512, vals, 2.0)[0]
+    after = energy_parts(grid512, fold_values(vals)[0], 2.0)[0]
     assert abs(after - before) <= 1e-10
 
 
@@ -297,8 +295,8 @@ def test_fold_drift_on_crossing_profiles_shrinks_with_resolution():
         g = build_grid(n, 2.0)
         vals = 1.3 * np.sin(2.0 * np.pi * g.nodes)
         vals[0] = 0.0
-        before = energy_of_values(g, vals, 2.0)
-        after = energy_of_values(g, fold_values(vals)[0], 2.0)
+        before = energy_parts(g, vals, 2.0)[0]
+        after = energy_parts(g, fold_values(vals)[0], 2.0)[0]
         cross = vals[:-1] * vals[1:] < 0.0
         identity = -4.0 * np.pi * np.sum(kappa(g)[cross] * np.abs(vals[:-1] * vals[1:])[cross])
         assert abs((after - before) - identity) <= 1e-12 * max(1.0, abs(before))
@@ -325,7 +323,7 @@ def test_fold_never_raises_the_energy(n, grading):
             vals = rng.uniform(-amplitude, amplitude, n + 1)
             vals[0] = 0.0
         folded = fold_values(vals)[0]
-        assert energy_of_values(g, folded, mu) <= energy_of_values(g, vals, mu)
+        assert energy_parts(g, folded, mu)[0] <= energy_parts(g, vals, mu)[0]
 
 
 def _recombined(h, p):
@@ -340,7 +338,7 @@ def test_split_recombines_absolutely_on_flat_origin_profiles(grid512):
     vals = 0.45 * (1.0 - np.cos(np.pi * grid512.nodes)) * np.cos(3.0 * grid512.nodes)
     vals[0] = 0.0
     h = Profile(grid512, vals)
-    strong = gradient_values(grid512, vals, p.mu)
+    strong = gradient_field(grid512, vals, p.mu)
     assert np.abs(_recombined(h, p) - strong).max() <= 1e-12  # measured 2.8e-14
 
 
@@ -351,7 +349,7 @@ def test_split_recombines_relatively_on_steep_origin_profiles(grid512):
     rng = np.random.default_rng(5)
     h = smooth_profile(grid512, rng.normal(size=4), scale=1.1)
     lap, cubic, defect = nonlinear_split(h, p)
-    strong = gradient_values(grid512, h.values, p.mu)
+    strong = gradient_field(grid512, h.values, p.mu)
     scale = np.maximum.reduce([
         np.ones_like(strong),
         np.abs(lap.values),
@@ -409,9 +407,9 @@ def _kernel_profiles(grid):
 def test_kernels_match_the_reference_formulas_bitwise(n, mu):
     grid = build_grid(n, 2.0)
     for values in _kernel_profiles(grid):
-        e = energy_of_values(grid, values, mu)
+        e = energy_parts(grid, values, mu)[0]
         assert e.hex() == reference_energy(grid, values, mu).hex()
-        g = gradient_values(grid, values, mu)
+        g = gradient_field(grid, values, mu)
         ref = reference_gradient(grid, values, mu)
         assert g.tobytes() == ref.tobytes()  # stricter than array_equal: -0.0 != 0.0
         # the descent loop's path: a trial's energy hands its parts to the gradient

@@ -15,14 +15,12 @@ from magnetodisk import (
 )
 from magnetodisk.grid import banded_factor, banded_matvec, banded_solve
 from magnetodisk.operators import (
-    energy_of_values,
     energy_parts,
     gradient_from_parts,
-    gradient_values,
 )
 
 from conftest import grid_and_pair, scaled_phi0, smooth_profile
-from oracles import euler_residual, l2_norm, random_profile, verify_trivial_uniqueness
+from oracles import euler_residual, gradient_field, l2_norm, random_profile, verify_trivial_uniqueness
 from reference_kernels import (
     dense_matrix,
     reference_cos2h,
@@ -262,8 +260,8 @@ def test_hessian_bands_are_the_derivative_of_the_weighted_gradient(mu):
     eps = 1e-5  # measured relative errors 5e-12 (rough) and 5e-9 (smooth)
     for v in (rough, np.sin(3.0 * r)):
         hv = banded_matvec(grid, diagonal, v[1:])
-        fd = (gradient_values(grid, h + eps * v, mu)
-              - gradient_values(grid, h - eps * v, mu))[1:] * grid.weights[1:] / (2.0 * eps)
+        fd = (gradient_field(grid, h + eps * v, mu)
+              - gradient_field(grid, h - eps * v, mu))[1:] * grid.weights[1:] / (2.0 * eps)
         assert np.linalg.norm(hv - fd) <= 1e-6 * np.linalg.norm(hv)
 
 
@@ -508,6 +506,24 @@ def test_an_underflowed_start_at_the_saddle_is_not_converged():
     assert minimum.converged and minimum.trivial
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "open solver fault, ROADMAP open item 2: at 2 mu = gamma0 + 1e-12 the "
+    "pitchfork start fails its Hessian test, 0.1 phi0 descends to E >= 0 in "
+    "14 iterations and the run returns the h = 0 saddle as trivial and "
+    "converged"))
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_a_default_run_above_the_threshold_does_not_end_converged_at_the_saddle(n):
+    # E(a phi0) = pi (-delta a^2 + cbar a^4 / 2) < 0 for small a, so h = 0
+    # is a saddle for every delta > 0; here delta is far above gamma0's
+    # roundoff, though the energy gap pi delta^2 / (2 cbar) is below every floor
+    grid, pair = grid_and_pair(n)
+    mu = (pair.gamma0 + 1e-12) / 2.0
+    if not 2.0 * mu - pair.gamma0 > 0.5e-12:
+        pytest.fail(f"2 mu - gamma0 = {2.0 * mu - pair.gamma0} is not 1e-12")
+    rep = minimize(grid, ModelParams(mu=mu), eigenpair=pair)
+    assert not (rep.trivial and rep.converged)
+
+
 @pytest.mark.parametrize("n", [256, 16384])
 def test_the_default_start_at_mu_2_is_two_newton_steps_from_the_minimizer(monkeypatch, n):
     # the pitchfork start at the sixth-order amplitude, against 3 steps from
@@ -649,7 +665,7 @@ def test_the_pitchfork_start_is_the_sextic_stationary_point(mu, grading):
     u = _squared_amplitude(start, pair)
     terms = (3.0 * c6 * u * u, cb * u, -delta)
     assert abs(sum(terms)) <= 1e-14 * sum(map(abs, terms))
-    assert energy_of_values(grid, start, mu) < energy_of_values(grid, leading, mu)
+    assert energy_parts(grid, start, mu)[0] < energy_parts(grid, leading, mu)[0]
 
 
 @pytest.mark.parametrize("grading", [1.0, 2.0, 3.5])
