@@ -189,8 +189,8 @@ _E8, _E16, _E17 = np.uint64(10**8), np.uint64(10**16), np.uint64(10**17)
 _POW5 = 5 ** np.arange(28, dtype=np.uint64)
 _POW5_LO, _POW5_HI = _POW5 & _LOW32, _POW5 >> _U64_32
 _POW10_8 = (10 ** np.arange(7, -1, -1)).astype(np.uint32)[:, None]
-_SLOT = np.arange(17, dtype=np.int8)[:, None]
-_RANK = (_SLOT + 1).view(np.uint8)
+_DIGIT = np.array([0, -1, *range(1, 17)], np.int8)[:, None]  # the digit in each body slot
+_RANK = (_DIGIT + 1).view(np.uint8)  # 0 for the point's slot
 _LEAD = np.frombuffer(b"0.000", np.uint8)[:, None]
 _LEAD_K = np.array([-1, -1, -2, -3, -4], np.int8)[:, None]  # each shown for k <= it
 _G17_PADDED = b"%%-%d.17g" % _G17_WIDTH  # a cell outside the kernel's range, space-padded
@@ -220,9 +220,13 @@ def _g17(x: np.ndarray, null: bool = False) -> np.ndarray:
     may sit anywhere in a cell: the writer drops them.  Returns a uint8
     matrix whose column i holds cell i.  Cells with 1e-10 <= |v| < 1e15 are
     computed exactly in integers, and so are zeros (laid out as 1 is, with
-    the digit 0).  The rest (non-finite values, the extremes) are formatted
-    by one % over all of them and written into their columns; with null
-    set, a non-finite one is null."""
+    the digit 0): d0, a slot for the point (empty where "0." leads), then
+    d1 ... d16.  Only a block holding a cell with |v| >= 10 moves d1 ... dk
+    left into that slot and puts the point after them, and only one holding
+    a cell in scientific notation writes exponents; the bytes are those of
+    "%.17g" % v either way.  The rest (non-finite values, the extremes) are
+    formatted by one % over all of them and written into their columns; with
+    null set, a non-finite one is null."""
     n = len(x)
     a = np.abs(x)
     fast = (a >= _G17_MIN) & (a < _G17_MAX)
@@ -242,19 +246,21 @@ def _g17(x: np.ndarray, null: bool = False) -> np.ndarray:
     d[zero] = 0
     k = k.astype(np.int8)
 
-    # digit rows: digit j of an 8-digit half h is t[h, j] - 10 t[h, j-1],
-    # t[h, j] = h // 10**(7-j), exact in the low bytes
-    dg = np.empty((17, n), np.uint8)
-    dg[0] = d // _E16
-    rest = d - dg[0] * _E16
+    # body slots: d0, the point's, d1 ... d16.  Digit j of an 8-digit half h
+    # is t[h, j] - 10 t[h, j-1], t[h, j] = h // 10**(7-j), exact in the low
+    # bytes.  sig counts the digits up to the last nonzero one.
+    out = np.empty((_G17_WIDTH, n), np.uint8)
+    body = out[6:24]
+    body[0] = d // _E16
+    rest = d - body[0] * _E16
     halves = np.empty((2, 1, n), np.uint32)
     halves[0, 0] = rest // _E8
     halves[1, 0] = rest - halves[0, 0] * _E8
     t = (halves // _POW10_8).astype(np.uint8)
-    digits = dg[1:].reshape(2, 8, n)
+    digits = out[8:24].reshape(2, 8, n)
     digits[:, 0] = t[:, 0]
     np.subtract(t[:, 1:], t[:, :-1] * np.uint8(10), out=digits[:, 1:])
-    sig = ((dg != 0).view(np.uint8) * _RANK).max(axis=0).view(np.int8)
+    sig = ((body != 0).view(np.uint8) * _RANK).max(axis=0).view(np.int8)
 
     # %g: fixed notation for -4 <= k < 17, else d.dddde-XX (only k < -4 here).
     # Digits before the point: k + 1, 1 in scientific notation, none for
@@ -262,28 +268,27 @@ def _g17(x: np.ndarray, null: bool = False) -> np.ndarray:
     # point are dropped, and the point with them if no digit follows it.
     sci = k < -4
     whole = np.maximum(k + np.int8(1), sci.view(np.int8))
-    dg += np.uint8(48)
-    dg *= (_SLOT < np.maximum(sig, whole)).view(np.uint8)
-    out = np.empty((_G17_WIDTH, n), np.uint8)
+    body += np.uint8(48)
+    body *= (_DIGIT < np.maximum(sig, whole)).view(np.uint8)
+    dot = ((whole > 0) & (sig > whole)).view(np.uint8) * np.uint8(46)
+    body[1] = dot  # after d0 for k = 0 and d.dddde-XX; NUL where "0." leads
+    if k.max() > 0:
+        # |x| >= 10 in the block: dj, j < whole, moves from slot j + 1 to j,
+        # and the point (or NUL) goes to slot whole, or stays in slot 1
+        body[1:15] += (_DIGIT[2:16] < whole).view(np.uint8) * (body[2:16] - body[1:15])
+        out.reshape(-1)[(np.maximum(whole, 1).astype(np.intp) + 6) * n + np.arange(n)] = dot
     out[0] = np.signbit(x).view(np.uint8) * np.uint8(45)
     out[1:6] = _LEAD * (np.where(sci, np.int8(0), k) <= _LEAD_K).view(np.uint8)
-    # body: the digits with the point in slot `whole`, or in the spare last
-    # slot (then NUL) when "0." leads
-    body = out[6:24]
-    point = np.where(whole > 0, whole, np.int8(17))
-    body[0] = dg[0]
-    body[1:17] = dg[1:]
-    body[1:17] += (_SLOT[1:] >= point).view(np.uint8) * (dg[:-1] - dg[1:])
-    body[17] = dg[16]
-    dot = ((whole > 0) & (sig > whole)).view(np.uint8) * np.uint8(46)
-    out.reshape(-1)[(point.astype(np.intp) + 6) * n + np.arange(n)] = dot
-    shown = sci.view(np.uint8)
-    exp_k = (-k).view(np.uint8)
-    tens = exp_k // np.uint8(10)
-    out[24] = shown * np.uint8(101)
-    out[25] = shown * np.uint8(45)
-    out[26] = shown * (tens + np.uint8(48))
-    out[27] = shown * (exp_k - tens * np.uint8(10) + np.uint8(48))
+    if sci.any():  # the exponent rows, NUL but in scientific notation
+        shown = sci.view(np.uint8)
+        exp_k = (-k).view(np.uint8)
+        tens = exp_k // np.uint8(10)
+        out[24] = shown * np.uint8(101)
+        out[25] = shown * np.uint8(45)
+        out[26] = shown * (tens + np.uint8(48))
+        out[27] = shown * (exp_k - tens * np.uint8(10) + np.uint8(48))
+    else:
+        out[24:] = 0
 
     slow = np.flatnonzero(~(fast | zero))
     if slow.size:

@@ -88,6 +88,10 @@ class EigenPair:
     ||A phi0 - gamma0 M phi0||_2 over the nodes 1..n, threshold_cbar, cbar
     at mu = gamma0 / 2, and moments, (P4, Q4, P6, Q6) of the energy's
     expansion along phi0, are computed from the pair on first read and kept.
+    From n ~ 4096 on, residual is the rounding noise of its own matvec: it
+    sits below u || |A| |phi0| ||_2 (u = 2**-53), 2.4e-11 against 4.4e-11 at
+    n = 4096 and 1.1e-9 against 2.8e-9 at n = 65536, where the inverse
+    pencil's residual ||M (phi0 - gamma0 A^-1 M phi0)||_2 is 6e-13 and 6e-16.
     """
 
     gamma0: float

@@ -69,10 +69,26 @@ def floats(n, seed=0):
 FORMATS = pytest.mark.parametrize("fmt", ["csv", "json"])
 
 
+# _g17 lays a block out with the point right after d0 while every cell has
+# |x| < 10; a cell >= 10 in the block makes it move digits left past the
+# point's slot, and a cell below 1e-4 makes it write exponents.  Each case is
+# one block (257 rows) of one kind, negative cells included; "any" mixes
+# magnitudes from 1e-300 to 1e300.
+INTEGERS = [10.0, 100.0, 12340.0, 1e14, 123456789012345.0]
+NEXT_TO_TEN = [9.999999999999996, 9.999999999999998, 10.000000000000002]  # and 10.0 above
+SCIENTIFIC = [9.9999999999999991e-5, 2.5e-7, 1e-10]
+
+
 @FORMATS
-def test_float_columns(tmp_path, fmt):
-    x = np.linspace(0.0, 1.0, 257) ** 2
-    assert_same_bytes(tmp_path, fmt, ["r", "a", "b"], [x, floats(257), np.sin(x) / 3.0])
+@pytest.mark.parametrize("cells", [floats(253), [], SCIENTIFIC, INTEGERS + NEXT_TO_TEN,
+                                   INTEGERS + NEXT_TO_TEN + SCIENTIFIC],
+                         ids=["any", "below_ten", "scientific", "ten_and_up", "both"])
+def test_float_columns(tmp_path, fmt, cells):
+    r = np.linspace(0.0, 1.0, 257)
+    a = np.sin(3.0 * r) * 9.999999999999998  # 0, and 1e-4 <= |x| < 10
+    a[1:4] = [1e-4, -0.5, 9.999999999999998]
+    a[4:4 + len(cells)] = cells
+    assert_same_bytes(tmp_path, fmt, ["r", "a", "v"], [r, a, -a[::-1].copy()])
 
 
 @FORMATS
@@ -209,12 +225,16 @@ def test_g17_matches_format_on_a_million_log_uniform_values():
     assert_g17(values * rng.choice([-1.0, 1.0], n))
 
 
-def test_g17_matches_format_next_to_powers_of_ten_and_the_range_bounds():
+@pytest.mark.parametrize("lo, hi", [(1e-4, 10.0), (_G17_MIN, 10.0), (1e-4, math.inf), (0.0, math.inf)],
+                         ids=["below_ten", "scientific", "ten_and_up", "both"])
+def test_g17_matches_format_next_to_powers_of_ten_and_the_range_bounds(lo, hi):
     # the kernel's first guess of the decimal exponent is one off next to a
-    # power of ten; a 17-digit rounding that carried would show there too
+    # power of ten; a 17-digit rounding that carried would show there too.
+    # The magnitudes in [lo, hi) select the block layout (see INTEGERS).
     powers = [float(f"1e{j}") for j in range(-10, 16)]
     nines = [float(f"9.99999999999999999e{j}") for j in range(-11, 15)]
-    values = neighbours(powers + nines + [_G17_MIN, _G17_MAX])
+    values = neighbours(powers + nines + INTEGERS + NEXT_TO_TEN + [_G17_MIN, _G17_MAX])
+    values = values[(values >= lo) & (values < hi)]
     assert_g17(np.concatenate([values, -values]))
 
 
