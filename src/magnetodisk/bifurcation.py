@@ -76,9 +76,9 @@ def trace_branches(
     """Natural-parameter continuation over the given mu values.
 
     mus is 1-D, at least 2 finite values, non-decreasing, the first below
-    the last; mu_step is mus[1] - mus[0].  params supplies the tol and
-    max_iter of every step; its mu is not read.  Every step records the
-    trivial branch.  At mu <= gamma0/2 that is all:
+    the last, and none negative, as ModelParams requires of mu; mu_step is
+    mus[1] - mus[0].  params supplies the tol and max_iter of every step;
+    its mu is not read.  Every step records the trivial branch.  At mu <= gamma0/2 that is all:
     the module's bound makes E_h > 0 there for every h != 0, so no minimize
     runs.  (gamma0, a Rayleigh quotient, may exceed the exact eigenvalue by
     roundoff; there a nontrivial energy is O(delta^2), inside the energy
@@ -100,6 +100,8 @@ def trace_branches(
             and (mus[1:] >= mus[:-1]).all() and mus[0] < mus[-1]):
         raise ValueError("need mus 1-D, at least 2 finite values, non-decreasing, "
                          "the first below the last")
+    if mus[0] < 0.0:
+        raise ValueError(f"mu must be finite and >= 0, got {mus[0]}")
     if eigenpair.phi0.grid is not grid:
         raise ValueError("eigenpair lives on a different grid")
     if init is not None and init.grid is not grid:

@@ -72,8 +72,8 @@ class RadialGrid:
 
     The constructor keeps a read-only float copy of the nodes and checks
     them; grids compare and hash by identity.  The weights and the operator
-    arrays (r_squared, two_r_squared, stiffness_bands, pencil, pencil_factor,
-    _off_diagonal) are derived from the nodes on first access, at most once
+    arrays (r_squared, stiffness_bands, pencil, pencil_factor, _off_diagonal)
+    are derived from the nodes on first access, at most once
     per grid, and are read-only.
     """
 
@@ -127,11 +127,6 @@ class RadialGrid:
     def r_squared(self) -> np.ndarray:
         """nodes[1:] ** 2, the r^2 of the centrifugal terms at nodes 1..n."""
         return _read_only(self.nodes[1:] ** 2)[0]
-
-    @cached_property
-    def two_r_squared(self) -> np.ndarray:
-        """2 r^2 at nodes 1..n, the denominator of the gradient's sin 2h / (2 r^2)."""
-        return _read_only(2.0 * self.r_squared)[0]
 
     @cached_property
     def stiffness_bands(self) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,7 @@ with the cell differences dv = diff(h) and s = sin h at the nodes 1..n,
 forming (mu/2) sin^2 2h as 2 mu s^2 (1 - s^2).  gradient_from_parts turns
 those two arrays and cos h into the gradient (flux kappa dv, then the nodal
 terms, with sin 2h = 2 s cos h) and also returns cos 2h = 1 - 2 s^2, from
-which solver.hessian_bands builds the Newton matrix, cos 4h included.  A
+which solver._curvature builds the Newton matrix, cos 4h included.  A
 line-search trial that is accepted thus hands its dv and sin h to the
 gradient at the same point, so the minimizer computes diff(h), sin h and
 cos h once per iterate.  numpy evaluates float64 sin and cos by libm's
@@ -140,14 +140,16 @@ def gradient_from_parts(grid: RadialGrid, values: np.ndarray, mu: float, dv: np.
     # sqrt(1 - sin^2 h), keeps the sign of sin 2h for every h
     sin2h = np.cos(values[1:])
     sin2h *= sinh
-    sin2h *= 2.0
     cos2h = sinh
     cos2h *= sinh
     cos2h *= -2.0
     cos2h += 1.0
     gi = g[1:]
     gi /= grid.weights[1:]
-    gi += np.divide(sin2h, grid.two_r_squared, out=flux)
+    # sin h cos h / r^2 is sin 2h / (2 r^2) bit for bit, as doubling is
+    # exact; doubled in place, sin h cos h becomes sin 2h
+    gi += np.divide(sin2h, grid.r_squared, out=flux)
+    sin2h *= 2.0
     sin2h *= mu
     sin2h *= cos2h
     gi -= sin2h

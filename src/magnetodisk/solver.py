@@ -7,7 +7,8 @@ backtracking line search (Levenberg-Marquardt; More & Sorensen 1983; Nocedal
 r^2 - 2 mu cos 4h, is the Hessian and P = K + W / r^2 the threshold pencil.
 tau = 0 is tried first; when H is indefinite, tau is computed from two
 bounds that make the matrix positive definite (see _newton_direction).
-hessian_bands builds the matrix for any tau, into one diagonal buffer.
+_curvature computes c once per iterate, and _newton_diagonal builds each
+tried matrix from it, a fresh array for every tau.
 Divided by 1 + tau the matrix keeps K's off-diagonal, so its main diagonal
 is all grid.banded_factor needs, and as tau grows the step turns into
 -P^-1 W g, steepest descent in the inner product of P.  When no shift
@@ -49,7 +50,6 @@ grid.rim_slope of the returned profile.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +64,7 @@ from .operators import (
     gradient_from_parts,
 )
 
-__all__ = ["SolveReport", "hessian_bands", "minimize"]
+__all__ = ["SolveReport", "minimize"]
 
 ARMIJO_C1 = 1e-4
 SHRINK_MIN, SHRINK_MAX = 0.1, 0.5  # bounds on one backtrack's alpha_new / alpha
@@ -126,45 +126,33 @@ class SolveReport:
     factorizations: int = 0
 
 
-def hessian_bands(grid: RadialGrid, mu: float, cos2h: np.ndarray
-                  ) -> tuple[Callable[[float], np.ndarray], np.ndarray]:
-    """Return diagonal(tau), the main diagonal over the nodes 1..n of
-    (H + tau P) / (1 + tau), whose off-diagonal is K's, and the curvature c,
-    where
+def _curvature(grid: RadialGrid, mu: float, cos2h: np.ndarray) -> np.ndarray:
+    """The curvature c = cos 2h / r^2 - 2 mu cos 4h at the nodes 1..n, where
 
-        H = K + W diag(c),   c = cos 2h / r^2 - 2 mu cos 4h,
+        H = K + W diag(c)
 
-    is the Hessian of E / (2 pi) (H v is the derivative of W g along v) and
-    P = K + W / r^2 the threshold pencil; diagonal(0.0) is H's.  cos2h is
-    cos 2h = 1 - 2 sin^2 h at the nodes 1..n as the gradient computed it;
-    cos 4h is 2 cos^2 2h - 1 from it, and c is computed once.  Each main
-    diagonal is K0 + w c at tau = 0 and K0 + w ((c + tau / r^2) / (1 + tau))
-    otherwise, built afresh from c by the same operations whatever shifts
-    came before, so the stiffness diagonal K0 enters exactly, and every call
-    writes it into the same buffer: use or copy it before the next."""
-    w = grid.weights[1:]
-    r2 = grid.r_squared
-    k0 = grid.stiffness_bands[0][1:]
-    buffer = np.divide(cos2h, r2)
+    is the Hessian of E / (2 pi) (H v is the derivative of W g along v).
+    cos2h is cos 2h = 1 - 2 sin^2 h at the nodes 1..n as the gradient
+    computed it, and cos 4h is 2 cos^2 2h - 1 from it."""
     curvature = cos2h * cos2h
     curvature *= 2.0
     curvature -= 1.0
     curvature *= 2.0 * mu
-    np.subtract(buffer, curvature, out=curvature)
+    return np.subtract(np.divide(cos2h, grid.r_squared), curvature, out=curvature)
 
-    def diagonal(tau: float) -> np.ndarray:
-        main = buffer
-        if tau == 0.0:
-            np.multiply(curvature, w, out=main)
-        else:
-            np.divide(tau, r2, out=main)
-            main += curvature
-            main /= 1.0 + tau
-            main *= w
-        main += k0
-        return main
 
-    return diagonal, curvature
+def _newton_diagonal(grid: RadialGrid, curvature: np.ndarray, tau: float) -> np.ndarray:
+    """A fresh array, the main diagonal K0 + w ((c + tau / r^2) / (1 + tau))
+    over the nodes 1..n of (H + tau P) / (1 + tau), whose off-diagonal is
+    K's; P = K + W / r^2 is the threshold pencil.  The stiffness diagonal K0
+    enters exactly, and at tau = 0, where c + 0 / r^2 and the division by 1
+    are exact, it is H's, K0 + w c."""
+    main = np.divide(tau, grid.r_squared)
+    main += curvature
+    main /= 1.0 + tau
+    main *= grid.weights[1:]
+    main += grid.stiffness_bands[0][1:]
+    return main
 
 
 def _factor(grid, main):
@@ -192,16 +180,16 @@ def _newton_direction(grid, mu, wg, cos2h, gamma0, factor=None):
     H is tried first, since the stop test asks whether it factors.  If not,
     ((H + tau P) / (1 + tau)) d = -W g is solved for tau = 2/3 tau_b, then
     (1 + SHIFT_MARGIN) tau_b, the first that factors and descends, else the
-    step is -P^-1 W g.  tau_b, from hessian_bands' curvature c, is the smaller
-    of two shifts beyond which the matrix is positive definite: max(-c r^2),
-    where every c + tau / r^2 >= 0 on top of K, positive definite on the
-    nodes 1..n; and max(1 / r^2 - c) / gamma0 - 1, as H + tau P = (1 + tau) P
+    step is -P^-1 W g.  tau_b, from the curvature c, is the smaller of two
+    shifts beyond which the matrix is positive definite: max(-c r^2), where
+    every c + tau / r^2 >= 0 on top of K, positive definite on the nodes
+    1..n; and max(1 / r^2 - c) / gamma0 - 1, as H + tau P = (1 + tau) P
     - W diag(1 / r^2 - c) and v^T P v >= gamma0 v^T W v.  Both bounds are
     sufficient, not necessary, and the smaller shift's step lies nearer H's."""
     if factor is not None:
         return *_descent(factor, wg), 0, True
-    diagonal, curvature = hessian_bands(grid, mu, cos2h)
-    factor = _factor(grid, diagonal(0.0))
+    curvature = _curvature(grid, mu, cos2h)
+    factor = _factor(grid, _newton_diagonal(grid, curvature, 0.0))
     tried = 1
     if factor is not None:
         return *_descent(factor, wg), tried, True
@@ -209,7 +197,7 @@ def _newton_direction(grid, mu, wg, cos2h, gamma0, factor=None):
     bound = min(-float(np.minimum.reduce(curvature * r2)),
                 float(np.maximum.reduce(1.0 / r2 - curvature)) / gamma0 - 1.0)
     for tau in (2.0 / 3.0 * bound, (1.0 + SHIFT_MARGIN) * bound):
-        factor = _factor(grid, diagonal(tau))
+        factor = _factor(grid, _newton_diagonal(grid, curvature, tau))
         tried += 1
         if factor is not None:
             step, slope = _descent(factor, wg)
@@ -311,7 +299,7 @@ def minimize(
     g, cos2h = gradient_from_parts(grid, v, mu, dv, sinh)
     if fallback is not None:
         # the start's Hessian test is the first iteration's tau = 0 factorization
-        factor = _factor(grid, hessian_bands(grid, mu, cos2h)[0](0.0))
+        factor = _factor(grid, _newton_diagonal(grid, _curvature(grid, mu, cos2h), 0.0))
         factorizations = 1
         if factor is None:
             v = fallback

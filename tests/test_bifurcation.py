@@ -119,6 +119,14 @@ def test_trace_rejects_bad_ranges(grid256, pair256):
             trace_branches(grid256, ModelParams(mu=1.0), mus, eigenpair=pair256)
 
 
+def test_trace_rejects_a_negative_mu_as_model_params_does(grid256, pair256):
+    # no point is certified trivial at a mu that no ModelParams accepts
+    with pytest.raises(ValueError, match=r"^mu must be finite and >= 0, got -5\.0$"):
+        ModelParams(mu=-5.0)
+    with pytest.raises(ValueError, match=r"^mu must be finite and >= 0, got -5\.0$"):
+        trace_branches(grid256, ModelParams(mu=1.0), [-5.0, -1.0, 0.5], eigenpair=pair256)
+
+
 def test_trace_takes_a_list_of_mu_values(grid256, pair256):
     # below the threshold no minimize runs: the points are the given mus
     mus = [0.1, 0.3, 0.3, 0.5]

@@ -140,6 +140,9 @@ def test_package_exports_resolve_and_leave_the_test_helpers_out():
     for name in ("assemble_pencil", "cbar", "energy_of_values", "gradient_values",
                  "second_eigenpair"):
         assert [m.__name__ for m in modules if hasattr(m, name) or name in m.__all__] == []
+    # the Newton matrix is built by the solver's private functions
+    assert not hasattr(magnetodisk.solver, "hessian_bands")
+    assert magnetodisk.solver.__all__ == ["SolveReport", "minimize"]
     # a stale entry would break a star import of its module
     for info in pkgutil.iter_modules(magnetodisk.__path__):
         m = importlib.import_module(f"magnetodisk.{info.name}")

@@ -131,13 +131,12 @@ def test_grid_is_immutable():
     assert g.pencil is g.pencil
     assert g.pencil_factor is g.pencil_factor
     assert g.r_squared is g.r_squared
-    assert g.two_r_squared is g.two_r_squared
-    for array in (*g.stiffness_bands, g.pencil, *g.pencil_factor, g.r_squared,
-                  g.two_r_squared):
+    for array in (*g.stiffness_bands, g.pencil, *g.pencil_factor, g.r_squared):
         with pytest.raises(ValueError):
             array[0] = 1.0
     assert np.array_equal(g.r_squared, g.nodes[1:] ** 2)
-    assert np.array_equal(g.two_r_squared, 2.0 * g.nodes[1:] ** 2)
+    # the gradient's sin 2h / (2 r^2) is formed as sin h cos h / r^2
+    assert not hasattr(g, "two_r_squared")
 
 
 def test_pencil_is_assembled_once(monkeypatch):

@@ -255,7 +255,7 @@ def test_hessian_bands_are_the_derivative_of_the_weighted_gradient(mu):
     grid = build_grid(256, 2.0)
     r = grid.nodes
     h = 1.3 * r * (2.0 - r)
-    diagonal = solver.hessian_bands(grid, mu, np.cos(2.0 * h[1:]))[0](0.0)
+    diagonal = solver._newton_diagonal(grid, solver._curvature(grid, mu, np.cos(2.0 * h[1:])), 0.0)
     rough = np.concatenate(([0.0], np.random.default_rng(7).standard_normal(grid.n)))
     eps = 1e-5  # measured relative errors 5e-12 (rough) and 5e-9 (smooth)
     for v in (rough, np.sin(3.0 * r)):
@@ -277,17 +277,32 @@ def test_hessian_diagonals_match_the_cos_4h_form(mu):
     w, r2, k0 = grid.weights[1:], grid.r_squared, grid.stiffness_bands[0][1:]
     curvature = cos2h / r2 - 2.0 * mu * np.cos(4.0 * h[1:])
     scale = k0 + w * (np.abs(cos2h) / r2 + 2.0 * mu)
-    diagonal, shipped = solver.hessian_bands(grid, mu, cos2h)
+    shipped = solver._curvature(grid, mu, cos2h)
     assert np.all(np.abs(shipped - curvature) <= 4.0 * np.spacing(np.abs(cos2h) / r2 + 2.0 * mu))
     taus = [0.0, 1e-6, 1e-3, 2.0 / 3.0, 1.0, 1e3, 1e8]
     built = []
     for tau in taus:
-        main = diagonal(tau)
+        main = solver._newton_diagonal(grid, shipped, tau)
         built.append(main.tobytes())
         old = k0 + w * ((curvature + tau / r2) / (1.0 + tau))
         assert np.all(np.abs(main - old) <= 4.0 * np.spacing(scale))
     for k in (3, 6, 0, 2, 1, 5, 0, 4):
-        assert diagonal(taus[k]).tobytes() == built[k]
+        assert solver._newton_diagonal(grid, shipped, taus[k]).tobytes() == built[k]
+
+
+def test_each_newton_diagonal_is_a_fresh_array(grid256, pair256):
+    # building another shift's diagonal, or H's again, changes neither an
+    # earlier diagonal nor the curvature they are built from
+    cos2h = np.cos(2.0 * 0.3 * pair256.phi0.values[1:])
+    curvature = solver._curvature(grid256, 2.0, cos2h)
+    kept = curvature.tobytes()
+    first = solver._newton_diagonal(grid256, curvature, 0.0)
+    want = first.tobytes()
+    for tau in (1.0, 0.0, 1e3):
+        later = solver._newton_diagonal(grid256, curvature, tau)
+        assert not np.shares_memory(later, first)
+        assert first.tobytes() == want
+    assert curvature.tobytes() == kept
 
 
 @pytest.mark.parametrize("n, mu, init_eps", [(64, 2.0, 1e-9), (64, 20.0, 1e-12),
@@ -309,7 +324,7 @@ def test_unshifted_hessian_factors_exactly_when_minimize_reports_it_definite(
     rep = minimize(grid, ModelParams(mu=mu), scaled_phi0(pair, init_eps), eigenpair=pair)
     assert rep.converged and seen[-1][1]
     for cos2h, definite in seen:
-        main = solver.hessian_bands(grid, mu, cos2h)[0](0.0)
+        main = solver._newton_diagonal(grid, solver._curvature(grid, mu, cos2h), 0.0)
         try:
             banded_factor(grid, main)
             factors = True
@@ -329,34 +344,32 @@ def test_either_shift_bound_makes_the_newton_matrix_positive_definite(monkeypatc
     # every iterate of a run from there, whose shifts are recorded
     grid, pair = grid_and_pair(64)
     r2 = grid.r_squared
-    bands = solver.hessian_bands
-    runs = []
+    curvature_of, diagonal = solver._curvature, solver._newton_diagonal
+    runs = []  # the cos 2h of each curvature built and the shifts built from it
 
     def recorded(grid, mu, cos2h):
-        diagonal, curvature = bands(grid, mu, cos2h)
-        taus = []
-        runs.append((cos2h.copy(), taus))
+        runs.append((cos2h.copy(), []))
+        return curvature_of(grid, mu, cos2h)
 
-        def traced(tau):
-            taus.append(tau)
-            return diagonal(tau)
+    def traced(grid, curvature, tau):
+        runs[-1][1].append(tau)
+        return diagonal(grid, curvature, tau)
 
-        return traced, curvature
-
-    monkeypatch.setattr(solver, "hessian_bands", recorded)
+    monkeypatch.setattr(solver, "_curvature", recorded)
+    monkeypatch.setattr(solver, "_newton_diagonal", traced)
     assert minimize(grid, ModelParams(mu=mu), scaled_phi0(pair, 1e-9), eigenpair=pair).converged
     rng = np.random.default_rng(11)
     profiles = [rng.uniform(0.0, np.pi / 2.0, grid.n) for _ in range(3)]
     profiles.append(1e-9 * pair.phi0.values[1:])
     shifted = 0
     for cos2h, taus in [(np.cos(2.0 * h), None) for h in profiles] + runs:
-        diagonal, curvature = bands(grid, mu, cos2h)
+        curvature = curvature_of(grid, mu, cos2h)
         diagonal_bound = float(np.max(-curvature * r2))
         pencil_bound = float(np.max(1.0 / r2 - curvature)) / pair.gamma0 - 1.0
         bound = min(diagonal_bound, pencil_bound)
         for b in (diagonal_bound, pencil_bound, bound):
             tau = max(b, 0.0) * (1.0 + solver.SHIFT_MARGIN)
-            assert np.linalg.eigvalsh(dense_matrix(grid, diagonal(tau)))[0] > 0.0
+            assert np.linalg.eigvalsh(dense_matrix(grid, diagonal(grid, curvature, tau)))[0] > 0.0
         if taus is not None and len(taus) > 1:  # H did not factor
             shifted += 1
             assert taus[1:] == pytest.approx(
@@ -532,13 +545,13 @@ def test_the_default_start_at_mu_2_is_two_newton_steps_from_the_minimizer(monkey
     # test is the first iteration's tau = 0 factorization, not a fourth one,
     # and the first iteration builds no Newton matrix of its own
     built = []
-    bands = solver.hessian_bands
+    diagonal = solver._newton_diagonal
 
     def counted(*args):
         built.append(None)
-        return bands(*args)
+        return diagonal(*args)
 
-    monkeypatch.setattr(solver, "hessian_bands", counted)
+    monkeypatch.setattr(solver, "_newton_diagonal", counted)
     grid, pair = grid_and_pair(n)
     rep = minimize(grid, ModelParams(mu=2.0), eigenpair=pair)
     assert rep.converged and not rep.trivial
@@ -584,7 +597,8 @@ def _start_factor(grid, mu, v):
     """H's factor at v, from the cos 2h of the gradient there, or None."""
     _, dv, sinh = energy_parts(grid, v, mu)
     _, cos2h = gradient_from_parts(grid, v, mu, dv, sinh)
-    return solver._factor(grid, solver.hessian_bands(grid, mu, cos2h)[0](0.0))
+    curvature = solver._curvature(grid, mu, cos2h)
+    return solver._factor(grid, solver._newton_diagonal(grid, curvature, 0.0))
 
 
 @pytest.mark.parametrize("n, grading, delta, mu", [
