@@ -100,8 +100,7 @@ def trace_branches(
             and (mus[1:] >= mus[:-1]).all() and mus[0] < mus[-1]):
         raise ValueError("need mus 1-D, at least 2 finite values, non-decreasing, "
                          "the first below the last")
-    if mus[0] < 0.0:
-        raise ValueError(f"mu must be finite and >= 0, got {mus[0]}")
+    replace(params, mu=float(mus[0]))  # ModelParams' range rule for mu
     if eigenpair.phi0.grid is not grid:
         raise ValueError("eigenpair lives on a different grid")
     if init is not None and init.grid is not grid:

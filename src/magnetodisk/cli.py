@@ -531,9 +531,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--init-eps", dest="init_eps", type=float,
                         help="start from init_eps * phi0; sweep uses it for "
                              "its first step above gamma0/2 only (default: "
-                             "the pitchfork start at its sixth-order "
-                             "amplitude or the core law, else 0.1 * phi0; "
-                             "see the README)")
+                             "the default start of the README's Library "
+                             "section)")
         sp.add_argument("--samples", type=int,
                         help="lattice points per axis for fields output")
     return parser

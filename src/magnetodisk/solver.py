@@ -6,9 +6,11 @@ backtracking line search (Levenberg-Marquardt; More & Sorensen 1983; Nocedal
 ((H + tau P) / (1 + tau)) d = -W g, where H = K + W diag(c), c = cos 2h /
 r^2 - 2 mu cos 4h, is the Hessian and P = K + W / r^2 the threshold pencil.
 tau = 0 is tried first; when H is indefinite, tau is computed from two
-bounds that make the matrix positive definite (see _newton_direction).
-_curvature computes c once per iterate, and _newton_diagonal builds each
-tried matrix from it, a fresh array for every tau.
+bounds that make the matrix positive definite (see _shift_search).
+minimize evaluates each iterate at one place, the top of its loop: the
+gradient, its norm, c (_curvature) and the tau = 0 factorization, which the
+stop test reads; _newton_diagonal builds each tried matrix from c, a fresh
+array for every tau.
 Divided by 1 + tau the matrix keeps K's off-diagonal, so its main diagonal
 is all grid.banded_factor needs, and as tau grows the step turns into
 -P^-1 W g, steepest descent in the inner product of P.  When no shift
@@ -18,9 +20,9 @@ factor, is the step, so every iteration has one.
 Without an explicit start, a run starts where _default_start says, the one
 statement of the default-start policy.  The caller's threshold eigenpair
 (gamma0, phi0) is the one source of both that start and the shift bound.
-The pitchfork start, a phi0, is taken only where the unshifted Hessian there
-factors; that test is the first iteration's tau = 0 factorization, built
-from the start's first gradient evaluation.
+The pitchfork start, a phi0, is kept only where the unshifted Hessian there
+factors; that test is the first iteration's own tau = 0 factorization, and
+where it fails the loop starts over from the fallback.
 
 Every accepted iterate is folded back into [0, pi/2], which never raises the
 energy, so the iterate and a minimizer both lie in [0, pi/2] at every node,
@@ -105,10 +107,9 @@ class SolveReport:
     energy evaluation adds one (see _default_start).  factorizations
     counts the LDL^T factorizations (grid.banded_factor) of the shifted
     Newton matrices, the failed ones included: the tau = 0 matrix at every
-    iteration (at a pitchfork start the Hessian test is the first, and
-    a failed test counts one more), and the one or two shifted matrices
-    tried when it does not factor; the grid's cached pencil factor is not
-    counted.
+    iterate, a pitchfork start's included (its Hessian test), and the one or
+    two shifted matrices tried where it does not factor; the grid's cached
+    pencil factor is not counted.
     """
 
     minimizer: Profile
@@ -170,40 +171,29 @@ def _descent(factor, wg):
     return step, 2.0 * np.pi * dot(wg, step)
 
 
-def _newton_direction(grid, mu, wg, cos2h, gamma0, factor=None):
-    """Shifted Newton step, its slope, the factorizations made and whether
-    the unshifted Hessian H factored, i.e. is positive definite.  cos2h is
-    cos 2h at the nodes 1..n of the iterate, as the gradient computed it;
-    gamma0 is the threshold eigenvalue; factor is H's, if the caller holds
-    it (not counted).
+def _shift_search(grid, curvature, wg, gamma0):
+    """Shifted Newton step where H does not factor, its slope and the
+    factorizations made.  curvature is c at the iterate; gamma0 is the
+    threshold eigenvalue.
 
-    H is tried first, since the stop test asks whether it factors.  If not,
     ((H + tau P) / (1 + tau)) d = -W g is solved for tau = 2/3 tau_b, then
     (1 + SHIFT_MARGIN) tau_b, the first that factors and descends, else the
-    step is -P^-1 W g.  tau_b, from the curvature c, is the smaller of two
-    shifts beyond which the matrix is positive definite: max(-c r^2), where
-    every c + tau / r^2 >= 0 on top of K, positive definite on the nodes
-    1..n; and max(1 / r^2 - c) / gamma0 - 1, as H + tau P = (1 + tau) P
-    - W diag(1 / r^2 - c) and v^T P v >= gamma0 v^T W v.  Both bounds are
-    sufficient, not necessary, and the smaller shift's step lies nearer H's."""
-    if factor is not None:
-        return *_descent(factor, wg), 0, True
-    curvature = _curvature(grid, mu, cos2h)
-    factor = _factor(grid, _newton_diagonal(grid, curvature, 0.0))
-    tried = 1
-    if factor is not None:
-        return *_descent(factor, wg), tried, True
+    step is -P^-1 W g.  tau_b is the smaller of two shifts beyond which the
+    matrix is positive definite: max(-c r^2), where every c + tau / r^2 >= 0
+    on top of K, positive definite on the nodes 1..n; and max(1 / r^2 - c) /
+    gamma0 - 1, as H + tau P = (1 + tau) P - W diag(1 / r^2 - c) and
+    v^T P v >= gamma0 v^T W v.  Both bounds are sufficient, not necessary,
+    and the smaller shift's step lies nearer H's."""
     r2 = grid.r_squared
     bound = min(-float(np.minimum.reduce(curvature * r2)),
                 float(np.maximum.reduce(1.0 / r2 - curvature)) / gamma0 - 1.0)
-    for tau in (2.0 / 3.0 * bound, (1.0 + SHIFT_MARGIN) * bound):
+    for tried, tau in enumerate((2.0 / 3.0 * bound, (1.0 + SHIFT_MARGIN) * bound), start=1):
         factor = _factor(grid, _newton_diagonal(grid, curvature, tau))
-        tried += 1
         if factor is not None:
             step, slope = _descent(factor, wg)
             if slope < 0.0:
-                return step, slope, tried, False
-    return *_descent(grid.pencil_factor, wg), tried, False
+                return step, slope, tried
+    return *_descent(grid.pencil_factor, wg), tried
 
 
 def _default_start(grid, mu, eigenpair):
@@ -228,8 +218,8 @@ def _default_start(grid, mu, eigenpair):
     which does not cancel and holds at c6 = 0; the discriminant stays above
     cbar^2 / 6 wherever the leading-order peak is at most pi/4, at every
     grading and on coarse random node sets alike.  The pitchfork start is
-    taken provided that the unshifted Hessian there factors; minimize tests
-    that on the cos 2h of its first gradient evaluation.  Where it fails,
+    kept provided that the unshifted Hessian there factors, which the first
+    tau = 0 factorization of minimize tests.  Where it fails,
     next to the threshold, where H cannot resolve 2 mu - gamma0, the start
     is INIT_EPS * phi0, as it is at 2 mu <= gamma0.
     A leading-order peak above pi/4, or one not finite, overshoots every
@@ -281,8 +271,6 @@ def minimize(
 
     if eigenpair.phi0.grid is not grid:
         raise ValueError("eigenpair lives on a different grid")
-    factorizations = 0
-    factor = None  # H's factor at the start, from the pitchfork start's test
     fallback = None
     if init is None:
         v, fallback = _default_start(grid, mu, eigenpair)
@@ -296,36 +284,42 @@ def minimize(
     backtracks = 0
     if not np.isfinite(e_cur):
         raise ValueError("initial profile has non-finite energy")
-    g, cos2h = gradient_from_parts(grid, v, mu, dv, sinh)
-    if fallback is not None:
-        # the start's Hessian test is the first iteration's tau = 0 factorization
-        factor = _factor(grid, _newton_diagonal(grid, _curvature(grid, mu, cos2h), 0.0))
-        factorizations = 1
-        if factor is None:
-            v = fallback
-            e_cur, dv, sinh = energy_parts(grid, v, mu)
-            energy_evals += 1
-            g, cos2h = gradient_from_parts(grid, v, mu, dv, sinh)
-    gnorm = math.sqrt(dot(w * g, g))
-
+    factorizations = 0
     history = [e_cur]
     fold_count = 0
     converged = False
-    diverged = not math.isfinite(gnorm)  # e.g. mu = 1e300
+    diverged = False
     direction = np.zeros_like(v)  # the search direction; r = 0 stays pinned
 
-    while not diverged:
+    while True:
+        g, cos2h = gradient_from_parts(grid, v, mu, dv, sinh)
+        gnorm = math.sqrt(dot(w * g, g))
+        if not math.isfinite(gnorm):  # e.g. mu = 1e300
+            diverged = True
+            break
+        curvature = _curvature(grid, mu, cos2h)
+        factor = _factor(grid, _newton_diagonal(grid, curvature, 0.0))
+        factorizations += 1
+        if factor is None and fallback is not None:
+            # the pitchfork start failed its Hessian test: start over from the fallback
+            v, fallback = fallback, None
+            e_cur, dv, sinh = energy_parts(grid, v, mu)
+            energy_evals += 1
+            history = [e_cur]
+            continue
+        fallback = None  # only the start falls back
         wg = w[1:] * g[1:]
-        step, slope, tried, definite = _newton_direction(
-            grid, mu, wg, cos2h, eigenpair.gamma0, factor)
-        factor = None
-        factorizations += tried
+        if factor is not None:
+            step, slope = _descent(factor, wg)
+        else:
+            step, slope, tried = _shift_search(grid, curvature, wg, eigenpair.gamma0)
+            factorizations += tried
         if not math.isfinite(slope):
             diverged = True
             break
         floor = FLAT_TOL * (1.0 + abs(e_cur))
         # first- and second-order conditions, the decrement at the roundoff floor
-        converged = gnorm <= params.tol and definite and -0.5 * slope <= floor
+        converged = gnorm <= params.tol and factor is not None and -0.5 * slope <= floor
         if converged or slope >= 0.0 or len(history) > params.max_iter:
             break  # slope >= 0: no descent direction left
 
@@ -361,12 +355,6 @@ def minimize(
         v = cand
         e_cur = e_new
         history.append(e_cur)
-
-        g, cos2h = gradient_from_parts(grid, v, mu, dv, sinh)
-        gnorm = math.sqrt(dot(w * g, g))
-        if not math.isfinite(gnorm):
-            diverged = True
-            break
 
     iterations = len(history) - 1
     trivial = not diverged and e_cur >= 0.0

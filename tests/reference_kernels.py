@@ -1,8 +1,8 @@
 """The energy, gradient and fold as first written, one numpy expression each,
 with the flux-form stiffness apply K v that the gradient builds on; the
 Horner start and inverse iteration of magnetodisk.eigen, with a fresh array
-for every intermediate; and the shifted Newton step of magnetodisk.solver as
-a linear scan of its ladder of tried shifts.
+for every intermediate; and the Newton matrix, step and shift search of
+magnetodisk.solver, the search as a linear scan of its ladder of tried shifts.
 
 The kernels of magnetodisk.operators build the same fields in place, fused
 (energy_parts hands dv and sin h to gradient_from_parts, which takes sin 2h
@@ -12,9 +12,8 @@ bit for bit; so must eigen's in-place start and normalisation.  The
 operator references read only the grid's nodes and weights; the inverse
 iteration solves with the grid's pencil factor, as eigen does, and can also
 deflate against a given mode, which gives the tests the second eigenpair.  The solver
-skips the tau = 0 factorization when the caller holds H's factor, and builds
-each tried matrix by the same operations, so its steps must agree with the
-scan's bit for bit.
+builds each tried matrix and step by the same operations, so its steps must
+agree with the scan's bit for bit.
 """
 
 from functools import reduce
@@ -141,33 +140,44 @@ def reference_inverse_iteration(grid, v, deflate=None, max_iter=400, rq_tol=1e-1
     return gamma, v, it
 
 
-def reference_newton_direction(grid, mu, wg, cos2h, gamma0, factor=None):
-    """Try tau = 0, 2/3 tau_b and (1 + SHIFT_MARGIN) tau_b in turn, tau_b =
-    min(max(-c r^2), max(1 / r^2 - c) / gamma0 - 1), and solve with the first
-    whose matrix (H + tau P) / (1 + tau) factors and, for tau > 0, whose step
-    descends, else take the pencil step; factor, H's factor if the caller
-    holds it, is ignored.  (step, slope, tried, definite) as
-    solver._newton_direction returns them, tried counting every
-    factorization."""
+def reference_curvature(grid, mu, cos2h):
+    """c = cos 2h / r^2 - 2 mu cos 4h at the nodes 1..n, cos 4h as
+    2 cos^2 2h - 1."""
+    return cos2h / grid.r_squared - 2.0 * mu * (2.0 * cos2h * cos2h - 1.0)
+
+
+def reference_newton_diagonal(grid, curvature, tau):
+    """The main diagonal of (H + tau P) / (1 + tau): K0 + w c for H itself,
+    else K0 + w ((c + tau / r^2) / (1 + tau))."""
     w = grid.weights[1:]
-    r2 = grid.r_squared
     k0 = grid.stiffness_bands[0][1:]
-    curvature = cos2h / r2 - 2.0 * mu * (2.0 * cos2h * cos2h - 1.0)
+    if tau == 0.0:
+        return k0 + w * curvature
+    return k0 + w * ((curvature + tau / grid.r_squared) / (1.0 + tau))
+
+
+def reference_descent(factor, wg):
+    """The step -A^-1 W g for A so factored, and its slope 2 pi (W g) . d."""
+    step = banded_solve(factor, -wg)
+    return step, 2.0 * np.pi * float(np.sum(wg * step))
+
+
+def reference_shift_search(grid, curvature, wg, gamma0):
+    """Try 2/3 tau_b and (1 + SHIFT_MARGIN) tau_b in turn, tau_b =
+    min(max(-c r^2), max(1 / r^2 - c) / gamma0 - 1), and solve with the
+    first whose matrix (H + tau P) / (1 + tau) factors and whose step
+    descends, else take the pencil step.  (step, slope, tried) as
+    solver._shift_search returns them, tried counting every factorization."""
+    r2 = grid.r_squared
     bound = min(float(np.max(-curvature * r2)),
                 float(np.max(1.0 / r2 - curvature)) / gamma0 - 1.0)
-    ladder = [0.0, 2.0 / 3.0 * bound, (1.0 + SHIFT_MARGIN) * bound]
+    ladder = [2.0 / 3.0 * bound, (1.0 + SHIFT_MARGIN) * bound]
     for tried, tau in enumerate(ladder, start=1):
-        if tau == 0.0:
-            main = k0 + w * curvature
-        else:
-            main = k0 + w * ((curvature + tau / r2) / (1.0 + tau))
         try:
-            shifted = banded_factor(grid, main)
+            shifted = banded_factor(grid, reference_newton_diagonal(grid, curvature, tau))
         except np.linalg.LinAlgError:
             continue
-        step = banded_solve(shifted, -wg)
-        slope = 2.0 * np.pi * float(np.sum(wg * step))
-        if tau == 0.0 or slope < 0.0:
-            return step, slope, tried, tau == 0.0
-    step = banded_solve(grid.pencil_factor, -wg)
-    return step, 2.0 * np.pi * float(np.sum(wg * step)), len(ladder), False
+        step, slope = reference_descent(shifted, wg)
+        if slope < 0.0:
+            return step, slope, tried
+    return *reference_descent(grid.pencil_factor, wg), len(ladder)

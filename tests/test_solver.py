@@ -24,10 +24,13 @@ from oracles import euler_residual, gradient_field, l2_norm, random_profile, ver
 from reference_kernels import (
     dense_matrix,
     reference_cos2h,
+    reference_curvature,
+    reference_descent,
     reference_energy,
     reference_fold,
     reference_gradient,
-    reference_newton_direction,
+    reference_newton_diagonal,
+    reference_shift_search,
 )
 
 
@@ -231,8 +234,8 @@ def test_line_search_trials_stay_within_the_fold_domain_of_their_iterate(
 
 
 def test_newton_direction_falls_back_to_the_pencil_step(monkeypatch, grid256, pair256):
-    # when no matrix factors, tau = 0, 2/3 tau_b and tau_b just above it are
-    # tried, and the step is the pencil solve, the tau -> inf limit
+    # when no matrix factors, tau = 0, then 2/3 tau_b and tau_b just above it
+    # are tried, and the step is the pencil solve, the tau -> inf limit
     def indefinite(grid, diagonal):
         raise np.linalg.LinAlgError("not positive definite")
 
@@ -240,12 +243,16 @@ def test_newton_direction_falls_back_to_the_pencil_step(monkeypatch, grid256, pa
     v = 0.1 * pair256.phi0.values
     g = reference_gradient(grid256, v, 2.0)
     wg = grid256.weights[1:] * g[1:]
-    step, slope, tried, definite = solver._newton_direction(
-        grid256, 2.0, wg, np.cos(2.0 * v[1:]), pair256.gamma0)
+    curvature = solver._curvature(grid256, 2.0, np.cos(2.0 * v[1:]))
+    step, slope, tried = solver._shift_search(grid256, curvature, wg, pair256.gamma0)
     assert step.tobytes() == banded_solve(grid256.pencil_factor, -wg).tobytes()
     assert slope < 0.0
-    assert tried == 3
-    assert not definite
+    assert tried == 2
+    # in a run, three failed factorizations at each iterate, which is never
+    # reported definite
+    rep = minimize(grid256, ModelParams(mu=2.0, max_iter=1), scaled_phi0(pair256, 0.1),
+                   eigenpair=pair256)
+    assert (rep.iterations, rep.factorizations, rep.converged) == (1, 6, False)
 
 
 @pytest.mark.parametrize("mu", [2.0, 20.0, 1000.0])
@@ -312,19 +319,23 @@ def test_unshifted_hessian_factors_exactly_when_minimize_reports_it_definite(
     # at every iterate, and independently of the factorization at n = 64: the
     # smallest eigenvalue of the dense matrix is positive exactly then
     grid, pair = grid_and_pair(n)
-    seen = []
-    newton = solver._newton_direction
+    seen = []  # the cos 2h of each iterate and whether minimize took H's own step
+    curvature_of, search = solver._curvature, solver._shift_search
 
-    def recorded(grid, mu, wg, cos2h, gamma0, factor=None):
-        out = newton(grid, mu, wg, cos2h, gamma0, factor)
-        seen.append((cos2h.copy(), out[3]))
-        return out
+    def recorded(grid, mu, cos2h):
+        seen.append([cos2h.copy(), True])
+        return curvature_of(grid, mu, cos2h)
 
-    monkeypatch.setattr(solver, "_newton_direction", recorded)
+    def shifted(*args):
+        seen[-1][1] = False
+        return search(*args)
+
+    monkeypatch.setattr(solver, "_curvature", recorded)
+    monkeypatch.setattr(solver, "_shift_search", shifted)
     rep = minimize(grid, ModelParams(mu=mu), scaled_phi0(pair, init_eps), eigenpair=pair)
     assert rep.converged and seen[-1][1]
     for cos2h, definite in seen:
-        main = solver._newton_diagonal(grid, solver._curvature(grid, mu, cos2h), 0.0)
+        main = solver._newton_diagonal(grid, curvature_of(grid, mu, cos2h), 0.0)
         try:
             banded_factor(grid, main)
             factors = True
@@ -413,10 +424,11 @@ def test_shift_search_factorizations_are_pinned(n, mu, init_eps):
 @pytest.mark.parametrize("n", [64, 256, 1024])
 @pytest.mark.parametrize("mu", [2.0, 2.1, 3.0, 20.0, 100.0, 1e3, 1e4, 1e6, 1e8])
 def test_shift_search_takes_the_steps_of_the_ladder_scan(monkeypatch, mu, n, init_eps):
-    # the search returns the shift that a scan of tau = 0, 2/3 tau_b and
-    # (1 + SHIFT_MARGIN) tau_b reaches first, so the whole run is the scan's
-    # bit for bit; the pencil step is only a safety net, and 2/3 tau_b or
-    # tau_b just above it qualifies at every iterate of these runs
+    # minimize tries tau = 0 and the search returns the shift that a scan of
+    # 2/3 tau_b and (1 + SHIFT_MARGIN) tau_b reaches first, so the whole run
+    # is the reference's bit for bit, factorizations included; the pencil
+    # step is only a safety net, and 2/3 tau_b or tau_b just above it
+    # qualifies at every iterate of these runs
     grid, pair = grid_and_pair(n)
     start = scaled_phi0(pair, init_eps)
     pencil = []
@@ -430,16 +442,19 @@ def test_shift_search_takes_the_steps_of_the_ladder_scan(monkeypatch, mu, n, ini
         patch.setattr(solver, "_descent", recorded)
         shipped = minimize(grid, ModelParams(mu=mu), start, eigenpair=pair)
     with monkeypatch.context() as patch:
-        patch.setattr(solver, "_newton_direction", reference_newton_direction)
+        patch.setattr(solver, "_curvature", reference_curvature)
+        patch.setattr(solver, "_newton_diagonal", reference_newton_diagonal)
+        patch.setattr(solver, "_descent", reference_descent)
+        patch.setattr(solver, "_shift_search", reference_shift_search)
         ref = minimize(grid, ModelParams(mu=mu), start, eigenpair=pair)
     assert shipped.converged
     assert not any(pencil)
     assert shipped.minimizer.values.tobytes() == ref.minimizer.values.tobytes()
     assert shipped.energy.hex() == ref.energy.hex()
     assert shipped.residual.hex() == ref.residual.hex()
-    assert (shipped.iterations, shipped.energy_evals, shipped.backtracks, shipped.converged) \
-        == (ref.iterations, ref.energy_evals, ref.backtracks, ref.converged)
-    assert shipped.factorizations <= ref.factorizations
+    assert (shipped.iterations, shipped.energy_evals, shipped.backtracks, shipped.converged,
+            shipped.factorizations) \
+        == (ref.iterations, ref.energy_evals, ref.backtracks, ref.converged, ref.factorizations)
     assert shipped.factorizations <= 1 + 3 * shipped.iterations
 
 
@@ -542,8 +557,7 @@ def test_the_default_start_at_mu_2_is_two_newton_steps_from_the_minimizer(monkey
     # the pitchfork start at the sixth-order amplitude, against 3 steps from
     # the leading-order amplitude sqrt((2 mu - gamma0) / cbar) and 5 from
     # 0.1 phi0; measured 2 at every n = 64 ... 16384.  The start's Hessian
-    # test is the first iteration's tau = 0 factorization, not a fourth one,
-    # and the first iteration builds no Newton matrix of its own
+    # test is the first iteration's own tau = 0 factorization, not a fourth one
     built = []
     diagonal = solver._newton_diagonal
 
@@ -560,13 +574,39 @@ def test_the_default_start_at_mu_2_is_two_newton_steps_from_the_minimizer(monkey
     assert len(built) == rep.factorizations
 
 
-@pytest.mark.parametrize("mu", [2.0, 1000.0])
+def test_only_the_start_falls_back_when_h_does_not_factor(monkeypatch, grid256, pair256):
+    # the pitchfork start at mu = 2 passes its Hessian test; where H does not
+    # factor at a later iterate, that iterate takes the shift search and the
+    # run keeps its start
+    factor = solver._factor
+    calls = []
+
+    def second_fails(grid, main):
+        calls.append(None)
+        return None if len(calls) == 2 else factor(grid, main)
+
+    monkeypatch.setattr(solver, "_factor", second_fails)
+    start, fallback = solver._default_start(grid256, 2.0, pair256)
+    assert fallback is not None
+    rep = minimize(grid256, ModelParams(mu=2.0), eigenpair=pair256)
+    assert rep.converged
+    assert rep.energy_history[0] == energy_parts(grid256, start, 2.0)[0]
+    assert rep.energy_evals == 1 + rep.iterations + rep.backtracks
+    assert rep.factorizations == len(calls) > rep.iterations + 1
+
+
+@pytest.mark.parametrize("mu", [2.0, 1000.0, None])
 def test_one_sine_per_energy_and_one_cosine_per_gradient(monkeypatch, mu):
     # the energy computes sin h, the gradient cos h and from both sin 2h and
-    # cos 2h, which the Newton matrix and the start's Hessian test read; the
-    # start itself (the pitchfork start at mu = 2, the core law at mu = 1000)
-    # takes none
-    grid, pair = grid_and_pair(256)
+    # cos 2h, which the Newton matrix reads, the start's Hessian test
+    # included; the start itself (the pitchfork start at mu = 2, the core law
+    # at mu = 1000) takes none.  mu = None is 2 mu - gamma0 = 1e-13 at
+    # n = 1024, where the Hessian test fails and the run starts over from
+    # 0.1 phi0 with one energy and one gradient evaluation more
+    restarted = mu is None
+    grid, pair = grid_and_pair(1024 if restarted else 256)
+    if restarted:
+        mu = (pair.gamma0 + 1e-13) / 2.0
     calls = dict.fromkeys(["sin", "cos", "gradient"], 0)
 
     def counted(name, f):
@@ -582,10 +622,13 @@ def test_one_sine_per_energy_and_one_cosine_per_gradient(monkeypatch, mu):
     solver._default_start(grid, mu, pair)
     assert calls == {"sin": 0, "cos": 0, "gradient": 0}
     rep = minimize(grid, ModelParams(mu=mu), eigenpair=pair)
-    assert rep.converged
-    assert calls == {"sin": rep.energy_evals, "cos": rep.iterations + 1,
-                     "gradient": rep.iterations + 1}
-    assert rep.factorizations == {2.0: 3, 1000.0: 4}[mu]
+    evaluated = rep.iterations + 1 + restarted
+    assert calls == {"sin": rep.energy_evals, "cos": evaluated, "gradient": evaluated}
+    if restarted:
+        assert rep.energy_evals == 2 + rep.iterations + rep.backtracks
+    else:
+        assert rep.converged
+        assert rep.factorizations == {2.0: 3, 1000.0: 4}[mu]
 
 
 def _report_fields(rep):
