@@ -233,9 +233,10 @@ def test_line_search_trials_stay_within_the_fold_domain_of_their_iterate(
     assert max(reaches) <= 1.0
 
 
-def test_newton_direction_falls_back_to_the_pencil_step(monkeypatch, grid256, pair256):
-    # when no matrix factors, tau = 0, then 2/3 tau_b and tau_b just above it
-    # are tried, and the step is the pencil solve, the tau -> inf limit
+def test_shift_search_falls_back_to_the_pencil_step(monkeypatch, grid256, pair256):
+    # when no matrix factors, the search tries 2/3 tau_b and then
+    # (1 + SHIFT_MARGIN) tau_b, and the step is the pencil solve, the
+    # tau -> inf limit
     def indefinite(grid, diagonal):
         raise np.linalg.LinAlgError("not positive definite")
 
@@ -248,8 +249,8 @@ def test_newton_direction_falls_back_to_the_pencil_step(monkeypatch, grid256, pa
     assert step.tobytes() == banded_solve(grid256.pencil_factor, -wg).tobytes()
     assert slope < 0.0
     assert tried == 2
-    # in a run, three failed factorizations at each iterate, which is never
-    # reported definite
+    # a run adds the tau = 0 factorization at the top of each iterate: three
+    # failed factorizations per iterate, which is never reported definite
     rep = minimize(grid256, ModelParams(mu=2.0, max_iter=1), scaled_phi0(pair256, 0.1),
                    eigenpair=pair256)
     assert (rep.iterations, rep.factorizations, rep.converged) == (1, 6, False)
