@@ -80,10 +80,10 @@ def trace_branches(
     mus[1] - mus[0].  params supplies the tol and max_iter of every step;
     its mu is not read.  Every step records the trivial branch.  At mu <= gamma0/2 that is all:
     the module's bound makes E_h > 0 there for every h != 0, so no minimize
-    runs.  (gamma0, a Rayleigh quotient, may exceed the exact eigenvalue by
-    roundoff; there a nontrivial energy is O(delta^2), inside the energy
-    filter below.)  Above it, each step is one minimize call with the
-    grid's threshold eigenpair (another grid's is a ValueError).  A step
+    runs.  Above it, each step is one minimize call with the grid's
+    threshold eigenpair (another grid's is a ValueError), and minimize
+    never reports h = 0 converged there, so a converged step records the
+    plus and minus points.  A step
     entering the supercritical range starts from init, else from minimize's
     default start.  Every later step starts from a predictor in
     s = sqrt(2 mu - gamma0), the variable in which the pitchfork branch is a
@@ -92,7 +92,8 @@ def trace_branches(
     point as the first of them (see _predict); a step whose s repeats the
     last known one replaces it.  The minus branch is the negation of the
     plus branch, with the same energy, since E is even bit for bit.  If a
-    step fails to converge, the diagram is truncated there and that mu
+    step fails to converge, next to the threshold too, where minimize
+    cannot certify the branch, the diagram is truncated there and that mu
     recorded.
     """
     mus = np.asarray(mus, dtype=np.float64)
@@ -122,12 +123,9 @@ def trace_branches(
         s = math.sqrt(2.0 * mu - eigenpair.gamma0)
         start = _predict(grid, known, s) if known else init
         report = minimize(grid, replace(params, mu=mu), start, eigenpair=eigenpair)
-        if not report.converged:
+        if not report.converged:  # above gamma0/2 a converged run is nontrivial
             truncated_at = mu
             break
-        if report.trivial or report.energy >= -1e-11:
-            known = []
-            continue
         h = report.minimizer.values
         beta = integrate(grid, h * eigenpair.phi0.values)
         if beta < 0.0:

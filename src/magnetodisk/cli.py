@@ -49,8 +49,8 @@ class RunConfig:
     mu_range: tuple[float, float, int] | None = None
     lam: float | None = None
     seed: int = 0
-    tol: float = 1e-8
-    max_iter: int = 500
+    tol: float = ModelParams.tol
+    max_iter: int = ModelParams.max_iter
     init_eps: float | None = None
     out: str = "."
     format: str = "csv"

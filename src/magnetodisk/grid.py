@@ -162,8 +162,12 @@ class RadialGrid:
     @cached_property
     def pencil_factor(self) -> tuple[np.ndarray, np.ndarray]:
         """LDL^T factor of the pencil matrix A: the inverse-iteration solve
-        in eigen and the preconditioner of minimize."""
-        return _read_only(*banded_factor(self, self.pencil))
+        in eigen and the preconditioner of minimize.  Raises LinAlgError
+        where pttrf finds A not positive definite."""
+        factor = banded_factor(self, self.pencil)
+        if factor is None:
+            raise np.linalg.LinAlgError("pttrf: the pencil matrix is not positive definite")
+        return _read_only(*factor)
 
 
 def build_grid(n: int, grading: float = 2.0) -> RadialGrid:
@@ -227,14 +231,13 @@ def banded_matvec(grid: RadialGrid, diagonal: np.ndarray, x: np.ndarray) -> np.n
     return y
 
 
-def banded_factor(grid: RadialGrid, diagonal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def banded_factor(grid: RadialGrid,
+                  diagonal: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """LDL^T factor (LAPACK pttrf) of the matrix over the nodes 1..n with the
-    given main diagonal and the off-diagonal of K, which pttrf copies.
-    Raises LinAlgError unless the matrix is positive definite."""
+    given main diagonal and the off-diagonal of K, which pttrf copies, or
+    None where the matrix is not positive definite."""
     d, e, info = _PTTRF(diagonal, grid._off_diagonal)
-    if info:
-        raise np.linalg.LinAlgError(f"pttrf info {info}: the matrix is not positive definite")
-    return d, e
+    return None if info else (d, e)
 
 
 def banded_solve(factor: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:

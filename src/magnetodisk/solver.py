@@ -20,9 +20,10 @@ factor, is the step, so every iteration has one.
 Without an explicit start, a run starts where _default_start says, the one
 statement of the default-start policy.  The caller's threshold eigenpair
 (gamma0, phi0) is the one source of both that start and the shift bound.
-The pitchfork start, a phi0, is kept only where the unshifted Hessian there
-factors; that test is the first iteration's own tau = 0 factorization, and
-where it fails the loop starts over from the fallback.
+A pitchfork start, a phi0, whose unshifted Hessian does not factor ends the
+run at once, not converged; that test is the first iteration's own tau = 0
+factorization.  A run ending at E >= 0 returns h = 0, converged only at
+2 mu <= gamma0: above, h = 0 is a saddle and never a minimizer.
 
 Every accepted iterate is folded back into [0, pi/2], which never raises the
 energy, so the iterate and a minimizer both lie in [0, pi/2] at every node,
@@ -79,7 +80,8 @@ MAX_STEP = np.pi / 2.0
 # pencil's bound leaves the matrix only semidefinite, and gamma0 and c carry
 # roundoff, so the bound is taken a little above the computed value
 SHIFT_MARGIN = 1e-6
-# the default start's scale along phi0 where neither law predicts the minimizer
+# the default start's scale along phi0 at 2 mu <= gamma0, where neither law
+# predicts the minimizer
 INIT_EPS = 0.1
 # the bound of every minimizer folded into [0, pi/2], and the plateau of the
 # large-mu core (see _default_start)
@@ -93,7 +95,8 @@ class SolveReport:
     residual is the L^2(r dr) norm of the energy gradient at the returned
     minimizer, the last accepted iterate; converged is the stop test there,
     so it implies residual <= tol and not diverged.  A run ending at E >= 0
-    returns the zero profile (trivial) with 0 energy and residuals.
+    returns the zero profile (trivial) with 0 energy and residuals, converged
+    only where 2 mu <= gamma0, as h = 0 is a saddle above.
     bc_residual is |h_r(1)| at the minimizer by the one-sided stencil of
     grid.rim_slope, the residual of the natural boundary condition, which
     the weak form holds only up to truncation.  The energy history lists the
@@ -103,13 +106,13 @@ class SolveReport:
     energy_evals counts every energy evaluation of the run and backtracks
     every trial step that the line search rejected, so energy_evals ==
     1 + iterations + backtracks unless a trial energy came out NaN
-    (diverged) or the pitchfork start failed its Hessian test, whose
-    energy evaluation adds one (see _default_start).  factorizations
+    (diverged).  factorizations
     counts the LDL^T factorizations (grid.banded_factor) of the shifted
     Newton matrices, the failed ones included: the tau = 0 matrix at every
-    iterate, a pitchfork start's included (its Hessian test), and the one or
-    two shifted matrices tried where it does not factor; the grid's cached
-    pencil factor is not counted.
+    iterate, a pitchfork start's included (its Hessian test, after which a
+    run that fails it stops), and the one or two shifted matrices tried
+    where it does not factor; the grid's cached pencil factor is not
+    counted.
     """
 
     minimizer: Profile
@@ -156,15 +159,6 @@ def _newton_diagonal(grid: RadialGrid, curvature: np.ndarray, tau: float) -> np.
     return main
 
 
-def _factor(grid, main):
-    """The factor of the matrix with this main diagonal and K's off-diagonal,
-    or None if it is not positive definite."""
-    try:
-        return banded_factor(grid, main)
-    except np.linalg.LinAlgError:
-        return None
-
-
 def _descent(factor, wg):
     """The step d = -A^-1 W g for A so factored, and its slope."""
     step = banded_solve(factor, -wg)
@@ -188,7 +182,7 @@ def _shift_search(grid, curvature, wg, gamma0):
     bound = min(-float(np.minimum.reduce(curvature * r2)),
                 float(np.maximum.reduce(1.0 / r2 - curvature)) / gamma0 - 1.0)
     for tried, tau in enumerate((2.0 / 3.0 * bound, (1.0 + SHIFT_MARGIN) * bound), start=1):
-        factor = _factor(grid, _newton_diagonal(grid, curvature, tau))
+        factor = banded_factor(grid, _newton_diagonal(grid, curvature, tau))
         if factor is not None:
             step, slope = _descent(factor, wg)
             if slope < 0.0:
@@ -197,10 +191,9 @@ def _shift_search(grid, curvature, wg, gamma0):
 
 
 def _default_start(grid, mu, eigenpair):
-    """The start of a run given no init, and the start to fall back on if
-    the unshifted Hessian at the first does not factor, or None where the
-    first is taken as it is.  The default start is stated here and in the
-    README only.
+    """The start of a run given no init, and whether it is the pitchfork
+    start, whose Hessian test ends the run where it fails.  The default
+    start is stated here and in the README only.
 
     Every global minimizer, once folded into [0, pi/2], lies in [0, pi/4]:
     taking every node value v above pi/4 to pi/2 - v is 1-Lipschitz, so no
@@ -217,11 +210,13 @@ def _default_start(grid, mu, eigenpair):
     ch. VII).  u is taken as 2 delta / (cbar + sqrt(cbar^2 + 12 c6 delta)),
     which does not cancel and holds at c6 = 0; the discriminant stays above
     cbar^2 / 6 wherever the leading-order peak is at most pi/4, at every
-    grading and on coarse random node sets alike.  The pitchfork start is
-    kept provided that the unshifted Hessian there factors, which the first
-    tau = 0 factorization of minimize tests.  Where it fails,
-    next to the threshold, where H cannot resolve 2 mu - gamma0, the start
-    is INIT_EPS * phi0, as it is at 2 mu <= gamma0.
+    grading and on coarse random node sets alike.  Where the unshifted
+    Hessian there does not factor, which the first tau = 0 factorization of
+    minimize tests, H cannot resolve 2 mu - gamma0 (next to the threshold),
+    and the run ends at this start, not converged: its energy lies below 0,
+    where h = 0 is a saddle, and Newton steps on from it reach the
+    iteration cap (measured at grading 2).  At 2 mu <= gamma0 the start is
+    INIT_EPS * phi0.
     A leading-order peak above pi/4, or one not finite, overshoots every
     minimizer, and the start is the large-mu core law
 
@@ -233,16 +228,16 @@ def _default_start(grid, mu, eigenpair):
     phi = eigenpair.phi0.values
     delta = 2.0 * mu - eigenpair.gamma0
     if not delta > 0.0:
-        return INIT_EPS * phi, None
+        return INIT_EPS * phi, False
     peak = math.sqrt(delta / eigenpair.threshold_cbar) * float(np.maximum.reduce(phi))
     if peak <= PLATEAU:
         cbar, c6 = eigenpair.sextic(mu)
         u = 2.0 * delta / (cbar + math.sqrt(cbar * cbar + 12.0 * c6 * delta))
-        return math.sqrt(u) * phi, INIT_EPS * phi
+        return math.sqrt(u) * phi, True
     x = mu * grid.r_squared
     v = np.zeros_like(phi)
     v[1:] = PLATEAU * np.sqrt(x / (1.0 + x))
-    return v, None
+    return v, False
 
 
 # Overflow is checked, not warned about: a non-finite start energy raises, a
@@ -264,16 +259,16 @@ def minimize(
     shift bound read; an init or a pair of another grid object is a ValueError.
     The zero profile, an exact critical point with E = 0, always enters the
     final candidate set: a run ending at E >= 0 returns it, converged only
-    if it passed the stop test.
+    if it passed the stop test at 2 mu <= gamma0.
     """
     mu = params.mu
     w = grid.weights
 
     if eigenpair.phi0.grid is not grid:
         raise ValueError("eigenpair lives on a different grid")
-    fallback = None
+    tested = False
     if init is None:
-        v, fallback = _default_start(grid, mu, eigenpair)
+        v, tested = _default_start(grid, mu, eigenpair)
     else:
         if init.grid is not grid:
             raise ValueError("init profile lives on a different grid")
@@ -298,16 +293,11 @@ def minimize(
             diverged = True
             break
         curvature = _curvature(grid, mu, cos2h)
-        factor = _factor(grid, _newton_diagonal(grid, curvature, 0.0))
+        factor = banded_factor(grid, _newton_diagonal(grid, curvature, 0.0))
         factorizations += 1
-        if factor is None and fallback is not None:
-            # the pitchfork start failed its Hessian test: start over from the fallback
-            v, fallback = fallback, None
-            e_cur, dv, sinh = energy_parts(grid, v, mu)
-            energy_evals += 1
-            history = [e_cur]
-            continue
-        fallback = None  # only the start falls back
+        if factor is None and tested:
+            break  # the pitchfork start failed its Hessian test
+        tested = False
         wg = w[1:] * g[1:]
         if factor is not None:
             step, slope = _descent(factor, wg)
@@ -359,6 +349,7 @@ def minimize(
     iterations = len(history) - 1
     trivial = not diverged and e_cur >= 0.0
     if trivial:
+        converged = converged and 2.0 * mu <= eigenpair.gamma0
         if e_cur > 0.0:
             history.append(0.0)
         v, e_cur, gnorm = np.zeros_like(v), 0.0, 0.0

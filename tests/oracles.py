@@ -427,9 +427,6 @@ def zeroth_order_trace(
         if not report.converged:
             truncated_at = mu
             break
-        if report.trivial or report.energy >= -1e-11:
-            prev = None
-            continue
         h = report.minimizer
         beta = integrate(grid, h.values * eigenpair.phi0.values)
         if beta < 0.0:

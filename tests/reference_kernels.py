@@ -173,9 +173,8 @@ def reference_shift_search(grid, curvature, wg, gamma0):
                 float(np.max(1.0 / r2 - curvature)) / gamma0 - 1.0)
     ladder = [2.0 / 3.0 * bound, (1.0 + SHIFT_MARGIN) * bound]
     for tried, tau in enumerate(ladder, start=1):
-        try:
-            shifted = banded_factor(grid, reference_newton_diagonal(grid, curvature, tau))
-        except np.linalg.LinAlgError:
+        shifted = banded_factor(grid, reference_newton_diagonal(grid, curvature, tau))
+        if shifted is None:
             continue
         step, slope = reference_descent(shifted, wg)
         if slope < 0.0:

@@ -416,3 +416,38 @@ def test_mu_values_closer_than_float_spacing_repeat_a_branch_point():
     minus = [(q.mu, -q.beta, q.energy) for q in diagram.points if q.branch == "minus"]
     assert len(plus) == 5 and plus == minus
     assert all(beta > 0.0 for _, beta, _ in plus)
+
+
+def test_the_sweep_records_every_branch_point_that_minimize_converges_to():
+    # 2 mu - gamma0 = 1e-6, 1e-5 and 1e-3: energies of about -9e-14, -9e-12
+    # and -9e-8.  Every supercritical step where the default minimize
+    # converges nontrivially carries a plus and a minus point at its energy,
+    # up to the roundoff floor, however small that energy is
+    grid, pair = grid_and_pair(256)
+    mus = [pair.gamma0 / 2.0 - 0.1] + [(pair.gamma0 + d) / 2.0 for d in (1e-6, 1e-5, 1e-3)]
+    diagram = trace_branches(grid, ModelParams(mu=mus[0]), mus, eigenpair=pair)
+    assert diagram.truncated_at is None
+    checked = 0
+    for mu in mus[1:]:
+        rep = minimize(grid, ModelParams(mu=mu), eigenpair=pair)
+        if not (rep.converged and not rep.trivial):
+            continue
+        checked += 1
+        at = {q.branch: q for q in diagram.points if q.mu == mu}
+        assert set(at) == {"trivial", "plus", "minus"}
+        for branch in ("plus", "minus"):
+            assert abs(at[branch].energy - rep.energy) <= FLAT_TOL * (1.0 + abs(rep.energy))
+    assert checked == 3
+
+
+def test_a_step_that_cannot_be_certified_truncates_the_sweep(grid1024, pair1024):
+    # at 2 mu - gamma0 = 1e-12 the pitchfork start fails its Hessian test and
+    # minimize ends unconverged there: the diagram stops at that mu instead of
+    # recording h = 0, a saddle, and going on
+    thr = pair1024.gamma0 / 2.0
+    mus = [thr - 0.1, (pair1024.gamma0 + 1e-12) / 2.0, thr + 0.1]
+    assert 2.0 * mus[1] - pair1024.gamma0 > 0.5e-12
+    diagram = trace_branches(grid1024, ModelParams(mu=mus[0]), mus, eigenpair=pair1024)
+    assert diagram.truncated_at == mus[1]
+    assert [(q.mu, q.branch) for q in diagram.points] == [
+        (mus[0], "trivial"), (mus[1], "trivial")]

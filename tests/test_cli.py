@@ -286,6 +286,34 @@ def test_sweep_truncation_exit_code(tmp_path):
     assert summary["truncated_at"] is not None
 
 
+def test_sweep_records_the_branch_at_its_first_mu_above_the_threshold(tmp_path):
+    # gamma0 / 2 = 1.6949994742818948 at n = 256, so the second mu is 5e-7
+    # above it, where minimize converges to E = -8.6e-14: the sweep records
+    # that point, whatever the size of its energy
+    assert run("sweep", "--n", 256, "--mu-range", "1.5:1.6949999742818949:2",
+               "--out", tmp_path) == 0
+    _, rows = read_csv(tmp_path / "diagram.csv")
+    mu = "1.6949999742818949"
+    assert [row[:2] for row in rows] == [
+        ["1.5", "trivial"], [mu, "trivial"], [mu, "plus"], [mu, "minus"]]
+    assert float(rows[2][3]) == float(rows[3][3]) < 0.0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["threshold"] == float(mu)
+    assert summary["truncated_at"] is None
+
+
+def test_a_pencil_that_does_not_factor_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # banded_factor gives None for a matrix that is not positive definite;
+    # the grid's pencil factor raises, and main reports it as exit 1
+    from magnetodisk import grid as grid_module
+
+    monkeypatch.setattr(grid_module, "_PTTRF", lambda d, e: (d, e, 1))
+    assert run("eigen", "--n", 16, "--out", tmp_path / "x") == 1
+    assert not (tmp_path / "x").exists()
+    assert capsys.readouterr().err == (
+        "numerical failure: pttrf: the pencil matrix is not positive definite\n")
+
+
 def test_fields_command(tmp_path):
     assert run("fields", "--mu", 2.5, "--n", 64, "--samples", 11,
                "--out", tmp_path) == 0
@@ -625,6 +653,22 @@ def test_config_file_numbers_hash_like_the_flags(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text('{"n": 64.0, "grading": 2}')
     assert _hash("eigen", "--config", cfg) == _hash("eigen", "--n", 64, "--grading", 2)
+
+
+# the hashes of four invocations on the default tol and max_iter, as written
+# while RunConfig spelled out those defaults: reading them from ModelParams
+# keeps every config_hash
+DEFAULT_HASHES = {
+    ("eigen",): "941c9269edd2",
+    ("minimize", "--mu", 2): "1a4b21ac4da5",
+    ("sweep", "--mu-range", "1.5:2.2:15", "--n", 4096): "c9a3fc85a4a0",
+    ("fields", "--mu", 2, "--n", 4096, "--samples", 41): "9bfc7422f575",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(DEFAULT_HASHES))
+def test_config_hashes_of_the_defaults_are_pinned(argv):
+    assert _hash(*argv) == DEFAULT_HASHES[argv]
 
 
 def _out_of_memory(*args, **kwargs):

@@ -214,8 +214,7 @@ def test_banded_factor_rejects_indefinite_matrices():
     g = build_grid(64, 2.0)
     bad = g.pencil.copy()
     bad[10] = -1.0
-    with pytest.raises(np.linalg.LinAlgError):
-        banded_factor(g, bad)
+    assert banded_factor(g, bad) is None
 
 
 # grid loads scipy's LAPACK extension from its file; scipy.linalg may be
@@ -244,9 +243,7 @@ for diagonal in (main, main - 3.0 * m):  # the pencil and a shift below gamma0
     x_ref, info = lapack.dpttrs(d_ref, e_ref, b)
     assert info == 0
     assert g.banded_solve((d, e), b).tobytes() == x_ref.tobytes()
-try:
-    g.banded_factor(grid, main - 10.0 * m)
-except np.linalg.LinAlgError:
+if g.banded_factor(grid, main - 10.0 * m) is None:
     print("indefinite refused")
 """
     assert fresh_python("-c", probe).stdout.splitlines()[-1] == "indefinite refused"
