@@ -406,9 +406,9 @@ def _start(cfg: RunConfig, pair: EigenPair) -> Profile | None:
 
 
 def _solve(cfg: RunConfig, grid: RadialGrid, params: ModelParams,
-           pair: EigenPair) -> tuple[SolveReport, float, Profile]:
+           pair: EigenPair) -> tuple[SolveReport, float, np.ndarray]:
     """The minimizer, lambda (as given, else sqrt(2 mu): only the CLI reads
-    it) and the displacement w."""
+    it) and the nodal values of the displacement w."""
     report = minimize(grid, params, _start(cfg, pair), eigenpair=pair)
     # 2 sqrt(mu/2) is sqrt(2 mu) bit for bit where mu/2 is a normal float,
     # and does not overflow where 2 mu would
@@ -442,7 +442,7 @@ def cmd_minimize(cfg: RunConfig, grid: RadialGrid, params: ModelParams, pair: Ei
         },
     )
     writer.table("profile", ["r", "h", "w"],
-                 [grid.nodes, report.minimizer.values, w.values])
+                 [grid.nodes, report.minimizer.values, w])
     return _solve_status(report, params)
 
 
@@ -484,7 +484,7 @@ def cmd_fields(cfg: RunConfig, grid: RadialGrid, params: ModelParams, pair: Eige
                xs: np.ndarray, ys: np.ndarray) -> int:
     report, _, w = _solve(cfg, grid, params, pair)
     m = magnetization_grid(report.minimizer, xs, ys)
-    wvals = np.interp(np.hypot(xs, ys), grid.nodes, w.values)
+    wvals = np.interp(np.hypot(xs, ys), grid.nodes, w)
 
     writer = _Writer(cfg)
     writer.table("fields", ["x", "y", "m1", "m2", "m3", "w"], [xs, ys, *m.T, wvals])

@@ -7,8 +7,9 @@ w_r(0) = 0; the unit magnetization at a disk point (x, y) with radius r is
 
 which reduces the three-dimensional exchange density through the identity
 |grad m|^2 = (sin h / r)^2 + h_r^2.  reconstruct_w integrates the
-closed-form slope on the nodes; between the nodes, h and w are read as the
-P1 (piecewise-linear) functions the energy is built on.  The checks of the
+closed-form slope to w's nodal values, an array: only the angle profile h
+is a Profile.  Between the nodes, h and w are read as the P1
+(piecewise-linear) functions the energy is built on.  The checks of the
 identity and of the displacement balance live with the tests.
 """
 
@@ -21,20 +22,17 @@ from .operators import Profile
 __all__ = ["reconstruct_w", "magnetization_grid"]
 
 
-def reconstruct_w(h: Profile, lam: float) -> Profile:
-    """Integrate w_r = -(lam/2) sin 2h inward from w(1) = 0.
-
-    Per-cell trapezoid integration of the closed-form slope; the result is a
-    displacement profile (w(1) = 0 exactly, w(0) generally nonzero).
-    """
-    grid = h.grid
+def reconstruct_w(h: Profile, lam: float) -> np.ndarray:
+    """w's nodal values, a new array: w_r = -(lam/2) sin 2h integrated inward
+    from w(1) = 0 (exact) by the trapezoid rule per cell.  A lam that is not
+    finite is a ValueError; |h| < 2^1023 keeps 2h finite."""
+    if not np.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
     slope = -(lam / 2.0) * np.sin(2.0 * h.values)
-    dr = np.diff(grid.nodes)
-    cell = 0.5 * (slope[:-1] + slope[1:]) * dr
+    cell = 0.5 * (slope[:-1] + slope[1:]) * np.diff(h.grid.nodes)
     w = np.zeros_like(h.values)
     w[:-1] = -np.cumsum(cell[::-1])[::-1]
-    w[-1] = 0.0
-    return Profile(grid, w, pin_origin=False)
+    return w
 
 
 def magnetization_grid(h: Profile, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

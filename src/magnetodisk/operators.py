@@ -43,14 +43,13 @@ __all__ = ["Profile", "ModelParams", "fold_values"]
 
 @dataclass(frozen=True, eq=False)
 class Profile:
-    """Nodal grid function, compared and hashed by identity.  Angle profiles
-    are pinned to 0 at r = 0; displacement profiles produced by field
-    reconstruction satisfy w(1) = 0 instead and are built with pin_origin=False.
+    """Angle profile h: finite, read-only nodal values pinned to h(0) = 0,
+    compared and hashed by identity.  The displacement w is eliminated from
+    the energy; fields.reconstruct_w returns its nodal values as an array.
     """
 
     grid: RadialGrid
     values: np.ndarray
-    pin_origin: bool = True
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
@@ -60,7 +59,7 @@ class Profile:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("profile values must be finite")
-        if self.pin_origin and values[0] != 0.0:
+        if values[0] != 0.0:
             raise ValueError(f"profile must vanish at r=0, got {values[0]!r}")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)

@@ -288,7 +288,8 @@ def minimize(
 
     while True:
         g, cos2h = gradient_from_parts(grid, v, mu, dv, sinh)
-        gnorm = math.sqrt(dot(w * g, g))
+        wg = w * g
+        gnorm = math.sqrt(dot(wg, g))
         if not math.isfinite(gnorm):  # e.g. mu = 1e300
             diverged = True
             break
@@ -298,11 +299,10 @@ def minimize(
         if factor is None and tested:
             break  # the pitchfork start failed its Hessian test
         tested = False
-        wg = w[1:] * g[1:]
         if factor is not None:
-            step, slope = _descent(factor, wg)
+            step, slope = _descent(factor, wg[1:])
         else:
-            step, slope, tried = _shift_search(grid, curvature, wg, eigenpair.gamma0)
+            step, slope, tried = _shift_search(grid, curvature, wg[1:], eigenpair.gamma0)
             factorizations += tried
         if not math.isfinite(slope):
             diverged = True

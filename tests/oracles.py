@@ -337,16 +337,17 @@ def check_reduction_identity(
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def displacement_equation_residual(h: Profile, w: Profile, lam: float) -> np.ndarray:
+def displacement_equation_residual(h: Profile, w: np.ndarray, lam: float) -> np.ndarray:
     """Interior residual of the displacement balance
 
         w_rr + w_r/r + (lam/2) [ (sin 2h)_r + sin(2h)/r ] = 0,
 
-    evaluated with the derivative stencils; returned on nodes 1..n-1.
+    evaluated with the derivative stencils, for w's nodal values on h's
+    grid; returned on nodes 1..n-1.
     """
     grid = h.grid
     r = grid.nodes
-    dw = derivative(grid, w.values)
+    dw = derivative(grid, w)
     ddw = derivative(grid, dw)
     sin2h = np.sin(2.0 * h.values)
     dsin = derivative(grid, sin2h)

@@ -243,8 +243,8 @@ def test_criterion_9_displacement_reconstruction(minimizer256, minimizer512):
         rnorm = float(np.sqrt(np.sum(wt * res * res)))
         norms.append(rnorm)
         checks.append(
-            w.values[-1] == 0.0
-            and abs(derivative(h.grid, w.values)[0]) < (2.0 / n) ** 2
+            w[-1] == 0.0
+            and abs(derivative(h.grid, w)[0]) < (2.0 / n) ** 2
         )
     ok = all(checks) and norms[0] < 5e-4 and norms[1] < norms[0] / 1.4
     _line(9, ok, f"residual norms {norms[0]:.3g} -> {norms[1]:.3g}, "

@@ -329,7 +329,7 @@ def test_fields_command(tmp_path):
     grid = build_grid(64)
     h = minimize(grid, ModelParams(mu=2.5), eigenpair=smallest_eigenpair(grid)).minimizer
     w = reconstruct_w(h, np.sqrt(5.0))
-    assert np.array_equal(data[:, 5], np.interp(np.hypot(xs, ys), grid.nodes, w.values))
+    assert np.array_equal(data[:, 5], np.interp(np.hypot(xs, ys), grid.nodes, w))
     assert np.array_equal(data[:, 2:5], magnetization_grid(h, xs, ys))
 
 

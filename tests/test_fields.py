@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from oracles import check_reduction_identity, derivative, displacement_equation_
 LAM = 2.0  # coupling for mu = 2.0
 
 
-def coupled_energy(h: Profile, w: Profile, lam: float) -> float:
+def coupled_energy(h: Profile, w: np.ndarray, lam: float) -> float:
     """Energy of the pair (h, w) before eliminating the displacement:
 
         pi * int [ h_r^2 + (sin h/r)^2 + lam sin(2h) w_r + w_r^2 ] r dr.
@@ -18,10 +20,11 @@ def coupled_energy(h: Profile, w: Profile, lam: float) -> float:
     The first two terms are the reduced energy at mu = 0 (the grid's P1
     exchange term and the lumped sin^2 h / r^2); the coupling terms use the
     derivative stencils on w.  For w reconstructed from h this matches the
-    reduced energy up to quadrature error.
+    reduced energy up to quadrature error.  w holds the nodal values of the
+    displacement on h's grid.
     """
     grid = h.grid
-    dw = derivative(grid, w.values)
+    dw = derivative(grid, w)
     sin2h = np.sin(2.0 * h.values)
     coupling = integrate(grid, lam * sin2h * dw + dw * dw)
     return energy_parts(grid, h.values, 0.0)[0] + np.pi * coupling
@@ -30,14 +33,24 @@ def coupled_energy(h: Profile, w: Profile, lam: float) -> float:
 def test_zero_profile_reconstructs_zero_displacement(grid256):
     zero = Profile(grid256, np.zeros_like(grid256.nodes))
     w = reconstruct_w(zero, LAM)
-    assert np.all(w.values == 0.0)
+    assert np.all(w == 0.0)
 
 
 def test_displacement_boundary_conditions(minimizer256):
-    w = reconstruct_w(minimizer256.minimizer, LAM)
-    assert w.values[-1] == 0.0  # clamped rim, exact by construction
+    h = minimizer256.minimizer
+    w = reconstruct_w(h, LAM)
+    assert w[-1] == 0.0  # clamped rim, exact by construction
     # free center: w_r(0) = -(lam/2) sin(2 h(0)) = 0 up to stencil truncation
-    assert abs(derivative(w.grid, w.values)[0]) <= (2.0 / 256.0) ** 2
+    assert abs(derivative(h.grid, w)[0]) <= (2.0 / 256.0) ** 2
+
+
+def test_displacement_rejects_a_non_finite_lambda(minimizer256):
+    # checked before the slope is formed, so no RuntimeWarning comes first
+    for lam in (np.inf, -np.inf, np.nan):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="lambda must be finite"):
+                reconstruct_w(minimizer256.minimizer, lam)
 
 
 def test_displacement_solves_its_balance_equation(minimizer256, minimizer512):

@@ -47,12 +47,6 @@ def test_profiles_compare_and_hash_by_identity():
     assert hash(p) == hash(p)
 
 
-def test_profile_pin_origin_opt_out():
-    g = build_grid(16, 2.0)
-    p = Profile(g, np.ones(17), pin_origin=False)
-    assert p.values[0] == 1.0
-
-
 def test_model_params():
     p = ModelParams(mu=2.0)
     assert (p.mu, p.tol, p.max_iter) == (2.0, 1e-8, 500)

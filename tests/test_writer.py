@@ -8,6 +8,7 @@ is checked against format(x, ".17g") itself.
 
 import json
 import math
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -162,6 +163,29 @@ def test_large_table(tmp_path, fmt):
     branch = ["plus", "minus", "trivial"] * (n_rows // 3) + ["plus"] * (n_rows % 3)
     assert_same_bytes(tmp_path, fmt, ["r", "branch", "v"],
                       [np.linspace(0.0, 1.0, n_rows), branch, values])
+
+
+def table_peak(tmp_path, fmt, blocks):
+    """The tracemalloc peak of one table of two in-range float columns of
+    blocks full blocks, its input columns allocated before tracing starts."""
+    n_rows = blocks * _BLOCK_ROWS
+    columns = [in_range(n_rows, 6), in_range(n_rows, 7)]
+    writer = _Writer(RunConfig(command="eigen", out=str(tmp_path / f"{fmt}{blocks}"),
+                               format=fmt))
+    tracemalloc.start()
+    try:
+        writer.table("t", ["r", "v"], columns)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@FORMATS
+def test_table_memory_is_bounded_by_the_block(tmp_path, fmt):
+    # the writer holds one block's text and cells at a time, so a table four
+    # times as long peaks at the same memory (about 2 MB in either format)
+    small, large = table_peak(tmp_path, fmt, 4), table_peak(tmp_path, fmt, 16)
+    assert abs(large - small) <= 0.05 * small, (small, large)
 
 
 def in_range(n, seed=0):
