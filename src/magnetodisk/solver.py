@@ -22,8 +22,9 @@ statement of the default-start policy.  The caller's threshold eigenpair
 (gamma0, phi0) is the one source of both that start and the shift bound.
 A pitchfork start, a phi0, whose unshifted Hessian does not factor ends the
 run at once, not converged; that test is the first iteration's own tau = 0
-factorization.  A run ending at E >= 0 returns h = 0, converged only at
-2 mu <= gamma0: above, h = 0 is a saddle and never a minimizer.
+factorization.  At 2 mu <= gamma0 the threshold inequality proved in
+bifurcation makes h = 0 the minimizer, returned converged with no iteration;
+above, h = 0 is a saddle, returned where a run ends at E >= 0, not converged.
 
 Every accepted iterate is folded back into [0, pi/2], which never raises the
 energy, so the iterate and a minimizer both lie in [0, pi/2] at every node,
@@ -80,9 +81,6 @@ MAX_STEP = np.pi / 2.0
 # pencil's bound leaves the matrix only semidefinite, and gamma0 and c carry
 # roundoff, so the bound is taken a little above the computed value
 SHIFT_MARGIN = 1e-6
-# the default start's scale along phi0 at 2 mu <= gamma0, where neither law
-# predicts the minimizer
-INIT_EPS = 0.1
 # the bound of every minimizer folded into [0, pi/2], and the plateau of the
 # large-mu core (see _default_start)
 PLATEAU = np.pi / 4.0
@@ -94,9 +92,10 @@ class SolveReport:
 
     residual is the L^2(r dr) norm of the energy gradient at the returned
     minimizer, the last accepted iterate; converged is the stop test there,
-    so it implies residual <= tol and not diverged.  A run ending at E >= 0
-    returns the zero profile (trivial) with 0 energy and residuals, converged
-    only where 2 mu <= gamma0, as h = 0 is a saddle above.
+    so it implies residual <= tol and not diverged.  A trivial run returns
+    the zero profile with 0 energy and residuals: certified at 2 mu <= gamma0
+    by bifurcation's threshold inequality, converged after the start's energy
+    alone, and above where a run ends at E >= 0, a saddle, not converged.
     bc_residual is |h_r(1)| at the minimizer by the one-sided stencil of
     grid.rim_slope, the residual of the natural boundary condition, which
     the weak form holds only up to truncation.  The energy history lists the
@@ -216,7 +215,7 @@ def _default_start(grid, mu, eigenpair):
     and the run ends at this start, not converged: its energy lies below 0,
     where h = 0 is a saddle, and Newton steps on from it reach the
     iteration cap (measured at grading 2).  At 2 mu <= gamma0 the start is
-    INIT_EPS * phi0.
+    h = 0, which minimize certifies as the minimizer with no iteration.
     A leading-order peak above pi/4, or one not finite, overshoots every
     minimizer, and the start is the large-mu core law
 
@@ -228,7 +227,7 @@ def _default_start(grid, mu, eigenpair):
     phi = eigenpair.phi0.values
     delta = 2.0 * mu - eigenpair.gamma0
     if not delta > 0.0:
-        return INIT_EPS * phi, False
+        return np.zeros_like(phi), False
     peak = math.sqrt(delta / eigenpair.threshold_cbar) * float(np.maximum.reduce(phi))
     if peak <= PLATEAU:
         cbar, c6 = eigenpair.sextic(mu)
@@ -257,9 +256,7 @@ def minimize(
     the default start (see _default_start).  eigenpair is the grid's
     threshold pair (gamma0, phi0), which the default start and the Newton
     shift bound read; an init or a pair of another grid object is a ValueError.
-    The zero profile, an exact critical point with E = 0, always enters the
-    final candidate set: a run ending at E >= 0 returns it, converged only
-    if it passed the stop test at 2 mu <= gamma0.
+    At 2 mu <= gamma0 h = 0 is returned at once, certified (see SolveReport).
     """
     mu = params.mu
     w = grid.weights
@@ -279,6 +276,7 @@ def minimize(
     backtracks = 0
     if not np.isfinite(e_cur):
         raise ValueError("initial profile has non-finite energy")
+    certified = 2.0 * mu <= eigenpair.gamma0
     factorizations = 0
     history = [e_cur]
     fold_count = 0
@@ -286,7 +284,7 @@ def minimize(
     diverged = False
     direction = np.zeros_like(v)  # the search direction; r = 0 stays pinned
 
-    while True:
+    while not certified:
         g, cos2h = gradient_from_parts(grid, v, mu, dv, sinh)
         wg = w * g
         gnorm = math.sqrt(dot(wg, g))
@@ -347,10 +345,10 @@ def minimize(
         history.append(e_cur)
 
     iterations = len(history) - 1
-    trivial = not diverged and e_cur >= 0.0
+    trivial = certified or (not diverged and e_cur >= 0.0)
     if trivial:
-        converged = converged and 2.0 * mu <= eigenpair.gamma0
-        if e_cur > 0.0:
+        converged = certified
+        if e_cur != 0.0:
             history.append(0.0)
         v, e_cur, gnorm = np.zeros_like(v), 0.0, 0.0
 

@@ -173,6 +173,19 @@ def test_minimize_subcritical(tmp_path):
     assert all(float(row[1]) == 0.0 for row in rows)
 
 
+def test_minimize_from_next_to_h_0_below_the_threshold_is_certified(tmp_path):
+    # 2 mu = gamma0 - 1e-12: h = 0 with no iteration, and exit 0; a descent
+    # from 1e-9 phi0 stalls at the iteration cap at E = -9.9e-30
+    gamma0 = smallest_eigenpair(build_grid(1024, 2.0)).gamma0
+    assert run("minimize", "--mu", repr((gamma0 - 1e-12) / 2.0), "--n", 1024,
+               "--init-eps", 1e-9, "--out", tmp_path) == 0
+    text = (tmp_path / "report.json").read_text()
+    assert '"iterations": 0' in text
+    report = json.loads(text)
+    assert report["trivial"] is report["converged"] is True
+    assert report["energy"] == 0.0
+
+
 def test_minimize_supercritical(tmp_path):
     assert run("minimize", "--mu", 2.5, "--n", 64, "--out", tmp_path) == 0
     report = json.loads((tmp_path / "report.json").read_text())
